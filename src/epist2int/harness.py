@@ -362,56 +362,55 @@ def check_lemma_suite(sample: int = 100, seed: int = 0) -> CheckReport:
     def draw(sub: int, k: int = 5) -> Formula:
         return random_formula_sized(k, ["p", "q", "r"], IP, sub)
 
-    def n_e(x, e):
-        return rel_neg(x, e)
-
-    def d_e(x, e):
-        return double_rel_neg(x, e)
-
     def lemma_double_neg(rng, sub):
         a, e = draw(sub), draw(sub + 1)
-        _proved_ip((a,), d_e(a, e), failures, "double_neg", traces=traces)
+        _proved_ip((a,), double_rel_neg(a, e), failures, "double_neg", traces=traces)
 
     def lemma_contraposition(rng, sub):
         a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
         ab = Impl(a, b)
-        _proved_ip((ab,), Impl(n_e(b, e), n_e(a, e)), failures, "contraposition neg",
-                   traces=traces)
-        _proved_ip((ab,), Impl(d_e(a, e), d_e(b, e)), failures, "contraposition double",
-                   traces=traces)
+        _proved_ip((ab,), Impl(rel_neg(b, e), rel_neg(a, e)), failures,
+                   "contraposition neg", traces=traces)
+        _proved_ip((ab,), Impl(double_rel_neg(a, e), double_rel_neg(b, e)), failures,
+                   "contraposition double", traces=traces)
 
     def lemma_triple_neg(rng, sub):
         a, e = draw(sub), draw(sub + 1)
-        _equiv_ip_checked(n_e(a, e), n_e(d_e(a, e), e), failures, "triple_neg", traces)
+        _equiv_ip_checked(rel_neg(a, e), rel_neg(double_rel_neg(a, e), e), failures,
+                          "triple_neg", traces)
 
     def lemma_2_neg_con(rng, sub):
         a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        _equiv_ip_checked(d_e(Conj(a, b), e), Conj(d_e(a, e), d_e(b, e)), failures,
+        _equiv_ip_checked(double_rel_neg(Conj(a, b), e),
+                          Conj(double_rel_neg(a, e), double_rel_neg(b, e)), failures,
                           "2_neg_con", traces)
 
     def lemma_2_neg_dis(rng, sub):
         a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        _equiv_ip_checked(d_e(Disj(a, b), e), d_e(Disj(d_e(a, e), d_e(b, e)), e),
+        _equiv_ip_checked(double_rel_neg(Disj(a, b), e),
+                          double_rel_neg(Disj(double_rel_neg(a, e), double_rel_neg(b, e)), e),
                           failures, "2_neg_dis", traces)
 
     def lemma_double_double(rng, sub):
         a, c, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        _proved_ip((d_e(a, e),), d_e(d_e(a, c), e), failures, "double_double",
-                   traces=traces)
+        _proved_ip((double_rel_neg(a, e),), double_rel_neg(double_rel_neg(a, c), e), failures,
+                   "double_double", traces=traces)
 
     def lemma_double_neg_imp(rng, sub):
         a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        _proved_ip((d_e(Impl(a, b), e),), Impl(d_e(a, e), d_e(b, e)), failures,
+        _proved_ip((double_rel_neg(Impl(a, b), e),),
+                   Impl(double_rel_neg(a, e), double_rel_neg(b, e)), failures,
                    "double_neg_imp", traces=traces)
 
     def lemma_imp_double_neg(rng, sub):
         a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        body = Impl(d_e(a, e), d_e(b, e))
-        _equiv_ip_checked(body, d_e(body, e), failures, "imp_double_neg", traces)
+        body = Impl(double_rel_neg(a, e), double_rel_neg(b, e))
+        _equiv_ip_checked(body, double_rel_neg(body, e), failures, "imp_double_neg", traces)
 
     def lemma_bang(rng, sub):
         a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        _equiv_ip_checked(Impl(a, d_e(b, e)), Impl(d_e(a, e), d_e(b, e)), failures,
+        _equiv_ip_checked(Impl(a, double_rel_neg(b, e)),
+                          Impl(double_rel_neg(a, e), double_rel_neg(b, e)), failures,
                           "bang", traces)
 
     def random_ctx(sub: int, rng) -> TranslationContext:
@@ -429,7 +428,7 @@ def check_lemma_suite(sample: int = 100, seed: int = 0) -> CheckReport:
         ctx = random_ctx(sub, rng)
         g = random_formula_sized(4, ["p", "q"], EP, sub + 3)
         x = ff_translate(g, ctx)
-        _equiv_ip_checked(d_e(x, ctx.witness), x, failures, "double_neg_elim", traces)
+        _equiv_ip_checked(double_rel_neg(x, ctx.witness), x, failures, "double_neg_elim", traces)
 
     def falsum_consequence(rng, sub):
         ctx = random_ctx(sub, rng)
@@ -440,7 +439,7 @@ def check_lemma_suite(sample: int = 100, seed: int = 0) -> CheckReport:
         ctx = random_ctx(sub, rng)
         g = random_formula_sized(4, ["p", "q"], EP, sub + 3)
         _equiv_ip_checked(ff_translate(neg(g), ctx),
-                          n_e(ff_translate(g, ctx), ctx.witness), failures,
+                          rel_neg(ff_translate(g, ctx), ctx.witness), failures,
                           "neg_consequence", traces)
 
     run("double_neg", lemma_double_neg)

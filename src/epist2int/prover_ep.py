@@ -26,10 +26,7 @@ from .syntax import (
     atoms_of,
     formula_key,
 )
-
-
-class SearchLimitError(RuntimeError):
-    pass
+from .prover_ip import SearchLimitError
 
 
 @dataclass(frozen=True)
@@ -83,6 +80,23 @@ def _beta_parts(sign: bool, f: Formula) -> list:
     return [(False, f.left), (True, f.right)]  # T(A -> B)
 
 
+def _put(sf, present: set, alphas: deque, betas: deque) -> bool:
+    """Add a signed formula to a world state; False when it closes the branch."""
+    sign, f = sf
+    if sf in present:
+        return True
+    if (not sign, f) in present:
+        return False
+    if sign and isinstance(f, Falsum):
+        return False
+    present.add(sf)
+    if _is_alpha(sign, f):
+        alphas.append(sf)
+    elif isinstance(f, (Conj, Disj, Impl)):
+        betas.append(sf)
+    return True
+
+
 class _Tableau:
     def __init__(self, node_cap: Optional[int]):
         self.node_cap = node_cap
@@ -96,34 +110,18 @@ class _Tableau:
 
     def saturated(self, present: set, alphas: deque, betas: deque) -> Iterator[frozenset]:
         """All open, fully expanded extensions of the current world state."""
-
-        def put(sf, present, alphas, betas) -> bool:
-            sign, f = sf
-            if sf in present:
-                return True
-            if (not sign, f) in present:
-                return False
-            if sign and isinstance(f, Falsum):
-                return False
-            present.add(sf)
-            if _is_alpha(sign, f):
-                alphas.append(sf)
-            elif isinstance(f, (Conj, Disj, Impl)):
-                betas.append(sf)
-            return True
-
         while alphas:
             self._tick()
             sign, f = alphas.popleft()
             for part in _alpha_parts(sign, f):
-                if not put(part, present, alphas, betas):
+                if not _put(part, present, alphas, betas):
                     return
         if betas:
             self._tick()
             sign, f = betas.popleft()
             for alt in _beta_parts(sign, f):
                 p2, a2, b2 = set(present), deque(alphas), deque(betas)
-                if put(alt, p2, a2, b2):
+                if _put(alt, p2, a2, b2):
                     yield from self.saturated(p2, a2, b2)
             return
         yield frozenset(present)
@@ -132,21 +130,10 @@ class _Tableau:
         present: set = set()
         alphas: deque = deque()
         betas: deque = deque()
-        ok = True
         for sf in sorted(seed, key=lambda sf: (sf[0], formula_key(sf[1]))):
-            sign, f = sf
-            if sf in present:
-                continue
-            if (not sign, f) in present or (sign and isinstance(f, Falsum)):
-                ok = False
-                break
-            present.add(sf)
-            if _is_alpha(sign, f):
-                alphas.append(sf)
-            elif isinstance(f, (Conj, Disj, Impl)):
-                betas.append(sf)
-        if ok:
-            yield from self.saturated(present, alphas, betas)
+            if not _put(sf, present, alphas, betas):
+                return
+        yield from self.saturated(present, alphas, betas)
 
     def satisfy(self, seed: frozenset, chain: tuple) -> Optional[tuple]:
         """A world realizing the seed, or None.

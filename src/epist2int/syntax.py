@@ -12,115 +12,76 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
 IP = "ip"
 EP = "ep"
 
 
-def _cache_hash(obj, payload) -> None:
-    object.__setattr__(obj, "_h", hash(payload))
+class _Node:
+    """Base of the formula nodes: hash-consed, immutable, slotted.
+
+    The constructor returns the one node per class and argument tuple, so
+    structurally equal formulas are the same object and == and hash are
+    the inherited identity ones.  The intern table is a plain dict per
+    class that lives, and grows, for the whole process.  `_key` caches
+    the printed form that formula_key sorts by.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init_subclass__(cls):
+        cls._table = {}
+
+    def __new__(cls, *args):
+        node = cls._table.get(args)
+        if node is None:
+            if len(args) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} arguments")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, args):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_key", None)
+            # setdefault publishes one node even if two threads race here
+            node = cls._table.setdefault(args, node)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, eq=False)
-class Atom:
-    name: str
-
-    def __post_init__(self):
-        _cache_hash(self, ("at", self.name))
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Atom and self.name == other.name)
+class Atom(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, eq=False)
-class Falsum:
-    def __post_init__(self):
-        _cache_hash(self, ("bot",))
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return type(other) is Falsum
+class Falsum(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Conj:
-    left: "Formula"
-    right: "Formula"
-
-    def __post_init__(self):
-        _cache_hash(self, ("and", self.left, self.right))
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Conj
-            and self._h == other._h
-            and self.left == other.left
-            and self.right == other.right
-        )
+class Conj(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
-class Disj:
-    left: "Formula"
-    right: "Formula"
-
-    def __post_init__(self):
-        _cache_hash(self, ("or", self.left, self.right))
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Disj
-            and self._h == other._h
-            and self.left == other.left
-            and self.right == other.right
-        )
+class Disj(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
-class Impl:
-    left: "Formula"
-    right: "Formula"
-
-    def __post_init__(self):
-        _cache_hash(self, ("imp", self.left, self.right))
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Impl
-            and self._h == other._h
-            and self.left == other.left
-            and self.right == other.right
-        )
+class Impl(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
-class Box:
-    inner: "Formula"
-
-    def __post_init__(self):
-        _cache_hash(self, ("box", self.inner))
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Box and self.inner == other.inner)
+class Box(_Node):
+    __slots__ = ("inner",)
 
 
 Formula = Union[Atom, Falsum, Conj, Disj, Impl, Box]
@@ -374,10 +335,13 @@ def print_sequent(s: Sequent) -> str:
     return (lhs + " |- " if lhs else "|- ") + print_formula(s.goal)
 
 
-@lru_cache(maxsize=65536)
 def formula_key(f: Formula) -> str:
     """Deterministic total-order key (hash-randomization independent)."""
-    return print_formula(f)
+    key = f._key
+    if key is None:
+        key = print_formula(f)
+        object.__setattr__(f, "_key", key)
+    return key
 
 
 _JSON_NODES = {"atom": Atom, "falsum": Falsum, "conj": Conj, "disj": Disj, "impl": Impl, "box": Box}

@@ -204,13 +204,12 @@ def _rewrite_once(f: Formula) -> Formula | None:
     return _step(f)
 
 
-def ff_simplify(f: Formula, ctx: TranslationContext | None = None) -> Formula:
+def ff_simplify(f: Formula) -> Formula:
     """Exhaustively rewrite to a provably equivalent, smaller IP formula.
 
-    The rules are structural (the context parameter is accepted for API
-    symmetry with ff_translate but not consulted): every rule instance
-    is an interprovability for any witness shape, so the simplifier is
-    sound on arbitrary IP input.  Best-effort normalization only.
+    The rules are structural: every rule instance is an interprovability
+    for any witness shape, so the simplifier is sound on arbitrary IP
+    input.  Best-effort normalization only.
     """
     while True:
         g = _rewrite_once(f)

@@ -135,3 +135,11 @@ def test_node_cap_flag(capsys):
     code, _, err = run(capsys, "prove", "--logic", "ip", "--node-cap", "1",
                        "|- ~~(p \\/ ~p)")
     assert code == 2 and "node cap" in err
+
+
+def test_node_cap_flag_ep_json(capsys):
+    code, out, _ = run(capsys, "prove", "--logic", "ep", "--node-cap", "2",
+                       "--output", "json", "|- ([]p -> q) \\/ ([]q -> p) \\/ (p /\\ q)")
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])

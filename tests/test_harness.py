@@ -76,7 +76,7 @@ def test_soundness_spec_instances():
     assert is_provable_ip((ff_translate(Box(p), ctx),), ff_translate(Box(Box(p)), ctx))
     # the assumption-free classical theorem p \/ ~p, gamma = [q]
     ctx = TranslationContext((q,), 0)
-    assert is_provable_ip((), ff_translate(parse_formula("p \/ ~p"), ctx))
+    assert is_provable_ip((), ff_translate(parse_formula(r"p \/ ~p"), ctx))
 
 
 def test_sampler_returns_provable_sequents():

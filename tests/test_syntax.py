@@ -1,9 +1,16 @@
+import copy
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 from conftest import ep_formulas
+import epist2int
 from epist2int.syntax import (
     EP,
     FALSUM,
@@ -159,3 +166,39 @@ def test_random_formula_validation():
         random_formula(-1, ["p"], IP, 0)
     with pytest.raises(ValueError):
         random_formula(2, ["T"], IP, 0)
+
+
+def test_equal_formulas_are_identical():
+    f = parse_formula("p -> q")
+    assert f is Impl(Atom("p"), Atom("q"))
+    assert copy.deepcopy(f) is f
+    assert copy.copy(f) is f
+    assert Conj(f, FALSUM) is Conj(Impl(p, q), FALSUM)
+
+
+def test_nodes_are_immutable():
+    f = parse_formula("p -> q")
+    with pytest.raises(AttributeError):
+        f.left = q
+    with pytest.raises(AttributeError):
+        p.name = "q"
+    with pytest.raises(AttributeError):
+        del f.right
+    assert f is Impl(p, q)
+
+
+def test_pickle_across_processes():
+    # the child gets a hash seed other than ours, so a node that carried a
+    # hash computed at pickling time would not match a fresh one here
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(epist2int.__file__).resolve().parent.parent),
+               PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
+    code = ("import pickle, sys; from epist2int.syntax import parse_formula; "
+            "sys.stdout.buffer.write(pickle.dumps(parse_formula('(p -> q) /\\\\ r')))")
+    blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True, timeout=60).stdout
+    fresh = parse_formula("(p -> q) /\\ r")
+    got = pickle.loads(blob)
+    assert got is fresh
+    assert got == fresh
+    assert got in {fresh}
