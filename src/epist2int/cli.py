@@ -248,11 +248,16 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (ParseError, ValueError, SearchLimitError, KeyError) as exc:
-        if args.output == "json":
-            print(json.dumps({"schema_version": SCHEMA_VERSION, "error": str(exc)}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except RecursionError:
+        # the parser is iterative, but the translations and provers recurse
+        # once per nesting level
+        message = "formula nested too deeply"
+    if args.output == "json":
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "error": message}))
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -60,8 +60,20 @@ class _Node:
         return f"{type(self).__name__}({fields})"
 
 
+_ATOM_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+
+
 class Atom(_Node):
     __slots__ = ("name",)
+
+    def __new__(cls, name):
+        node = cls._table.get((name,))
+        if node is None:
+            # checked on a miss only, so the parser's lookups stay cheap
+            if not isinstance(name, str) or name == "T" or not _ATOM_RE.fullmatch(name):
+                raise ValueError(f"bad atom name {name!r}: not an identifier, or the verum T")
+            node = super().__new__(cls, name)
+        return node
 
 
 class Falsum(_Node):
@@ -97,11 +109,15 @@ def neg(f: Formula) -> Formula:
 
 def is_ip_formula(f: Formula) -> bool:
     """True iff the formula contains no box node."""
-    if isinstance(f, (Atom, Falsum)):
-        return True
-    if isinstance(f, Box):
-        return False
-    return is_ip_formula(f.left) and is_ip_formula(f.right)
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is Box:
+            return False
+        if kind is not Atom and kind is not Falsum:
+            todo += g.left, g.right
+    return True
 
 
 def formula_size(f: Formula) -> int:
@@ -151,149 +167,120 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<falsum>_\|_)
-      | (?P<impl>->)
-      | (?P<conj>/\\)
-      | (?P<disj>\\/)
-      | (?P<box>\[\])
-      | (?P<turnstile>\|-)
-      | (?P<neg>~)
-      | (?P<lpar>\()
-      | (?P<rpar>\))
-      | (?P<comma>,)
-      | (?P<ident>[a-zA-Z][a-zA-Z0-9_]*)
-    )""",
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            at = len(text) - len(stripped)
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
+# One capture group, so findall returns the token strings.  The final \S
+# makes any other character a one-character token, which _Parser rejects.
+_TOKEN_RE = re.compile(r"\s*(_\|_|->|/\\|\\/|\[\]|\|-|~|\(|\)|,|" + _ATOM_RE.pattern + r"|\S)")
+_PUNCT = frozenset(("_|_", "->", "/\\", "\\/", "[]", "|-", "~", "(", ")", ","))
+_PREFIX = {"~": neg, "[]": Box}
+# infix connective: (precedence, lowest stacked precedence it reduces,
+# constructor); -> is right-associative, \/ and /\ are left-associative
+_INFIX = {"->": (0, 1, Impl), "\\/": (1, 1, Disj), "/\\": (2, 2, Conj)}
 
 
 class _Parser:
     def __init__(self, text: str, logic: str):
         self.text = text
         self.logic = logic
-        self.tokens = _tokenize(text)
+        self.tokens = _TOKEN_RE.findall(text)
         self.i = 0
+        bad = [tok for tok in set(self.tokens) if tok not in _PUNCT and not _ATOM_RE.match(tok)]
+        if bad:
+            i = min(map(self.tokens.index, bad))
+            raise self.error(f"unexpected character {self.tokens[i]!r}", i)
 
-    def peek(self) -> tuple[str, str, int] | None:
+    def error(self, message: str, i: int) -> ParseError:
+        """The error at token i; past the last token, the end of input."""
+        if i == len(self.tokens):
+            return ParseError("unexpected end of input", len(self.text))
+        return ParseError(message, list(_TOKEN_RE.finditer(self.text))[i].start(1))
+
+    def peek(self) -> str | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.i += 1
-        return tok
+    def finish(self) -> None:
+        if self.i < len(self.tokens):
+            raise self.error(f"trailing input {self.peek()!r}", self.i)
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
-
-    # formula := impl;  impl := disj ('->' impl)?
     def formula(self) -> Formula:
-        left = self.disj()
-        tok = self.peek()
-        if tok is not None and tok[0] == "impl":
-            self.next()
-            return Impl(left, self.formula())
-        return left
+        """The longest formula from the current token on.
 
-    def disj(self) -> Formula:
-        f = self.conj()
+        Operator precedence without recursion: "(", prefixes and infix
+        connectives wait on `stack`, the left operands of the infix ones on
+        `lefts`, so nesting depth costs no Python stack.
+        """
+        tokens, i, n = self.tokens, self.i, len(self.tokens)
+        stack: list[str] = []
+        lefts: list[Formula] = []
+        depth = 0  # "(" on the stack
         while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "disj":
-                self.next()
-                f = Disj(f, self.conj())
+            # operand: stack "(" and prefixes up to a leaf
+            tok = tokens[i] if i < n else None
+            if tok in _PREFIX or tok == "(":
+                if tok == "[]" and self.logic == IP:
+                    raise self.error("Box not allowed in IP", i)
+                depth += tok == "("
+                stack.append(tok)
+                i += 1
+                continue
+            if tok == "_|_":
+                f = FALSUM
+            elif tok == "T":
+                f = VERUM
+            elif tok is None or tok in _PUNCT:
+                raise self.error(f"unexpected token {tok!r}", i)
             else:
-                return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "conj":
-                self.next()
-                f = Conj(f, self.unary())
-            else:
-                return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        kind, _, at = tok
-        if kind == "neg":
-            self.next()
-            return neg(self.unary())
-        if kind == "box":
-            if self.logic == IP:
-                raise ParseError("Box not allowed in IP", at)
-            self.next()
-            return Box(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, value, at = self.next()
-        if kind == "falsum":
-            return FALSUM
-        if kind == "ident":
-            if value == "T":
-                return VERUM
-            return Atom(value)
-        if kind == "lpar":
-            f = self.formula()
-            self.expect("rpar")
-            return f
-        raise ParseError(f"unexpected token {value!r}", at)
+                f = Atom(tok)
+            i += 1
+            # f is complete: apply its prefixes, reduce what the next token
+            # closes, then stack that token or end the formula
+            while True:
+                while stack and stack[-1] in _PREFIX:
+                    f = _PREFIX[stack.pop()](f)
+                tok = tokens[i] if i < n else None
+                infix = _INFIX.get(tok)
+                floor = infix[1] if infix else 0
+                while stack and (top := _INFIX.get(stack[-1])) and top[0] >= floor:
+                    stack.pop()
+                    f = top[2](lefts.pop(), f)
+                if infix:
+                    stack.append(tok)
+                    lefts.append(f)
+                    i += 1
+                    break
+                if depth == 0:
+                    self.i = i
+                    return f
+                if tok != ")":
+                    raise self.error(f"expected rpar, found {tok!r}", i)
+                stack.pop()
+                depth -= 1
+                i += 1
 
 
 def parse_formula(text: str, logic: str = IP) -> Formula:
     """Parse a formula; logic="ip" rejects the box modality."""
     p = _Parser(text, logic)
     f = p.formula()
-    tok = p.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    p.finish()
     return f
 
 
 def parse_sequent(text: str, logic: str = IP) -> Sequent:
     """Parse `A1, ..., An |- B`; the assumption list may be empty."""
     p = _Parser(text, logic)
-    assumptions: list[Formula] = []
-    tok = p.peek()
-    if tok is None:
+    if not p.tokens:
         raise ParseError("empty sequent", 0)
-    if tok[0] != "turnstile":
+    assumptions: list[Formula] = []
+    if p.peek() != "|-":
         assumptions.append(p.formula())
-        while p.peek() is not None and p.peek()[0] == "comma":
-            p.next()
+        while p.peek() == ",":
+            p.i += 1
             assumptions.append(p.formula())
-    p.expect("turnstile")
+    if p.peek() != "|-":
+        raise p.error(f"expected turnstile, found {p.peek()!r}", p.i)
+    p.i += 1
     goal = p.formula()
-    tok = p.peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    p.finish()
     return Sequent(tuple(assumptions), goal, logic)
 
 
@@ -386,15 +373,14 @@ def random_formula(max_depth: int, atoms: list[str], logic: str = IP, seed: int 
         raise ValueError("max_depth must be >= 0")
     if not atoms:
         raise ValueError("atoms must be nonempty")
-    if "T" in atoms:
-        raise ValueError('"T" is the verum token, not an atom name')
+    leaves = [Atom(a) for a in atoms]  # raises on a bad name such as "T"
     rng = random.Random(seed)
 
     def gen(depth: int) -> Formula:
         if depth == 0:
             if rng.random() < 0.15:
                 return FALSUM
-            return Atom(rng.choice(atoms))
+            return rng.choice(leaves)
         # leaves stay likely so sizes remain small enough for exhaustive provers
         choices = ["atom", "conj", "disj", "impl", "impl"]
         if logic == EP:

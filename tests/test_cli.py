@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -143,3 +144,33 @@ def test_node_cap_flag_ep_json(capsys):
     assert code == 2
     lines = out.splitlines()
     assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+def test_deep_formula_is_json_error(capsys):
+    code, out, _ = run(capsys, "prove", "--logic", "ip", "--output", "json",
+                       "|- " + "~" * 1200 + "p")
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "formula nested too deeply"
+
+
+FUZZ_TOKENS = ["p", "q", "T", "_|_", "~", "[]", "/\\", "\\/", "->", "(", ")", ",", "|-", "@"]
+
+
+def test_prove_fuzz_gives_one_json_document(capsys):
+    rng = random.Random(0)
+    codes = set()
+    for k in range(300):
+        tokens = [rng.choice(FUZZ_TOKENS) for _ in range(rng.randint(0, 10))]
+        if rng.random() < 0.5:
+            tokens.insert(rng.randint(0, len(tokens)), "|-")
+        text = "".join(tok + rng.choice(("", " ")) for tok in tokens)
+        # "--" ends the options, since argparse reads a text such as "->p" as one
+        code = main(["prove", "--logic", ("ip", "ep")[k % 2], "--output", "json",
+                     "--node-cap", "300", "--", text])
+        blob = json.loads(capsys.readouterr().out)
+        assert code in (0, 1, 2), text
+        assert ("error" in blob) == (code == 2), text
+        codes.add(code)
+    assert codes == {0, 1, 2}

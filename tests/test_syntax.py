@@ -26,6 +26,7 @@ from epist2int.syntax import (
     formula_from_json,
     formula_size,
     formula_to_json,
+    from_json_tree,
     is_ip_formula,
     neg,
     parse_formula,
@@ -99,11 +100,68 @@ def test_box_rejected_in_ip():
     assert exc.value.position == 0
 
 
-@pytest.mark.parametrize("bad", ["", "p ->", "(p", "p q", "p -> (q", "/\\ p", "p @ q"])
-def test_parse_errors_have_positions(bad):
+FORMULA_ERRORS = [
+    ("", "unexpected end of input (at position 0)"),
+    ("p ->", "unexpected end of input (at position 4)"),
+    ("(p", "unexpected end of input (at position 2)"),
+    ("p q", "trailing input 'q' (at position 2)"),
+    ("p -> (q", "unexpected end of input (at position 7)"),
+    ("/\\ p", "unexpected token '/\\\\' (at position 0)"),
+    ("p @ q", "unexpected character '@' (at position 2)"),
+    ("(p q)", "expected rpar, found 'q' (at position 3)"),
+    ("p ) q", "trailing input ')' (at position 2)"),
+    ("(p -> q @", "unexpected character '@' (at position 8)"),
+]
+
+
+@pytest.mark.parametrize("bad,message", FORMULA_ERRORS, ids=[bad for bad, _ in FORMULA_ERRORS])
+def test_parse_errors_have_positions(bad, message):
     with pytest.raises(ParseError) as exc:
         parse_formula(bad, IP)
-    assert exc.value.position >= 0
+    assert str(exc.value) == message
+
+
+SEQUENT_ERRORS = [
+    ("p |- q r", "trailing input 'r' (at position 7)"),
+    ("(p, q) |- r", "expected rpar, found ',' (at position 2)"),
+    ("p q |- r", "expected turnstile, found 'q' (at position 2)"),
+    ("p, q", "unexpected end of input (at position 4)"),
+    ("|- , p", "unexpected token ',' (at position 3)"),
+    ("  ", "empty sequent (at position 0)"),
+]
+
+
+@pytest.mark.parametrize("bad,message", SEQUENT_ERRORS, ids=[bad for bad, _ in SEQUENT_ERRORS])
+def test_sequent_parse_errors(bad, message):
+    with pytest.raises(ParseError) as exc:
+        parse_sequent(bad, IP)
+    assert str(exc.value) == message
+
+
+# the parser keeps its own stacks, so nesting depth costs no Python stack
+def test_parse_deep_parentheses():
+    assert parse_formula("(" * 5000 + "p" + ")" * 5000) is p
+
+
+def test_parse_deep_negation():
+    f = parse_formula("~" * 5000 + "p")
+    for _ in range(5000):
+        assert f.right is FALSUM
+        f = f.left
+    assert f is p
+
+
+@pytest.mark.parametrize("name", ["T", "p q", "1x", "_a", "", "p\n", "é", 7])
+def test_atom_rejects_bad_names(name):
+    with pytest.raises(ValueError, match="bad atom name"):
+        Atom(name)
+
+
+def test_atom_names_round_trip():
+    for name in ("p", "x1", "my_atom_2", "Tt", "E"):
+        assert parse_formula(print_formula(Atom(name))) is Atom(name)
+    with pytest.raises(ValueError, match="bad atom name"):
+        from_json_tree({"node": "atom", "name": "T", "children": []})
 
 
 def test_sequent_parsing():
