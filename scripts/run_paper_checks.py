@@ -22,18 +22,10 @@ def main() -> int:
     ap.add_argument("--jsonl", help="also write reports as JSON lines to this file")
     args = ap.parse_args()
 
-    lemmas = {"sample": args.sample or 100, "seed": args.seed}
-    soundness = {"sample": args.sample or 500, "seed": args.seed}
-
-    reports = [
-        harness.check_necessitation_counterexample(),
-        harness.check_symbolic_chain_identity(),
-        harness.check_unfaithfulness_fernandez(),
-        harness.check_weak_unfaithfulness_inoue(),
-        harness.check_lemma_suite(**lemmas),
-        harness.check_soundness_theorem(**soundness),
-        harness.check_godel_faithfulness(),
-    ]
+    try:
+        reports = harness.run_checks(harness.ALL_CHECKS, args.seed, args.sample)
+    except ValueError as exc:
+        ap.error(str(exc))
     print(harness.summary_table(reports))
     if args.jsonl:
         with open(args.jsonl, "w") as fh:

@@ -171,16 +171,7 @@ def cmd_eval(args) -> int:
 
 def cmd_paper(args) -> int:
     cfg = config_from_env(args)
-    check = harness.ALL_CHECKS[args.target]
-    kwargs = {}
-    if args.target in ("lemmas", "soundness"):
-        kwargs["seed"] = cfg.seed
-        if args.sample is not None:
-            kwargs["sample"] = args.sample
-    report = check(**kwargs)
-    reports = [report]
-    if args.target == "thm2":
-        reports.append(harness.check_symbolic_chain_identity())
+    reports = harness.run_checks([args.target], cfg.seed, args.sample)
     payload = {
         "command": "paper",
         "target": args.target,
@@ -194,8 +185,25 @@ def cmd_paper(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+class _UsageError(Exception):
+    """A command-line usage error: (message, the parser that found it)."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises _UsageError instead of exiting, so that main can report a
+    usage error as one JSON document under --output json."""
+
+    def error(self, message):
+        raise _UsageError(message, self)
+
+
+def _wants_json(argv: list[str]) -> bool:
+    return "--output=json" in argv or any(
+        a == "--output" and b == "json" for a, b in zip(argv, argv[1:]))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="epist2int",
         description="Translations and decision procedures between epistemic (S4) "
         "and intuitionistic propositional logic.",
@@ -238,22 +246,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "translate": cmd_translate,
-        "prove": cmd_prove,
-        "eval": cmd_eval,
-        "paper": cmd_paper,
-    }[args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    output = "json" if _wants_json(argv) else "human"
     try:
+        args = build_parser().parse_args(argv)
+        output = args.output
+        handler = {
+            "translate": cmd_translate,
+            "prove": cmd_prove,
+            "eval": cmd_eval,
+            "paper": cmd_paper,
+        }[args.command]
         return handler(args)
+    except _UsageError as exc:
+        message, parser = exc.args
+        if output == "human":
+            parser.print_usage(sys.stderr)
     except (ParseError, ValueError, SearchLimitError, KeyError) as exc:
         message = str(exc)
     except RecursionError:
         # the parser is iterative, but the translations and provers recurse
         # once per nesting level
         message = "formula nested too deeply"
-    if args.output == "json":
+    if output == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, "error": message}))
     else:
         print(f"error: {message}", file=sys.stderr)

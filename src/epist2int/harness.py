@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .algebra import evaluate, make_chain, refute, rpc_chain, Valuation
-from .prover_ep import check_kripke, is_provable_ep, prove_ep
+from .prover_ep import check_kripke, prove_ep
 from .prover_ip import check_trace, is_provable_ip, prove_ip
 from .syntax import (
     EP,
@@ -103,26 +103,29 @@ def _ctx_label(ctx: TranslationContext) -> str:
     return f"gamma=[{gamma}] witness={print_formula(ctx.witness)}"
 
 
-def _proved_ip(assumptions, goal, failures, label: str, expect: bool = True,
-               traces: Optional[list] = None) -> None:
-    s = Sequent(tuple(assumptions), goal, IP)
-    res = prove_ip(s, want_trace=True)
-    if res.provable != expect:
-        failures.append({"check": label, "sequent": print_sequent(s),
-                         "verdict": res.verdict, "expected": expect})
-        return
-    if res.provable:
-        if not check_trace(res.trace, s):
-            failures.append({"check": label, "sequent": print_sequent(s),
-                             "error": "trace rejected"})
-        elif traces is not None:
+def _decide(s: Sequent, failures: list, label: str, expect: Optional[bool] = True,
+            traces: Optional[list] = None):
+    """Decide s in its own logic and check the certificate its verdict
+    carries: the trace of an IP proof, the Kripke model refuting an S4
+    sequent.  A wrong verdict (expect=None accepts either) or a rejected
+    certificate is recorded in failures and gives None; otherwise the
+    result is returned."""
+    if s.logic == IP:
+        res = prove_ip(s, want_trace=True)
+        rejected = res.provable and not check_trace(res.trace, s)
+    else:
+        res = prove_ep(s)
+        rejected = not res.provable and not check_kripke(res.countermodel, s)
+    if expect is not None and res.provable != expect:
+        error = {"verdict": res.verdict, "expected": expect}
+    elif rejected:
+        error = {"error": "certificate rejected"}
+    else:
+        if traces is not None and s.logic == IP and res.provable:
             traces.append(res.trace.count_nodes())
-
-
-def _equiv_ip_checked(a: Formula, b: Formula, failures, label: str,
-                      traces: Optional[list] = None) -> None:
-    _proved_ip((a,), b, failures, label + " (ltr)", traces=traces)
-    _proved_ip((b,), a, failures, label + " (rtl)", traces=traces)
+        return res
+    failures.append({"check": label, "sequent": print_sequent(s), **error})
+    return None
 
 
 def sample_provable_ep_sequents(sample: int, max_size: int, seed: int,
@@ -179,6 +182,7 @@ def check_soundness_theorem(sample: int = 500, max_size: int = 8,
             assumptions = tuple(ff_translate(a, ctx) for a in s.assumptions)
             goal = ff_translate(s.goal, ctx)
             checked += 1
+            # uncertified on purpose: checking these traces costs the sweep +26 %
             if not is_provable_ip(assumptions, goal):
                 failures.append({"sequent": print_sequent(s), "ctx": _ctx_label(ctx)})
     details = {
@@ -204,14 +208,15 @@ def check_necessitation_counterexample() -> CheckReport:
         label = f"B={print_formula(b_formula)}"
         translated = ff_translate(a, ctx)
         boxed = ff_translate(Box(a), ctx)
-        _proved_ip((), translated, failures, f"{label}: translated formula is a theorem",
-                   traces=traces)
-        _proved_ip((), boxed, failures, f"{label}: boxed translation must not be provable",
-                   expect=False)
+        _decide(Sequent((), translated, IP), failures,
+                f"{label}: translated formula is a theorem", traces=traces)
+        _decide(Sequent((), boxed, IP), failures,
+                f"{label}: boxed translation must not be provable", expect=False)
         # the reduction: the boxed translation proves the doubly negated
         # cross-witness translation, so refuting the latter suffices
         cross = double_rel_neg(ff_translate(a, ctx.with_witness(0)), e)
-        _proved_ip((boxed,), cross, failures, f"{label}: reduction step", traces=traces)
+        _decide(Sequent((boxed,), cross, IP), failures, f"{label}: reduction step",
+                traces=traces)
         chain = make_chain(3)
         v = Valuation({"B": 0, "C": 0, "E": 1})
         value = evaluate(cross, v, chain)
@@ -266,21 +271,17 @@ def check_unfaithfulness_fernandez() -> CheckReport:
     for label, gamma in (("singleton", (VERUM,)), ("extended", (VERUM, _Q))):
         ctx = TranslationContext(gamma, 0)
         translated = ff_translate(p, ctx)
-        _proved_ip((), translated, failures, f"{label}: atom translation provable")
+        _decide(Sequent((), translated, IP), failures, f"{label}: atom translation provable")
         if label == "singleton":
             details["translated_atom"] = print_formula(translated)
-    ep = prove_ep(Sequent((), p, EP))
-    if ep.provable:
-        failures.append({"check": "atom must not be an EP theorem"})
-    elif not check_kripke(ep.countermodel, Sequent((), p, EP)):
-        failures.append({"check": "EP countermodel rejected"})
-    else:
+    ep = _decide(Sequent((), p, EP), failures, "atom must not be an EP theorem", expect=False)
+    if ep is not None:
         details["ep_countermodel"] = ep.countermodel.to_json()
     # with falsum as the witness the same translation is ordinary double
     # negation, and stops being provable: the witness must be a theorem
     bot_ctx = TranslationContext((FALSUM,), 0)
-    _proved_ip((), ff_translate(p, bot_ctx), failures,
-               "falsum witness gives unprovable double negation", expect=False)
+    _decide(Sequent((), ff_translate(p, bot_ctx), IP), failures,
+            "falsum witness gives unprovable double negation", expect=False)
     return _finish("unfaithfulness_fernandez", failures, details, 0, t0)
 
 
@@ -295,26 +296,21 @@ def check_weak_unfaithfulness_inoue(pools=INOUE_GAMMA_POOLS) -> CheckReport:
         for wi in range(len(gamma)):
             ctx = TranslationContext(gamma, wi)
             contexts += 1
-            _proved_ip((), ff_translate(a, ctx), failures, _ctx_label(ctx))
-    s = Sequent((), a, EP)
-    ep = prove_ep(s)
+            _decide(Sequent((), ff_translate(a, ctx), IP), failures, _ctx_label(ctx))
+    ep = _decide(Sequent((), a, EP), failures, "p -> []p must not be EP-provable",
+                 expect=False)
     details: dict = {
         "contexts_checked": contexts,
         "formula": print_formula(a),
         "note": "quantification over all finite gamma is approximated by a fixed "
                 "pool of contexts of sizes 1-3",
     }
-    if ep.provable:
-        failures.append({"check": "p -> []p must not be EP-provable"})
-    else:
-        model = ep.countermodel
-        if len(model.worlds) != 2:
+    if ep is not None:
+        if len(ep.countermodel.worlds) != 2:
             failures.append({"check": "expected a 2-world countermodel",
-                             "worlds": len(model.worlds)})
-        elif not check_kripke(model, s):
-            failures.append({"check": "countermodel rejected"})
+                             "worlds": len(ep.countermodel.worlds)})
         else:
-            details["ep_countermodel"] = model.to_json()
+            details["ep_countermodel"] = ep.countermodel.to_json()
     return _finish("weak_unfaithfulness_inoue", failures, details, 0, t0)
 
 
@@ -340,6 +336,59 @@ def _provable_premises(sample: int, seed: int) -> list[tuple[tuple, Formula, For
     return out
 
 
+def _both(x: Formula, y: Formula) -> list:
+    return [((x,), y), ((y,), x)]
+
+
+# Relative-negation lemma schemata over three random IP formulas, as
+# (assumptions, goal) lists; an interprovability gives both directions.
+# Two-formula schemata ignore the third draw.
+_IP_LEMMAS: dict[str, Callable[[Formula, Formula, Formula], list]] = {
+    "double_neg": lambda a, e, _: [((a,), double_rel_neg(a, e))],
+    "contraposition": lambda a, b, e: [
+        ((Impl(a, b),), Impl(rel_neg(b, e), rel_neg(a, e))),
+        ((Impl(a, b),), Impl(double_rel_neg(a, e), double_rel_neg(b, e)))],
+    "triple_neg": lambda a, e, _: _both(rel_neg(a, e), rel_neg(double_rel_neg(a, e), e)),
+    "2_neg_con": lambda a, b, e: _both(
+        double_rel_neg(Conj(a, b), e), Conj(double_rel_neg(a, e), double_rel_neg(b, e))),
+    "2_neg_dis": lambda a, b, e: _both(
+        double_rel_neg(Disj(a, b), e),
+        double_rel_neg(Disj(double_rel_neg(a, e), double_rel_neg(b, e)), e)),
+    "double_double": lambda a, c, e: [
+        ((double_rel_neg(a, e),), double_rel_neg(double_rel_neg(a, c), e))],
+    "double_neg_imp": lambda a, b, e: [
+        ((double_rel_neg(Impl(a, b), e),), Impl(double_rel_neg(a, e), double_rel_neg(b, e)))],
+    "imp_double_neg": lambda a, b, e: _both(
+        Impl(double_rel_neg(a, e), double_rel_neg(b, e)),
+        double_rel_neg(Impl(double_rel_neg(a, e), double_rel_neg(b, e)), e)),
+    "bang": lambda a, b, e: _both(
+        Impl(a, double_rel_neg(b, e)), Impl(double_rel_neg(a, e), double_rel_neg(b, e))),
+}
+
+# Consequences of the translation for a random EP formula g under a
+# random context: translations are stable under double relative negation,
+# and falsum and negation translate to the witness and relative negation.
+_TRANSLATION_LEMMAS: dict[str, Callable[[Formula, TranslationContext], list]] = {
+    "double_neg_elim": lambda g, ctx: _both(
+        double_rel_neg(ff_translate(g, ctx), ctx.witness), ff_translate(g, ctx)),
+    "falsum_consequence": lambda g, ctx: _both(ff_translate(FALSUM, ctx), ctx.witness),
+    "neg_consequence": lambda g, ctx: _both(
+        ff_translate(neg(g), ctx), rel_neg(ff_translate(g, ctx), ctx.witness)),
+}
+
+
+def _random_ctx(sub: int, rng: random.Random) -> TranslationContext:
+    k = rng.randint(1, 2)
+    gamma: list[Formula] = []
+    for j in range(k + 2):
+        g = random_formula_sized(3, ["q", "r"], IP, sub + 101 * (j + 1))
+        if g not in gamma:
+            gamma.append(g)
+        if len(gamma) == k:
+            break
+    return TranslationContext(tuple(gamma), rng.randrange(len(gamma)))
+
+
 def check_lemma_suite(sample: int = 100, seed: int = 0) -> CheckReport:
     """Relative-negation lemma schemata on random instantiations, plus the
     double-negation-elimination property of translated formulas and the
@@ -348,120 +397,29 @@ def check_lemma_suite(sample: int = 100, seed: int = 0) -> CheckReport:
     failures: list = []
     traces: list = []
     counts: dict = {}
-
-    schema_index = itertools.count()
-
-    def run(name: str, fn: Callable[[random.Random, int], None]) -> None:
+    schemata = itertools.chain(_IP_LEMMAS.items(), _TRANSLATION_LEMMAS.items())
+    for index, (name, schema) in enumerate(schemata):
         before = len(failures)
         rng = random.Random(f"{seed}/{name}")
-        base = seed * 40009 + next(schema_index) * 1009
         for i in range(sample):
-            fn(rng, base + i * 17)
+            sub = seed * 40009 + index * 1009 + i * 17
+            if name in _TRANSLATION_LEMMAS:
+                g = random_formula_sized(4, ["p", "q"], EP, sub + 3)
+                pairs = schema(g, _random_ctx(sub, rng))
+            else:
+                pairs = schema(*(random_formula_sized(5, ["p", "q", "r"], IP, sub + k)
+                                 for k in range(3)))
+            for assumptions, goal in pairs:
+                _decide(Sequent(assumptions, goal, IP), failures, name, traces=traces)
         counts[name] = {"instances": sample, "failures": len(failures) - before}
-
-    def draw(sub: int, k: int = 5) -> Formula:
-        return random_formula_sized(k, ["p", "q", "r"], IP, sub)
-
-    def lemma_double_neg(rng, sub):
-        a, e = draw(sub), draw(sub + 1)
-        _proved_ip((a,), double_rel_neg(a, e), failures, "double_neg", traces=traces)
-
-    def lemma_contraposition(rng, sub):
-        a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        ab = Impl(a, b)
-        _proved_ip((ab,), Impl(rel_neg(b, e), rel_neg(a, e)), failures,
-                   "contraposition neg", traces=traces)
-        _proved_ip((ab,), Impl(double_rel_neg(a, e), double_rel_neg(b, e)), failures,
-                   "contraposition double", traces=traces)
-
-    def lemma_triple_neg(rng, sub):
-        a, e = draw(sub), draw(sub + 1)
-        _equiv_ip_checked(rel_neg(a, e), rel_neg(double_rel_neg(a, e), e), failures,
-                          "triple_neg", traces)
-
-    def lemma_2_neg_con(rng, sub):
-        a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        _equiv_ip_checked(double_rel_neg(Conj(a, b), e),
-                          Conj(double_rel_neg(a, e), double_rel_neg(b, e)), failures,
-                          "2_neg_con", traces)
-
-    def lemma_2_neg_dis(rng, sub):
-        a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        _equiv_ip_checked(double_rel_neg(Disj(a, b), e),
-                          double_rel_neg(Disj(double_rel_neg(a, e), double_rel_neg(b, e)), e),
-                          failures, "2_neg_dis", traces)
-
-    def lemma_double_double(rng, sub):
-        a, c, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        _proved_ip((double_rel_neg(a, e),), double_rel_neg(double_rel_neg(a, c), e), failures,
-                   "double_double", traces=traces)
-
-    def lemma_double_neg_imp(rng, sub):
-        a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        _proved_ip((double_rel_neg(Impl(a, b), e),),
-                   Impl(double_rel_neg(a, e), double_rel_neg(b, e)), failures,
-                   "double_neg_imp", traces=traces)
-
-    def lemma_imp_double_neg(rng, sub):
-        a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        body = Impl(double_rel_neg(a, e), double_rel_neg(b, e))
-        _equiv_ip_checked(body, double_rel_neg(body, e), failures, "imp_double_neg", traces)
-
-    def lemma_bang(rng, sub):
-        a, b, e = draw(sub), draw(sub + 1), draw(sub + 2)
-        _equiv_ip_checked(Impl(a, double_rel_neg(b, e)),
-                          Impl(double_rel_neg(a, e), double_rel_neg(b, e)), failures,
-                          "bang", traces)
-
-    def random_ctx(sub: int, rng) -> TranslationContext:
-        k = rng.randint(1, 2)
-        gamma = []
-        for j in range(k + 2):
-            g = random_formula_sized(3, ["q", "r"], IP, sub + 101 * (j + 1))
-            if g not in gamma:
-                gamma.append(g)
-            if len(gamma) == k:
-                break
-        return TranslationContext(tuple(gamma), rng.randrange(len(gamma)))
-
-    def lemma_double_neg_elim(rng, sub):
-        ctx = random_ctx(sub, rng)
-        g = random_formula_sized(4, ["p", "q"], EP, sub + 3)
-        x = ff_translate(g, ctx)
-        _equiv_ip_checked(double_rel_neg(x, ctx.witness), x, failures, "double_neg_elim", traces)
-
-    def falsum_consequence(rng, sub):
-        ctx = random_ctx(sub, rng)
-        _equiv_ip_checked(ff_translate(FALSUM, ctx), ctx.witness, failures,
-                          "falsum_consequence", traces)
-
-    def neg_consequence(rng, sub):
-        ctx = random_ctx(sub, rng)
-        g = random_formula_sized(4, ["p", "q"], EP, sub + 3)
-        _equiv_ip_checked(ff_translate(neg(g), ctx),
-                          rel_neg(ff_translate(g, ctx), ctx.witness), failures,
-                          "neg_consequence", traces)
-
-    run("double_neg", lemma_double_neg)
-    run("contraposition", lemma_contraposition)
-    run("triple_neg", lemma_triple_neg)
-    run("2_neg_con", lemma_2_neg_con)
-    run("2_neg_dis", lemma_2_neg_dis)
-    run("double_double", lemma_double_double)
-    run("double_neg_imp", lemma_double_neg_imp)
-    run("imp_double_neg", lemma_imp_double_neg)
-    run("bang", lemma_bang)
-    run("double_neg_elim", lemma_double_neg_elim)
-    run("falsum_consequence", falsum_consequence)
-    run("neg_consequence", neg_consequence)
 
     # the admissible double-negation rule needs provable premises
     before = len(failures)
     premises = _provable_premises(sample, seed)
     for j, (phi, a, b) in enumerate(premises):
         e = random_formula_sized(4, ["p", "q", "r"], IP, seed * 50021 + j)
-        _proved_ip(phi + (double_rel_neg(a, e),), double_rel_neg(b, e), failures,
-                   "2_neg_intro", traces=traces)
+        _decide(Sequent(phi + (double_rel_neg(a, e),), double_rel_neg(b, e), IP), failures,
+                "2_neg_intro", traces=traces)
     counts["2_neg_intro"] = {"instances": len(premises),
                              "failures": len(failures) - before}
 
@@ -494,27 +452,39 @@ def check_godel_faithfulness(max_size: int = 7, atoms: int = 2) -> CheckReport:
     formulas = enumerate_ip_formulas(max_size, names)
     provable = 0
     for a in formulas:
-        ip = is_provable_ip((), a)
-        ta = godel_translate(a)
-        ep = is_provable_ep((), ta)
-        if ip != ep:
-            failures.append({"formula": print_formula(a), "ip": ip, "ep": ep})
+        ip = _decide(Sequent((), a, IP), failures, "IP verdict", expect=None)
+        if ip is None:
             continue
-        provable += ip
-        if not (is_provable_ep((ta,), Box(ta)) and is_provable_ep((Box(ta),), ta)):
-            failures.append({"formula": print_formula(a), "error": "stability fails"})
+        ta = godel_translate(a)
+        if _decide(Sequent((), ta, EP), failures, "S4 verdict", expect=ip.provable) is None:
+            continue
+        provable += ip.provable
+        _decide(Sequent((ta,), Box(ta), EP), failures, "stability")
+        _decide(Sequent((Box(ta),), ta, EP), failures, "stability")
     details = {"formulas": len(formulas), "provable": provable, "max_size": max_size}
     return _finish("godel_faithfulness", failures, details, 0, t0)
 
 
-ALL_CHECKS: dict[str, Callable[..., CheckReport]] = {
-    "thm2": check_necessitation_counterexample,
-    "fernandez": check_unfaithfulness_fernandez,
-    "inoue": check_weak_unfaithfulness_inoue,
-    "lemmas": check_lemma_suite,
-    "soundness": check_soundness_theorem,
-    "godel": check_godel_faithfulness,
+ALL_CHECKS: dict[str, tuple[Callable[..., CheckReport], ...]] = {
+    "thm2": (check_necessitation_counterexample, check_symbolic_chain_identity),
+    "fernandez": (check_unfaithfulness_fernandez,),
+    "inoue": (check_weak_unfaithfulness_inoue,),
+    "lemmas": (check_lemma_suite,),
+    "soundness": (check_soundness_theorem,),
+    "godel": (check_godel_faithfulness,),
 }
+
+_SEEDED = (check_lemma_suite, check_soundness_theorem)
+
+
+def run_checks(targets, seed: int = 0, sample: Optional[int] = None) -> list[CheckReport]:
+    """Run the checks of each target in order.  seed and sample go to the
+    randomized checks only; sample=None keeps each check's default."""
+    if sample is not None and sample < 1:  # a check that checks nothing passes
+        raise ValueError("sample must be positive")
+    kwargs = {"seed": seed} if sample is None else {"seed": seed, "sample": sample}
+    return [check(**kwargs) if check in _SEEDED else check()
+            for target in targets for check in ALL_CHECKS[target]]
 
 
 def summary_table(reports: list[CheckReport]) -> str:

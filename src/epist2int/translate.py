@@ -94,17 +94,6 @@ def ff_translate(a: Formula, ctx: TranslationContext) -> Formula:
     return double_rel_neg(body, e)
 
 
-def translate_sequent(assumptions, goal, ctx: TranslationContext):
-    return tuple(ff_translate(a, ctx) for a in assumptions), ff_translate(goal, ctx)
-
-
-def _match_neg(f: Formula):
-    """(body, e) when f is body -> e."""
-    if isinstance(f, Impl):
-        return f.left, f.right
-    return None
-
-
 def _match_double(f: Formula):
     """(x, e) when f is (x -> e) -> e with both e's identical."""
     if isinstance(f, Impl) and isinstance(f.left, Impl) and f.left.right == f.right:

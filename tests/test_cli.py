@@ -125,6 +125,12 @@ def test_paper_soundness_sampled_with_env_seed(capsys, monkeypatch):
     assert code == 0 and blob["reports"][0]["seed"] == 5
 
 
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_paper_empty_sample_is_error(capsys, sample):
+    code, out, _ = run(capsys, "paper", "lemmas", "--sample", sample, "--output", "json")
+    assert code == 2 and json.loads(out)["error"] == "sample must be positive"
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         Config(max_chain=0)
@@ -153,6 +159,26 @@ def test_deep_formula_is_json_error(capsys):
     lines = out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "formula nested too deeply"
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "--logic", "ip", "--output", "json", "->p"],
+    ["prove", "--logic", "ip", "--output", "json", "--bogus", "p |- p"],
+    ["paper", "nosuch", "--output", "json"],
+    ["paper", "nosuch", "--output=json"],
+])
+def test_usage_error_is_json_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]
+
+
+def test_usage_error_human_prints_usage(capsys):
+    code, out, err = run(capsys, "prove", "--logic", "xx", "p")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: epist2int prove")
+    assert "error: argument --logic: invalid choice" in err
 
 
 FUZZ_TOKENS = ["p", "q", "T", "_|_", "~", "[]", "/\\", "\\/", "->", "(", ")", ",", "|-", "@"]

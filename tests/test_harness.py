@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from epist2int import harness
 from epist2int.prover_ep import prove_ep
 from epist2int.syntax import print_sequent
@@ -44,6 +46,63 @@ def test_lemma_suite_small():
         "double_neg_elim", "falsum_consequence", "neg_consequence", "2_neg_intro",
     }
     assert r.details["traces_validated"] > 0
+
+
+# The first sequent of each schema at sample=1, seed=0, and the number of
+# sequents one instance of the schema proves.
+LEMMA_STREAM_HEADS = {
+    "double_neg": (1, "_|_ |- ~~_|_"),
+    "contraposition": (2, r"(_|_ -> r) \/ p -> _|_ /\ _|_ |- "
+                          r"(_|_ /\ _|_ -> q -> r) -> (_|_ -> r) \/ p -> q -> r"),
+    "triple_neg": (2, "q -> p |- ((q -> p) -> p) -> p"),
+    "2_neg_con": (2, r"~~(p /\ q) |- ~~p /\ ~~q"),
+    "2_neg_dis": (2, r"(q \/ r -> p \/ r -> r) -> p \/ r -> r |- "
+                     r"(((q -> p \/ r -> r) -> p \/ r -> r) \/ "
+                     r"((r -> p \/ r -> r) -> p \/ r -> r) -> p \/ r -> r) -> p \/ r -> r"),
+    "double_double": (1, "(q -> p) -> p |- (((q -> q) -> q) -> p) -> p"),
+    "double_neg_imp": (1, r"((_|_ \/ (p -> r) -> q) -> r) -> r |- "
+                          r"((_|_ \/ (p -> r) -> r) -> r) -> (q -> r) -> r"),
+    "imp_double_neg": (2, "((r -> r) -> r) -> (q -> r) -> r |- "
+                          "((((r -> r) -> r) -> (q -> r) -> r) -> r) -> r"),
+    "bang": (2, "p -> (r -> q -> r) -> q -> r |- "
+                "((p -> q -> r) -> q -> r) -> (r -> q -> r) -> q -> r"),
+    "double_neg_elim": (2, "(((p -> r) -> r) -> r) -> r |- (p -> r) -> r"),
+    "falsum_consequence": (2, r"(_|_ -> q \/ r) -> q \/ r |- q \/ r"),
+    "neg_consequence": (2, "((_|_ -> r) -> r) -> (_|_ -> r) -> r |- ((_|_ -> r) -> r) -> r"),
+    "2_neg_intro": (1, r"p /\ p, ~~p |- ~~p"),
+}
+
+
+def test_lemma_suite_sequent_stream(monkeypatch):
+    real = harness.prove_ip
+    stream = []
+
+    def spy(s, *args, **kwargs):
+        stream.append(print_sequent(s))
+        return real(s, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "prove_ip", spy)
+    r = harness.check_lemma_suite(sample=1, seed=0)
+    assert r.passed and list(r.details["schemata"]) == list(LEMMA_STREAM_HEADS)
+    pos = 0
+    for name, (count, head) in LEMMA_STREAM_HEADS.items():
+        assert stream[pos] == head, name
+        pos += count
+    assert pos == len(stream)
+
+
+@pytest.mark.parametrize("checker", ["check_trace", "check_kripke"])
+def test_godel_checks_certificates(monkeypatch, checker):
+    monkeypatch.setattr(harness, checker, lambda *args: False)
+    r = harness.check_godel_faithfulness(max_size=3)
+    assert not r.passed
+    assert any(f.get("error") == "certificate rejected" for f in r.details["failures"])
+
+
+def test_fernandez_checks_countermodel(monkeypatch):
+    monkeypatch.setattr(harness, "check_kripke", lambda *args: False)
+    r = harness.check_unfaithfulness_fernandez()
+    assert not r.passed and "ep_countermodel" not in r.details
 
 
 def test_soundness_small():
