@@ -8,6 +8,7 @@ chains validate strictly more than IP does.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -78,8 +79,13 @@ def _validate(h: HeytingAlgebra) -> None:
                     raise AlgebraError(f"residuation fails at ({x},{y},{w})")
 
 
+@functools.lru_cache(maxsize=None)
 def make_chain(n: int) -> HeytingAlgebra:
-    """The n-element chain 0 < 1 < ... < n-1; rpc(x,y) = top if x<=y else y."""
+    """The n-element chain 0 < 1 < ... < n-1; rpc(x,y) = top if x<=y else y.
+
+    Memoised per size (the algebra is frozen), so each size is built and
+    validated once per process.
+    """
     if n < 1:
         raise AlgebraError("chain needs at least one element")
     rng = range(n)

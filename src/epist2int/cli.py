@@ -63,10 +63,36 @@ def config_from_env(args) -> Config:
     return Config(max_chain=max_chain, node_cap=node_cap, output=args.output, seed=seed)
 
 
+class _Text(str):
+    """A piece of JSON text that _dumps copies as it is."""
+
+
+def _dumps(doc) -> str:
+    """json.dumps(doc) over an explicit stack: a formula tree nested
+    deeper than the recursion limit still prints."""
+    out: list[str] = []
+    todo = [doc]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, _Text):
+            out.append(x)
+        elif isinstance(x, dict) and x:
+            todo.append(_Text("}"))
+            for i, (k, v) in reversed(list(enumerate(x.items()))):
+                todo += v, _Text(("{" if i == 0 else ", ") + json.dumps(k) + ": ")
+        elif isinstance(x, list) and x:
+            todo.append(_Text("]"))
+            for i, v in reversed(list(enumerate(x))):
+                todo += v, _Text("[" if i == 0 else ", ")
+        else:
+            out.append(json.dumps(x))
+    return "".join(out)
+
+
 def _emit(payload: dict, cfg: Config, human: str) -> None:
     if cfg.output == "json":
         payload["schema_version"] = SCHEMA_VERSION
-        print(json.dumps(payload))
+        print(_dumps(payload))
     else:
         print(human)
 
@@ -198,8 +224,18 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _wants_json(argv: list[str]) -> bool:
-    return "--output=json" in argv or any(
-        a == "--output" and b == "json" for a, b in zip(argv, argv[1:]))
+    """Whether argv asks for --output json, as argparse reads it: with a
+    space or "=", and under any prefix of --output down to --o (the
+    shortest one no other option shares), up to a "--"."""
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return False
+        name, eq, value = arg.partition("=")
+        if not eq:
+            value = argv[i + 1] if i + 1 < len(argv) else None
+        if value == "json" and len(name) >= 3 and "--output".startswith(name):
+            return True
+    return False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,8 +301,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, SearchLimitError, KeyError) as exc:
         message = str(exc)
     except RecursionError:
-        # the parser is iterative, but the translations and provers recurse
-        # once per nesting level
+        # parsing, printing and the Goedel translation are iterative; the
+        # provers, the FF translation and simplifier, and the neg[E](A)
+        # display mode recurse once per nesting level
         message = "formula nested too deeply"
     if output == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, "error": message}))

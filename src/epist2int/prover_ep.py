@@ -15,6 +15,7 @@ from typing import Iterator, Optional
 
 from .syntax import (
     EP,
+    FALSUM,
     Atom,
     Box,
     Conj,
@@ -58,42 +59,37 @@ class EpProofResult:
         return "Provable" if self.provable else "NotProvable"
 
 
-def _is_alpha(sign: bool, f: Formula) -> bool:
-    return (sign and isinstance(f, (Conj, Box))) or (not sign and isinstance(f, (Disj, Impl)))
+# (sign, node type) -> (is beta, the signs of the parts).  An alpha formula
+# adds all its parts to the branch, a beta one splits it, one part each;
+# the parts are the children in order.  F[]A is a modal demand (satisfy),
+# atoms and falsum take no rule.
+_RULES = {
+    (True, Conj): (False, (True, True)),
+    (True, Box): (False, (True,)),
+    (False, Disj): (False, (False, False)),
+    (False, Impl): (False, (True, False)),
+    (False, Conj): (True, (False, False)),
+    (True, Disj): (True, (True, True)),
+    (True, Impl): (True, (False, True)),
+}
 
 
-def _alpha_parts(sign: bool, f: Formula) -> list:
-    if sign and isinstance(f, Conj):
-        return [(True, f.left), (True, f.right)]
-    if sign and isinstance(f, Box):
-        return [(True, f.inner)]
-    if not sign and isinstance(f, Disj):
-        return [(False, f.left), (False, f.right)]
-    return [(True, f.left), (False, f.right)]  # F(A -> B)
-
-
-def _beta_parts(sign: bool, f: Formula) -> list:
-    if not sign and isinstance(f, Conj):
-        return [(False, f.left), (False, f.right)]
-    if sign and isinstance(f, Disj):
-        return [(True, f.left), (True, f.right)]
-    return [(False, f.left), (True, f.right)]  # T(A -> B)
+def _parts(sign: bool, f: Formula):
+    """The signed parts a rule gives a signed formula, in order."""
+    return zip(_RULES[sign, type(f)][1], (f.inner,) if type(f) is Box else (f.left, f.right))
 
 
 def _put(sf, present: set, alphas: deque, betas: deque) -> bool:
     """Add a signed formula to a world state; False when it closes the branch."""
-    sign, f = sf
     if sf in present:
         return True
-    if (not sign, f) in present:
-        return False
-    if sign and isinstance(f, Falsum):
+    sign, f = sf
+    if (not sign, f) in present or (sign and f is FALSUM):
         return False
     present.add(sf)
-    if _is_alpha(sign, f):
-        alphas.append(sf)
-    elif isinstance(f, (Conj, Disj, Impl)):
-        betas.append(sf)
+    rule = _RULES.get((sign, type(f)))
+    if rule is not None:
+        (betas if rule[0] else alphas).append(sf)
     return True
 
 
@@ -113,13 +109,13 @@ class _Tableau:
         while alphas:
             self._tick()
             sign, f = alphas.popleft()
-            for part in _alpha_parts(sign, f):
+            for part in _parts(sign, f):
                 if not _put(part, present, alphas, betas):
                     return
         if betas:
             self._tick()
             sign, f = betas.popleft()
-            for alt in _beta_parts(sign, f):
+            for alt in _parts(sign, f):
                 p2, a2, b2 = set(present), deque(alphas), deque(betas)
                 if _put(alt, p2, a2, b2):
                     yield from self.saturated(p2, a2, b2)
@@ -144,15 +140,21 @@ class _Tableau:
         wid = next(self.ids)
         here = chain + ((seed, wid),)
         for state in self.expand_seed(seed):
-            boxed = frozenset(sf for sf in state if sf[0] and isinstance(sf[1], Box))
-            demands = sorted(
-                {sf[1].inner for sf in state if not sf[0] and isinstance(sf[1], Box)},
-                key=formula_key,
-            )
-            worlds = {wid: {f.name for sign, f in state if sign and isinstance(f, Atom)}}
+            boxed, demands, atoms = set(), set(), set()
+            for sf in state:
+                sign, f = sf
+                kind = type(f)
+                if kind is Box:
+                    if sign:
+                        boxed.add(sf)
+                    else:
+                        demands.add(f.inner)
+                elif sign and kind is Atom:
+                    atoms.add(f.name)
+            worlds = {wid: atoms}
             edges = set()
             ok = True
-            for inner in demands:
+            for inner in sorted(demands, key=formula_key):
                 succ = frozenset({(False, inner)} | boxed)
                 target = next((w for s, w in here if s == succ), None)
                 if target is not None:
@@ -172,15 +174,20 @@ class _Tableau:
 
 
 def _closure(worlds: list[int], edges: set) -> frozenset:
-    rel = {(w, w) for w in worlds} | set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(rel):
-            for c, d in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
+    """The reflexive-transitive closure: each world with all it reaches."""
+    succ: dict = {w: [] for w in worlds}
+    for a, b in edges:
+        succ[a].append(b)
+    rel = set()
+    for w in worlds:
+        seen = {w}
+        todo = [w]
+        while todo:
+            for v in succ[todo.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        rel.update((w, v) for v in seen)
     return frozenset(rel)
 
 

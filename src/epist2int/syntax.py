@@ -139,7 +139,19 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def atoms_of(f: Formula) -> set[str]:
-    return {g.name for g in subformulas(f) if isinstance(g, Atom)}
+    """Names of the atoms that occur in f."""
+    names = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is Atom:
+            names.add(g.name)
+        elif kind is Box:
+            todo.append(g.inner)
+        elif kind is not Falsum:
+            todo += g.left, g.right
+    return names
 
 
 @dataclass(frozen=True)
@@ -284,27 +296,78 @@ def parse_sequent(text: str, logic: str = IP) -> Sequent:
     return Sequent(tuple(assumptions), goal, logic)
 
 
-# printer precedence levels: -> is 0, \/ is 1, /\ is 2, unary 3, leaves 4
+# Printer precedence: -> 0, \/ 1, /\ 2, the prefixes ~ and [] 3, leaves
+# 4.  A node is parenthesised when its level is below the level its parent
+# needs there.  Binary connective: (symbol, level, left need, right need).
+_LEVEL = {Atom: 4, Falsum: 4, Box: 3, Conj: 2, Disj: 1, Impl: 0}
+_BINARY = {Conj: (" /\\ ", 2, 2, 3), Disj: (" \\/ ", 1, 1, 2), Impl: (" -> ", 0, 1, 0)}
+
+
+def _level(f: Formula) -> int:
+    return 3 if type(f) is Impl and f.right is FALSUM else _LEVEL[type(f)]
+
+
 def _print(f: Formula, need: int, sugar: frozenset[Formula]) -> str:
-    if isinstance(f, Atom):
+    """The printed form with relative negations in `sugar` shown as neg[E](A)."""
+    kind = type(f)
+    if kind is Atom:
         return f.name
-    if isinstance(f, Falsum):
+    if kind is Falsum:
         return "_|_"
-    if isinstance(f, Box):
+    if kind is Box:
         return "[]" + _print(f.inner, 3, sugar)
-    if isinstance(f, Conj):
-        s = _print(f.left, 2, sugar) + " /\\ " + _print(f.right, 3, sugar)
-        return f"({s})" if need > 2 else s
-    if isinstance(f, Disj):
-        s = _print(f.left, 1, sugar) + " \\/ " + _print(f.right, 2, sugar)
-        return f"({s})" if need > 1 else s
-    # implication: negation sugar, relative-negation pretty mode, plain arrow
-    if f.right == FALSUM:
-        return "~" + _print(f.left, 3, sugar)
-    if f.right in sugar:
-        return f"neg[{_print(f.right, 0, sugar)}]({_print(f.left, 0, sugar)})"
-    s = _print(f.left, 1, sugar) + " -> " + _print(f.right, 0, sugar)
-    return f"({s})" if need > 0 else s
+    if kind is Impl:
+        if f.right is FALSUM:
+            return "~" + _print(f.left, 3, sugar)
+        if f.right in sugar:
+            return f"neg[{_print(f.right, 0, sugar)}]({_print(f.left, 0, sugar)})"
+    symbol, level, need_left, need_right = _BINARY[kind]
+    s = _print(f.left, need_left, sugar) + symbol + _print(f.right, need_right, sugar)
+    return f"({s})" if need > level else s
+
+
+def _wrap(f: Formula, need: int) -> str:
+    """f's cached key, parenthesised where its parent needs `need`."""
+    return f"({f._key})" if need > _level(f) else f._key
+
+
+def formula_key(f: Formula) -> str:
+    """Minimal-parenthesis text of f, cached on the node.
+
+    It is also the deterministic total-order key the provers sort by
+    (independent of hash randomization).  A missing key is built from the
+    children's keys, over an explicit stack, so depth costs no Python stack.
+    """
+    key = f._key
+    if key is not None:
+        return key
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if g._key is not None:
+            todo.pop()
+            continue
+        kind = type(g)
+        if kind is Atom:
+            key = g.name
+        elif kind is Falsum:
+            key = "_|_"
+        elif kind is Box or kind is Impl and g.right is FALSUM:
+            sub = g.inner if kind is Box else g.left
+            if sub._key is None:
+                todo.append(sub)
+                continue
+            key = ("[]" if kind is Box else "~") + _wrap(sub, 3)
+        else:
+            left, right = g.left, g.right
+            if left._key is None or right._key is None:
+                todo += left, right
+                continue
+            symbol, _, need_left, need_right = _BINARY[kind]
+            key = _wrap(left, need_left) + symbol + _wrap(right, need_right)
+        todo.pop()
+        object.__setattr__(g, "_key", key)
+    return f._key
 
 
 def print_formula(f: Formula, relneg: Iterable[Formula] = ()) -> str:
@@ -312,9 +375,11 @@ def print_formula(f: Formula, relneg: Iterable[Formula] = ()) -> str:
 
     `relneg` switches on the pretty mode for relative negation: any
     implication whose consequent is listed prints as neg[E](A).  Output in
-    that mode is for display and is not part of the parse grammar.
+    that mode is for display and is not part of the parse grammar, and it
+    is the only mode that recurses once per nesting level.
     """
-    return _print(f, 0, frozenset(relneg))
+    sugar = frozenset(relneg)
+    return _print(f, 0, sugar) if sugar else formula_key(f)
 
 
 def print_sequent(s: Sequent) -> str:
@@ -322,27 +387,24 @@ def print_sequent(s: Sequent) -> str:
     return (lhs + " |- " if lhs else "|- ") + print_formula(s.goal)
 
 
-def formula_key(f: Formula) -> str:
-    """Deterministic total-order key (hash-randomization independent)."""
-    key = f._key
-    if key is None:
-        key = print_formula(f)
-        object.__setattr__(f, "_key", key)
-    return key
-
-
 _JSON_NODES = {"atom": Atom, "falsum": Falsum, "conj": Conj, "disj": Disj, "impl": Impl, "box": Box}
+_JSON_NAMES = {kind: name for name, kind in _JSON_NODES.items()}
 
 
 def to_json_tree(f: Formula) -> dict:
-    if isinstance(f, Atom):
-        return {"node": "atom", "name": f.name, "children": []}
-    if isinstance(f, Falsum):
-        return {"node": "falsum", "children": []}
-    if isinstance(f, Box):
-        return {"node": "box", "children": [to_json_tree(f.inner)]}
-    name = {Conj: "conj", Disj: "disj", Impl: "impl"}[type(f)]
-    return {"node": name, "children": [to_json_tree(f.left), to_json_tree(f.right)]}
+    """The node tree as nested dicts; a loop, so depth costs no Python stack."""
+    root: dict = {}
+    todo = [(f, root)]
+    while todo:
+        g, d = todo.pop()
+        kind = type(g)
+        d["node"] = _JSON_NAMES[kind]
+        if kind is Atom:
+            d["name"] = g.name
+        kids = (g.inner,) if kind is Box else () if kind is Atom or kind is Falsum else (g.left, g.right)
+        d["children"] = [{} for _ in kids]
+        todo += zip(kids, d["children"])
+    return root
 
 
 def from_json_tree(d: dict) -> Formula:

@@ -35,18 +35,31 @@ def double_rel_neg(a: Formula, e: Formula) -> Formula:
 
 
 def godel_translate(a: Formula) -> Formula:
-    """Box atoms and implications; falsum and /\\, \\/ pass through."""
-    if isinstance(a, Atom):
-        return Box(a)
-    if isinstance(a, Falsum):
-        return a
-    if isinstance(a, Conj):
-        return Conj(godel_translate(a.left), godel_translate(a.right))
-    if isinstance(a, Disj):
-        return Disj(godel_translate(a.left), godel_translate(a.right))
-    if isinstance(a, Impl):
-        return Box(Impl(godel_translate(a.left), godel_translate(a.right)))
-    raise ValueError("input already contains Box")
+    """Box atoms and implications; falsum and /\\, \\/ pass through.
+
+    A loop over an explicit stack, so depth costs no Python stack: a
+    binary node stacks its class, then its children; the class, popped
+    after both children's translations, combines them.
+    """
+    done: list[Formula] = []
+    todo: list = [a]
+    while todo:
+        f = todo.pop()
+        if f is Impl:
+            right = done.pop()
+            done[-1] = Box(Impl(done[-1], right))
+        elif f is Conj or f is Disj:
+            right = done.pop()
+            done[-1] = f(done[-1], right)
+        elif type(f) is Atom:
+            done.append(Box(f))
+        elif type(f) is Falsum:
+            done.append(f)
+        elif type(f) is Box:
+            raise ValueError("input already contains Box")
+        else:
+            todo += type(f), f.right, f.left
+    return done[0]
 
 
 @dataclass(frozen=True)

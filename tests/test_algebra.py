@@ -41,6 +41,10 @@ class TestChains:
         with pytest.raises(AlgebraError):
             make_chain(0)
 
+    def test_memoised_per_size(self):
+        assert make_chain(3) is make_chain(3)
+        assert make_chain(4) is not make_chain(3)
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_closed_form_matches_residuation(self, n):
         h = make_chain(n)

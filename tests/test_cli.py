@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -152,6 +153,28 @@ def test_node_cap_flag_ep_json(capsys):
     assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
+def test_deep_godel_translation_is_one_json_document(capsys):
+    code, out, _ = run(capsys, "translate", "--mode", "godel", "--output", "json",
+                       "~" * 1000 + "p")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)  # json.loads recurses once per level
+    try:
+        blob = json.loads(lines[0])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert blob["raw"] == "[]~" * 1000 + "[]p"
+    assert blob["tree"]["node"] == "box"
+
+
+def test_json_output_is_formatted_as_json_dumps(capsys):
+    code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "E,C", "--witness",
+                       "E", "--simplify", "--output", "json", "[]p \\/ q")
+    assert code == 0 and out == json.dumps(json.loads(out))
+
+
 def test_deep_formula_is_json_error(capsys):
     code, out, _ = run(capsys, "prove", "--logic", "ip", "--output", "json",
                        "|- " + "~" * 1200 + "p")
@@ -166,12 +189,19 @@ def test_deep_formula_is_json_error(capsys):
     ["prove", "--logic", "ip", "--output", "json", "--bogus", "p |- p"],
     ["paper", "nosuch", "--output", "json"],
     ["paper", "nosuch", "--output=json"],
+    ["prove", "--logic", "ip", "--out", "json", "->p"],
+    ["prove", "--logic", "ip", "--outp=json", "->p"],
 ])
 def test_usage_error_is_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err == ""
     lines = out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"]
+
+
+def test_json_after_double_dash_is_an_operand(capsys):
+    code, out, err = run(capsys, "prove", "--logic", "ip", "--", "--output", "json")
+    assert code == 2 and out == "" and err.startswith("usage: epist2int")
 
 
 def test_usage_error_human_prints_usage(capsys):

@@ -1,9 +1,15 @@
 """The S4 prover: theorems, non-theorems, and countermodel certificates."""
 
+import hashlib
+import json
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import ep_formulas
+from epist2int.harness import enumerate_ip_formulas
 from epist2int.prover_ep import (
     KripkeModel,
     check_kripke,
@@ -19,6 +25,7 @@ from epist2int.syntax import (
     Sequent,
     parse_sequent,
 )
+from epist2int.translate import godel_translate
 
 p, q = Atom("p"), Atom("q")
 
@@ -156,3 +163,28 @@ def test_every_failure_is_witnessed(f):
 def test_stability_shape(f):
     # boxing a boxed formula changes nothing up to interprovability
     assert equiv_ep(Box(f), Box(Box(f)))
+
+
+def test_godel_search_order_is_pinned():
+    """The tableau's search order, pinned on 200 criterion-6 formulas: the
+    verdicts, the summed worlds_expanded and the countermodels of each
+    Goedel translation and its two stability sequents, as first recorded."""
+    pool = enumerate_ip_formulas(7, ("p", "q"))
+    counts = Counter()
+    steps = 0
+    models = []
+    for a in random.Random(0).sample(pool, 200):
+        ta = godel_translate(a)
+        for kind, s in (("translation", Sequent((), ta, EP)),
+                        ("stability", Sequent((ta,), Box(ta), EP)),
+                        ("stability", Sequent((Box(ta),), ta, EP))):
+            res = prove_ep(s)
+            counts[kind, res.verdict] += 1
+            steps += res.worlds_expanded
+            if res.countermodel is not None:
+                models.append(res.countermodel.to_json())
+    assert counts == {("translation", "Provable"): 44, ("translation", "NotProvable"): 156,
+                      ("stability", "Provable"): 400}
+    assert steps == 2657
+    digest = hashlib.sha256(json.dumps(models).encode()).hexdigest()
+    assert digest == "8240c253226620f4b00dd5f2b5049b3b419e96b2a1a674b968e2258b4a9f9edb"

@@ -23,7 +23,10 @@ from epist2int.syntax import (
     Impl,
     ParseError,
     Sequent,
+    _print,
+    atoms_of,
     formula_from_json,
+    formula_key,
     formula_size,
     formula_to_json,
     from_json_tree,
@@ -35,6 +38,7 @@ from epist2int.syntax import (
     print_sequent,
     random_formula,
     subformulas,
+    to_json_tree,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -188,6 +192,44 @@ def test_roundtrip_bulk():
 @given(ep_formulas())
 def test_roundtrip_hypothesis(f):
     assert parse_formula(print_formula(f), EP) == f
+
+
+@given(ep_formulas())
+def test_formula_key_is_the_printed_form(f):
+    assert formula_key(f) == _print(f, 0, frozenset()) == print_formula(f)
+
+
+@given(ep_formulas())
+def test_atoms_of(f):
+    assert atoms_of(f) == {g.name for g in subformulas(f) if isinstance(g, Atom)}
+
+
+def _deep(n):
+    """n levels cycling through every node kind, over p."""
+    f = p
+    for i in range(n):
+        f = [neg(f), Box(f), Conj(f, q), Disj(q, f), Impl(f, q), Impl(q, f)][i % 6]
+    return f
+
+
+# printing builds keys from child keys over an explicit stack, so nesting
+# depth costs no Python stack
+def test_formula_key_deep():
+    f = p
+    for _ in range(5000):
+        f = neg(f)
+    assert formula_key(f) == "~" * 5000 + "p"
+    g = _deep(5000)
+    assert parse_formula(print_formula(g), EP) is g
+
+
+def test_to_json_tree_deep():
+    tree = to_json_tree(_deep(5000))
+    depth = 0
+    while tree["children"]:
+        tree = next(c for c in tree["children"] if c["children"] or c.get("name") == "p")
+        depth += 1
+    assert depth == 5000 and tree == {"node": "atom", "name": "p", "children": []}
 
 
 @given(ep_formulas())

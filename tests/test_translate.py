@@ -62,6 +62,14 @@ class TestGodel:
     def test_rejects_modal_input(self):
         with pytest.raises(ValueError):
             godel_translate(Box(p))
+        with pytest.raises(ValueError):
+            godel_translate(Conj(p, Impl(q, Box(p))))
+
+    def test_deep_input(self):
+        f = p
+        for _ in range(5000):
+            f = neg(f)
+        assert print_formula(godel_translate(f)) == "[]~" * 5000 + "[]p"
 
     @settings(max_examples=100, deadline=None)
     @given(ip_formulas(max_leaves=5))
