@@ -1,8 +1,14 @@
 """Command-line front end: translate, prove, eval, paper.
 
+Each subcommand declares only the options it reads.  Three take their
+default from the environment, checked by argparse like a command-line
+value: `prove --node-cap` from EPIST2INT_NODE_CAP, `eval --chain` from
+EPIST2INT_MAX_CHAIN and `paper --seed` from EPIST2INT_SEED.
+
 Exit codes for `prove`: 0 Provable, 1 NotProvable, 2 error.  `paper`
-exits 0 only when the selected check passes.  With --output json every
-code path emits a single valid JSON document on stdout.
+exits 0 only when every selected check passes; `paper all` runs every
+check.  With --output json every code path emits a single valid JSON
+document on stdout.
 """
 
 from __future__ import annotations
@@ -11,8 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import harness
 from .algebra import evaluate, make_chain, Valuation
@@ -33,34 +37,15 @@ from .translate import TranslationContext, ff_simplify, ff_translate, godel_tran
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class Config:
-    max_chain: int = 3
-    node_cap: Optional[int] = None
-    output: str = "human"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_chain <= 0:
-            raise ValueError("max_chain must be positive")
-        if self.node_cap is not None and self.node_cap <= 0:
-            raise ValueError("node_cap must be positive")
-
-
-def _env_int(name: str, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    return int(raw)
-
-
-def config_from_env(args) -> Config:
-    node_cap = args.node_cap if args.node_cap is not None else _env_int("EPIST2INT_NODE_CAP", None)
-    max_chain = getattr(args, "chain", None)
-    if max_chain is None:
-        max_chain = _env_int("EPIST2INT_MAX_CHAIN", 3)
-    seed = args.seed if getattr(args, "seed", None) is not None else _env_int("EPIST2INT_SEED", 0)
-    return Config(max_chain=max_chain, node_cap=node_cap, output=args.output, seed=seed)
+def _positive_int(text: str) -> int:
+    """The argparse type of --node-cap and --chain."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
 
 
 class _Text(str):
@@ -89,8 +74,8 @@ def _dumps(doc) -> str:
     return "".join(out)
 
 
-def _emit(payload: dict, cfg: Config, human: str) -> None:
-    if cfg.output == "json":
+def _emit(payload: dict, output: str, human: str) -> None:
+    if output == "json":
         payload["schema_version"] = SCHEMA_VERSION
         print(_dumps(payload))
     else:
@@ -98,7 +83,6 @@ def _emit(payload: dict, cfg: Config, human: str) -> None:
 
 
 def cmd_translate(args) -> int:
-    cfg = config_from_env(args)
     if args.mode == "godel":
         source = parse_formula(args.formula, IP)
         raw = godel_translate(source)
@@ -124,50 +108,39 @@ def cmd_translate(args) -> int:
         "simplified": print_formula(simplified) if simplified is not None else None,
         "tree": to_json_tree(shown),
     }
-    _emit(payload, cfg, print_formula(shown, relneg=relneg))
+    _emit(payload, args.output, print_formula(shown, relneg=relneg))
     return 0
 
 
 def cmd_prove(args) -> int:
-    cfg = config_from_env(args)
     if args.logic == "ip":
-        s = parse_sequent(args.sequent, IP)
-        res = prove_ip(s, want_trace=args.trace, node_cap=cfg.node_cap)
-        payload = {
-            "command": "prove",
-            "logic": "ip",
-            "sequent": args.sequent,
-            "verdict": res.verdict,
-            "nodes_expanded": res.nodes_expanded,
-            "trace": trace_to_json(res.trace) if res.trace is not None else None,
-        }
-        human = res.verdict
-        if res.trace is not None:
-            human += "\n" + json.dumps(trace_to_json(res.trace), indent=2)
-        _emit(payload, cfg, human)
-        return 0 if res.provable else 1
-    s = parse_sequent(args.sequent, EP)
-    res = prove_ep(s, node_cap=cfg.node_cap)
-    model = res.countermodel.to_json() if res.countermodel is not None else None
+        res = prove_ip(parse_sequent(args.sequent, IP), want_trace=args.trace,
+                       node_cap=args.node_cap)
+        cost, key = "nodes_expanded", "trace"
+        evidence = trace_to_json(res.trace) if res.trace is not None else None
+    else:
+        res = prove_ep(parse_sequent(args.sequent, EP), node_cap=args.node_cap)
+        cost, key = "worlds_expanded", "countermodel"
+        evidence = res.countermodel.to_json() if res.countermodel is not None else None
     payload = {
         "command": "prove",
-        "logic": "ep",
+        "logic": args.logic,
         "sequent": args.sequent,
         "verdict": res.verdict,
-        "worlds_expanded": res.worlds_expanded,
-        "countermodel": model,
+        cost: getattr(res, cost),
+        key: evidence,
     }
     human = res.verdict
-    if model is not None:
-        human += "\ncountermodel: " + json.dumps(model)
-    _emit(payload, cfg, human)
+    if evidence is not None and args.output == "human":
+        human += ("\n" + json.dumps(evidence, indent=2) if args.logic == "ip"
+                  else "\ncountermodel: " + json.dumps(evidence))
+    _emit(payload, args.output, human)
     return 0 if res.provable else 1
 
 
 def cmd_eval(args) -> int:
-    cfg = config_from_env(args)
     f = parse_formula(args.formula, IP)
-    chain = make_chain(cfg.max_chain)
+    chain = make_chain(args.chain)
     assignment: dict[str, int] = {}
     for item in args.assign:
         name, _, idx = item.partition("=")
@@ -190,24 +163,24 @@ def cmd_eval(args) -> int:
         "top": chain.top,
         "is_top": value == chain.top,
     }
-    _emit(payload, cfg, f"value {value} of 0..{chain.top}"
+    _emit(payload, args.output, f"value {value} of 0..{chain.top}"
           + (" (top)" if value == chain.top else " (not top)"))
     return 0
 
 
 def cmd_paper(args) -> int:
-    cfg = config_from_env(args)
-    reports = harness.run_checks([args.target], cfg.seed, args.sample)
+    targets = harness.ALL_CHECKS if args.target == "all" else [args.target]
+    reports = harness.run_checks(targets, args.seed, args.sample)
     payload = {
         "command": "paper",
         "target": args.target,
-        "reports": [json.loads(r.to_json_line()) for r in reports],
+        "reports": [r.to_json() for r in reports],
     }
     human = harness.summary_table(reports)
     for r in reports:
         if not r.passed:
             human += f"\nfailures in {r.name}: {json.dumps(r.details.get('failures'))}"
-    _emit(payload, cfg, human)
+    _emit(payload, args.output, human)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -248,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", choices=["human", "json"], default="human")
-        p.add_argument("--node-cap", type=int, default=None,
-                       help="abort proof search after this many nodes")
 
     t = sub.add_parser("translate", help="apply a translation to a formula")
     common(t)
@@ -265,18 +236,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--logic", choices=["ip", "ep"], required=True)
     p.add_argument("--trace", action="store_true")
+    p.add_argument("--node-cap", type=_positive_int,
+                   default=os.environ.get("EPIST2INT_NODE_CAP"),
+                   help="abort proof search after this many nodes "
+                   "(default: $EPIST2INT_NODE_CAP, else no cap)")
     p.add_argument("sequent")
 
     e = sub.add_parser("eval", help="evaluate a formula on a finite chain")
     common(e)
-    e.add_argument("--chain", type=int, default=None, help="chain size (default 3)")
+    e.add_argument("--chain", type=_positive_int,
+                   default=os.environ.get("EPIST2INT_MAX_CHAIN", "3"),
+                   help="chain size (default: $EPIST2INT_MAX_CHAIN, else 3)")
     e.add_argument("--assign", action="append", default=[], metavar="atom=index")
     e.add_argument("formula")
 
-    w = sub.add_parser("paper", help="run a named reproduction check")
+    w = sub.add_parser("paper", help="run a named reproduction check, or all of them")
     common(w)
-    w.add_argument("target", choices=sorted(harness.ALL_CHECKS))
-    w.add_argument("--seed", type=int, default=None)
+    w.add_argument("target", choices=["all", *sorted(harness.ALL_CHECKS)])
+    w.add_argument("--seed", type=int, default=os.environ.get("EPIST2INT_SEED", "0"),
+                   help="seed of the randomized checks (default: $EPIST2INT_SEED, else 0)")
     w.add_argument("--sample", type=int, default=None)
     return parser
 

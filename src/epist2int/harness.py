@@ -9,7 +9,6 @@ seed (timings live outside the details payload).
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import time
 from dataclasses import dataclass
@@ -70,16 +69,14 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "status": self.status,
-                "seed": self.seed,
-                "elapsed_s": round(self.elapsed_s, 3),
-                "details": self.details,
-            }
-        )
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "status": self.status,
+            "seed": self.seed,
+            "elapsed_s": round(self.elapsed_s, 3),
+            "details": self.details,
+        }
 
 
 def _finish(name: str, failures: list, details: dict, seed: int, t0: float) -> CheckReport:
@@ -103,8 +100,7 @@ def _ctx_label(ctx: TranslationContext) -> str:
     return f"gamma=[{gamma}] witness={print_formula(ctx.witness)}"
 
 
-def _decide(s: Sequent, failures: list, label: str, expect: Optional[bool] = True,
-            traces: Optional[list] = None):
+def _decide(s: Sequent, failures: list, label: str, expect: Optional[bool] = True):
     """Decide s in its own logic and check the certificate its verdict
     carries: the trace of an IP proof, the Kripke model refuting an S4
     sequent.  A wrong verdict (expect=None accepts either) or a rejected
@@ -121,8 +117,6 @@ def _decide(s: Sequent, failures: list, label: str, expect: Optional[bool] = Tru
     elif rejected:
         error = {"error": "certificate rejected"}
     else:
-        if traces is not None and s.logic == IP and res.provable:
-            traces.append(res.trace.count_nodes())
         return res
     failures.append({"check": label, "sequent": print_sequent(s), **error})
     return None
@@ -199,7 +193,7 @@ def check_necessitation_counterexample() -> CheckReport:
     not, with an explicit 3-chain algebra witness."""
     t0 = time.perf_counter()
     failures: list = []
-    traces: list = []
+    validated = 0
     b, c, e = Atom("B"), Atom("C"), Atom("E")
     details: dict = {"variants": []}
     for b_formula in (b, FALSUM):
@@ -208,15 +202,15 @@ def check_necessitation_counterexample() -> CheckReport:
         label = f"B={print_formula(b_formula)}"
         translated = ff_translate(a, ctx)
         boxed = ff_translate(Box(a), ctx)
-        _decide(Sequent((), translated, IP), failures,
-                f"{label}: translated formula is a theorem", traces=traces)
+        validated += _decide(Sequent((), translated, IP), failures,
+                             f"{label}: translated formula is a theorem") is not None
         _decide(Sequent((), boxed, IP), failures,
                 f"{label}: boxed translation must not be provable", expect=False)
         # the reduction: the boxed translation proves the doubly negated
         # cross-witness translation, so refuting the latter suffices
         cross = double_rel_neg(ff_translate(a, ctx.with_witness(0)), e)
-        _decide(Sequent((boxed,), cross, IP), failures, f"{label}: reduction step",
-                traces=traces)
+        validated += _decide(Sequent((boxed,), cross, IP), failures,
+                             f"{label}: reduction step") is not None
         chain = make_chain(3)
         v = Valuation({"B": 0, "C": 0, "E": 1})
         value = evaluate(cross, v, chain)
@@ -234,7 +228,7 @@ def check_necessitation_counterexample() -> CheckReport:
     ctx = TranslationContext((c, e), witness_index=1)
     swapped = prove_ip(Sequent((), ff_translate(Box(Impl(e, b)), ctx.with_witness(0)), IP))
     details["witness_C_verdict_informational"] = swapped.verdict
-    details["traces_validated"] = len(traces)
+    details["traces_validated"] = validated
     return _finish("necessitation_counterexample", failures, details, 0, t0)
 
 
@@ -395,7 +389,7 @@ def check_lemma_suite(sample: int = 100, seed: int = 0) -> CheckReport:
     falsum/negation consequences of the translation."""
     t0 = time.perf_counter()
     failures: list = []
-    traces: list = []
+    validated = 0
     counts: dict = {}
     schemata = itertools.chain(_IP_LEMMAS.items(), _TRANSLATION_LEMMAS.items())
     for index, (name, schema) in enumerate(schemata):
@@ -410,7 +404,7 @@ def check_lemma_suite(sample: int = 100, seed: int = 0) -> CheckReport:
                 pairs = schema(*(random_formula_sized(5, ["p", "q", "r"], IP, sub + k)
                                  for k in range(3)))
             for assumptions, goal in pairs:
-                _decide(Sequent(assumptions, goal, IP), failures, name, traces=traces)
+                validated += _decide(Sequent(assumptions, goal, IP), failures, name) is not None
         counts[name] = {"instances": sample, "failures": len(failures) - before}
 
     # the admissible double-negation rule needs provable premises
@@ -418,12 +412,12 @@ def check_lemma_suite(sample: int = 100, seed: int = 0) -> CheckReport:
     premises = _provable_premises(sample, seed)
     for j, (phi, a, b) in enumerate(premises):
         e = random_formula_sized(4, ["p", "q", "r"], IP, seed * 50021 + j)
-        _decide(Sequent(phi + (double_rel_neg(a, e),), double_rel_neg(b, e), IP), failures,
-                "2_neg_intro", traces=traces)
+        validated += _decide(Sequent(phi + (double_rel_neg(a, e),), double_rel_neg(b, e), IP),
+                             failures, "2_neg_intro") is not None
     counts["2_neg_intro"] = {"instances": len(premises),
                              "failures": len(failures) - before}
 
-    details = {"schemata": counts, "traces_validated": len(traces)}
+    details = {"schemata": counts, "traces_validated": validated}
     return _finish("lemma_suite", failures, details, seed, t0)
 
 

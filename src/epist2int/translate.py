@@ -101,10 +101,7 @@ def ff_translate(a: Formula, ctx: TranslationContext) -> Formula:
         return Impl(ff_translate(a.left, ctx), ff_translate(a.right, ctx))
     # box: conjunction over all witnesses, right-nested in stored order
     parts = [ff_translate(a.inner, ctx.with_witness(i)) for i in range(len(ctx.gamma))]
-    body = parts[-1]
-    for p in reversed(parts[:-1]):
-        body = Conj(p, body)
-    return double_rel_neg(body, e)
+    return double_rel_neg(_nest(parts, Conj), e)
 
 
 def _match_double(f: Formula):

@@ -1,10 +1,14 @@
 import json
 import random
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
-from epist2int.cli import Config, main
+from epist2int import harness
+from epist2int.cli import main
 
 
 def run(capsys, *argv):
@@ -132,11 +136,59 @@ def test_paper_empty_sample_is_error(capsys, sample):
     assert code == 2 and json.loads(out)["error"] == "sample must be positive"
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        Config(max_chain=0)
-    with pytest.raises(ValueError):
-        Config(node_cap=-1)
+def one_json_document(out: str) -> dict:
+    lines = out.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+# Each variable is read by one subcommand only; the others ignore it.
+@pytest.mark.parametrize("name, value, argv, shown", [
+    ("EPIST2INT_MAX_CHAIN", "0", ["prove", "--logic", "ip", "p |- p"], "Provable"),
+    ("EPIST2INT_NODE_CAP", "abc", ["translate", "--mode", "godel", "p"], "[]p"),
+    ("EPIST2INT_NODE_CAP", "abc", ["eval", "--assign", "p=2", "p"], "value 2 of 0..2 (top)"),
+    ("EPIST2INT_SEED", "x", ["eval", "--assign", "p=2", "p"], "value 2 of 0..2 (top)"),
+], ids=["max-chain-prove", "node-cap-translate", "node-cap-eval", "seed-eval"])
+def test_env_read_only_by_its_subcommand(capsys, monkeypatch, name, value, argv, shown):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out == shown and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--mode", "godel", "--node-cap", "5", "p"],
+    ["eval", "--node-cap", "5", "--assign", "p=1", "p"],
+    ["paper", "thm2", "--node-cap", "1"],
+], ids=["translate", "eval", "paper"])
+def test_node_cap_only_on_prove(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code == 2 and "--node-cap" in one_json_document(out)["error"]
+
+
+# --node-cap and --chain take a positive integer, from the command line or
+# from the environment variable that gives their default
+@pytest.mark.parametrize("env, argv", [
+    ({"EPIST2INT_NODE_CAP": "-1"}, ["prove", "--logic", "ip", "p |- p"]),
+    ({}, ["prove", "--logic", "ip", "--node-cap", "-1", "p |- p"]),
+    ({}, ["eval", "--chain", "0", "--assign", "p=0", "p"]),
+    ({"EPIST2INT_MAX_CHAIN": "abc"}, ["eval", "--assign", "p=0", "p"]),
+], ids=["env-node-cap", "node-cap", "chain", "env-chain"])
+def test_bad_count_is_usage_error(capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code == 2 and "not a positive integer" in one_json_document(out)["error"]
+
+
+def test_paper_all_runs_every_check_in_order(capsys):
+    code, out, _ = run(capsys, "paper", "all", "--sample", "2", "--seed", "1",
+                       "--output", "json")
+    blob = one_json_document(out)
+    checks = [c for target in harness.ALL_CHECKS.values() for c in target]
+    assert code == 0 and blob["target"] == "all"
+    assert [(r["name"], r["status"], r["seed"]) for r in blob["reports"]] == [
+        (c.__name__.removeprefix("check_"), "pass", 1 if c in harness._SEEDED else 0)
+        for c in checks]
 
 
 def test_node_cap_flag(capsys):
@@ -230,3 +282,34 @@ def test_prove_fuzz_gives_one_json_document(capsys):
         assert ("error" in blob) == (code == 2), text
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def readme_cli_examples() -> list:
+    """(command line, exit code, shown output) for each `epist2int` line of
+    README's CLI block.  A trailing backslash continues a line, a "# exit N"
+    comment states the exit code, and the lines indented under a command,
+    if any, are its output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    examples = []
+    lines = iter(block.splitlines())
+    for line in lines:
+        if line.startswith("epist2int "):
+            while line.endswith("\\"):
+                line = line[:-1] + next(lines)
+            code = int(re.search(r"# exit (\d)", line).group(1))
+            examples.append((line, code, []))
+        elif line.startswith("    ") and examples:
+            examples[-1][2].append(line.strip())
+    return [pytest.param(line, code, "\n".join(shown), id=" ".join(line.split("#")[0].split()))
+            for line, code, shown in examples]
+
+
+@pytest.mark.parametrize("line, code, shown", readme_cli_examples())
+def test_readme_cli_example(capsys, line, code, shown):
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "epist2int"
+    got, out, _ = run(capsys, *argv[1:])
+    assert got == code
+    if shown:
+        assert out == shown

@@ -157,7 +157,7 @@ def test_reports_deterministic_given_seed():
 
 def test_report_json_lines():
     r = harness.check_unfaithfulness_fernandez()
-    blob = json.loads(r.to_json_line())
+    blob = json.loads(json.dumps(r.to_json()))
     assert blob["name"] == "unfaithfulness_fernandez"
     assert blob["status"] == "pass"
     assert "details" in blob and "elapsed_s" in blob
