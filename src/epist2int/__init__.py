@@ -5,7 +5,6 @@ algebra evaluation, and the reproduction harness built on top of them."""
 from .algebra import (
     Countermodel,
     HeytingAlgebra,
-    Valuation,
     evaluate,
     make_chain,
     refute,
@@ -44,7 +43,7 @@ __all__ = [
     "Atom", "Box", "Conj", "Countermodel", "Disj", "EP", "EpProofResult",
     "FALSUM", "Falsum", "Formula", "HeytingAlgebra", "IP", "Impl",
     "KripkeModel", "ParseError", "ProofResult", "Sequent",
-    "TranslationContext", "VERUM", "Valuation", "check_kripke",
+    "TranslationContext", "VERUM", "check_kripke",
     "check_trace", "equiv_ep", "equiv_ip", "evaluate", "ff_simplify",
     "ff_translate", "godel_translate", "make_chain", "parse_formula",
     "parse_sequent", "print_formula", "print_sequent", "prove_ep",

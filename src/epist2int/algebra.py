@@ -1,9 +1,11 @@
-"""Finite Heyting algebras: chains, table-defined lattices, evaluation
+"""Finite Heyting algebras as the up-sets of finite posets, evaluation
 and bounded countermodel search.
 
-A countermodel (a valuation giving a formula a non-top value) refutes
-intuitionistic provability; failure to find one proves nothing, since
-chains validate strictly more than IP does.
+Every finite Heyting algebra is the algebra of up-sets of a finite poset
+(Birkhoff), so one construction, `upset_algebra`, builds the chains and
+the table algebras alike.  A countermodel (a valuation giving a formula a
+non-top value) refutes intuitionistic provability; failure to find one
+proves nothing, since chains validate strictly more than IP does.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .syntax import Atom, Conj, Disj, Falsum, Formula, Impl, atoms_of, is_ip_formula
 
@@ -39,9 +41,6 @@ class HeytingAlgebra:
 
     def le(self, x: int, y: int) -> bool:
         return self.leq[x][y]
-
-    def elements(self) -> range:
-        return range(self.size)
 
 
 def _validate(h: HeytingAlgebra) -> None:
@@ -79,111 +78,87 @@ def _validate(h: HeytingAlgebra) -> None:
                     raise AlgebraError(f"residuation fails at ({x},{y},{w})")
 
 
+def _upsets(up: Sequence[int]) -> list[int]:
+    """The up-sets of the preorder `up`, as masks ordered by (size, mask);
+    raises AlgebraError unless `up` is reflexive and transitive."""
+    n = len(up)
+    for w, u in enumerate(up):
+        if u >> n or not u >> w & 1:
+            raise AlgebraError(f"up[{w}] is not a set of points 0..{n - 1} containing {w}")
+        if any(u >> v & 1 and up[v] & ~u for v in range(n)):
+            raise AlgebraError(f"up[{w}] is not closed upwards: the order is not transitive")
+    sets = {0}
+    for u in up:
+        sets |= {s | u for s in sets}
+    return sorted(sets, key=lambda s: (s.bit_count(), s))
+
+
+def upset_algebra(up: Sequence[int], kind: str = "table") -> HeytingAlgebra:
+    """The Heyting algebra of the up-sets of a finite preorder.
+
+    `up[w]` is the bitmask of the points that point w sees.  The elements
+    are the unions of principal up-sets, numbered by (size, mask), so the
+    empty set is bottom = 0 and the set of all points is top.  The order
+    is inclusion, meet and join are intersection and union, and x |> y is
+    the set of points whose up-set meets x only inside y.
+    """
+    elems = _upsets(up)
+    index = {s: i for i, s in enumerate(elems)}
+
+    def rpc(x: int, y: int) -> int:
+        outside = x & ~y
+        return index[sum(1 << w for w, u in enumerate(up) if not u & outside)]
+
+    h = HeytingAlgebra(
+        len(elems),
+        tuple(tuple(not x & ~y for y in elems) for x in elems),
+        tuple(tuple(index[x & y] for y in elems) for x in elems),
+        tuple(tuple(index[x | y] for y in elems) for x in elems),
+        tuple(tuple(rpc(x, y) for y in elems) for x in elems),
+        0, len(elems) - 1, kind,
+    )
+    _validate(h)
+    return h
+
+
 @functools.lru_cache(maxsize=None)
 def make_chain(n: int) -> HeytingAlgebra:
-    """The n-element chain 0 < 1 < ... < n-1; rpc(x,y) = top if x<=y else y.
+    """The n-element chain 0 < 1 < ... < n-1: the up-sets of n-1 points in
+    a line, where point w sees w and every later point.
 
     Memoised per size (the algebra is frozen), so each size is built and
     validated once per process.
     """
     if n < 1:
         raise AlgebraError("chain needs at least one element")
-    rng = range(n)
-    leq = tuple(tuple(x <= y for y in rng) for x in rng)
-    meet = tuple(tuple(min(x, y) for y in rng) for x in rng)
-    join = tuple(tuple(max(x, y) for y in rng) for x in rng)
-    rpc = tuple(tuple(n - 1 if x <= y else y for y in rng) for x in rng)
-    h = HeytingAlgebra(n, leq, meet, join, rpc, 0, n - 1, kind="chain")
-    _validate(h)
-    return h
-
-
-def algebra_from_order(n: int, pairs: set[tuple[int, int]]) -> HeytingAlgebra:
-    """Build from a strict-order pair set (reflexivity implied); validates
-    that the poset is a bounded lattice with all relative pseudo-complements."""
-    leq_m = [[x == y for y in range(n)] for x in range(n)]
-    for x, y in pairs:
-        leq_m[x][y] = True
-    leq = tuple(tuple(row) for row in leq_m)
-
-    def bound(x: int, y: int, below: bool) -> Optional[int]:
-        # the bound must itself be the extremum of the candidate set
-        if below:
-            cands = [z for z in range(n) if leq[z][x] and leq[z][y]]
-            return next((z for z in cands if all(leq[w][z] for w in cands)), None)
-        cands = [z for z in range(n) if leq[x][z] and leq[y][z]]
-        return next((z for z in cands if all(leq[z][w] for w in cands)), None)
-
-    meet_m, join_m = [], []
-    for x in range(n):
-        mrow, jrow = [], []
-        for y in range(n):
-            m = bound(x, y, below=True)
-            j = bound(x, y, below=False)
-            if m is None or j is None:
-                raise AlgebraError(f"not a lattice: no bound for ({x},{y})")
-            mrow.append(m)
-            jrow.append(j)
-        meet_m.append(tuple(mrow))
-        join_m.append(tuple(jrow))
-    meet = tuple(meet_m)
-    join = tuple(join_m)
-
-    bottoms = [x for x in range(n) if all(leq[x][y] for y in range(n))]
-    tops = [x for x in range(n) if all(leq[y][x] for y in range(n))]
-    if not bottoms or not tops:
-        raise AlgebraError("not bounded")
-
-    rpc_m = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            cands = [z for z in range(n) if leq[meet[z][x]][y]]
-            best = None
-            for z in cands:
-                if all(leq[w][z] for w in cands):
-                    best = z
-                    break
-            if best is None:
-                raise AlgebraError(f"no relative pseudo-complement for ({x},{y})")
-            row.append(best)
-        rpc_m.append(tuple(row))
-
-    h = HeytingAlgebra(n, leq, meet, join, tuple(rpc_m), bottoms[0], tops[0])
-    _validate(h)
-    return h
+    points = (1 << (n - 1)) - 1
+    return upset_algebra([points >> w << w for w in range(n - 1)], kind="chain")
 
 
 def enumerate_heyting_algebras(max_size: int) -> Iterator[HeytingAlgebra]:
-    """All Heyting algebras with up to max_size elements, up to isomorphism
-    modulo order-preserving relabelling (element i below j implies i < j)."""
-    for n in range(2, max_size + 1):
-        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for bits in range(2 ** len(upper)):
-            pairs = {upper[k] for k in range(len(upper)) if bits >> k & 1}
-            if any((a, c) not in pairs
-                   for a, b in pairs for b2, c in pairs if b == b2):
-                continue
+    """The Heyting algebras with at most max_size elements, in order of size:
+    the up-set algebras of the strict orders on 1..max_size-1 points in
+    which a point sees only later ones.  Isomorphic posets give isomorphic
+    algebras, so a size above 5 can yield one algebra more than once."""
+    found = []
+    for n in range(1, max_size):
+        # up[w] is w plus any subset of the later points
+        choices = [[1 << w | k << (w + 1) for k in range(1 << (n - 1 - w))] for w in range(n)]
+        for up in itertools.product(*choices):
             try:
-                yield algebra_from_order(n, pairs)
+                count = len(_upsets(up))
             except AlgebraError:
-                continue
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """Atom names to carrier elements; falsum always means bottom."""
-
-    assignment: dict
-
-    def __getitem__(self, name: str) -> int:
-        return self.assignment[name]
+                continue  # not transitive
+            if count <= max_size:
+                found.append(upset_algebra(up))
+    found.sort(key=lambda h: h.size)
+    yield from found
 
 
 @dataclass(frozen=True)
 class Countermodel:
     algebra: HeytingAlgebra
-    valuation: Valuation
+    valuation: dict
     value: int
     formula: Formula
 
@@ -195,17 +170,18 @@ class Countermodel:
         return {
             "carrier_size": self.algebra.size,
             "kind": self.algebra.kind,
-            "valuation": dict(sorted(self.valuation.assignment.items())),
+            "valuation": dict(sorted(self.valuation.items())),
             "value": self.value,
             "top": self.algebra.top,
         }
 
 
-def evaluate(f: Formula, v: Valuation, h: HeytingAlgebra) -> int:
-    """Standard extension of the valuation: /\\ is meet, \\/ is join, -> is rpc."""
+def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:
+    """Standard extension of the valuation v, a mapping from atom names to
+    elements: /\\ is meet, \\/ is join, -> is rpc."""
     if isinstance(f, Atom):
         try:
-            return v.assignment[f.name]
+            return v[f.name]
         except KeyError:
             raise ValueError(f"unassigned atom {f.name!r}") from None
     if isinstance(f, Falsum):
@@ -220,8 +196,8 @@ def evaluate(f: Formula, v: Valuation, h: HeytingAlgebra) -> int:
 
 
 def _search_algebra(f: Formula, names: list[str], h: HeytingAlgebra) -> Optional[Countermodel]:
-    for values in itertools.product(h.elements(), repeat=len(names)):
-        v = Valuation(dict(zip(names, values)))
+    for values in itertools.product(range(h.size), repeat=len(names)):
+        v = dict(zip(names, values))
         got = evaluate(f, v, h)
         if got != h.top:
             return Countermodel(h, v, got, f)

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import harness
-from .algebra import evaluate, make_chain, Valuation
+from .algebra import evaluate, make_chain
 from .prover_ep import prove_ep
 from .prover_ip import SearchLimitError, prove_ip, trace_to_json
 from .syntax import (
@@ -153,8 +153,7 @@ def cmd_eval(args) -> int:
     missing = sorted(atoms_of(f) - set(assignment))
     if missing:
         raise ValueError(f"unassigned atoms: {', '.join(missing)}")
-    v = Valuation(assignment)
-    value = evaluate(f, v, chain)
+    value = evaluate(f, assignment, chain)
     payload = {
         "command": "eval",
         "formula": print_formula(f),

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import evaluate, make_chain, refute, rpc_chain, Valuation
+from .algebra import evaluate, make_chain, refute, rpc_chain
 from .prover_ep import check_kripke, prove_ep
 from .prover_ip import check_trace, is_provable_ip, prove_ip
 from .syntax import (
@@ -212,8 +212,7 @@ def check_necessitation_counterexample() -> CheckReport:
         validated += _decide(Sequent((boxed,), cross, IP), failures,
                              f"{label}: reduction step") is not None
         chain = make_chain(3)
-        v = Valuation({"B": 0, "C": 0, "E": 1})
-        value = evaluate(cross, v, chain)
+        value = evaluate(cross, {"B": 0, "C": 0, "E": 1}, chain)
         if value != 1 or value == chain.top:
             failures.append({"check": f"{label}: 3-chain value", "value": value})
         cm = refute(cross, max_chain=3)

@@ -122,20 +122,30 @@ def is_ip_formula(f: Formula) -> bool:
 
 def formula_size(f: Formula) -> int:
     """Number of AST nodes."""
-    if isinstance(f, (Atom, Falsum)):
-        return 1
-    if isinstance(f, Box):
-        return 1 + formula_size(f.inner)
-    return 1 + formula_size(f.left) + formula_size(f.right)
+    size = 0
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        size += 1
+        kind = type(g)
+        if kind is Box:
+            todo.append(g.inner)
+        elif kind is not Atom and kind is not Falsum:
+            todo += g.left, g.right
+    return size
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Box):
-        yield from subformulas(f.inner)
-    elif isinstance(f, (Conj, Disj, Impl)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    """Every subformula occurrence of f in pre-order, repeats included."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        kind = type(g)
+        if kind is Box:
+            todo.append(g.inner)
+        elif kind is not Atom and kind is not Falsum:
+            todo += g.right, g.left
 
 
 def atoms_of(f: Formula) -> set[str]:

@@ -1,4 +1,5 @@
 import hypothesis.strategies as st
+import pytest
 
 from epist2int.syntax import FALSUM, Atom, Box, Conj, Disj, Impl
 
@@ -28,3 +29,10 @@ def ep_formulas(max_leaves: int = 8):
         ),
         max_leaves=max_leaves,
     )
+
+
+@pytest.fixture(autouse=True)
+def _no_epist2int_env(monkeypatch):
+    """Run every test without the caller's EPIST2INT_* defaults."""
+    for name in ("EPIST2INT_NODE_CAP", "EPIST2INT_MAX_CHAIN", "EPIST2INT_SEED"):
+        monkeypatch.delenv(name, raising=False)

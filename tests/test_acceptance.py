@@ -8,7 +8,7 @@ the suite is deterministic apart from timing.
 import time
 
 from epist2int import harness
-from epist2int.algebra import Valuation, evaluate, make_chain, refute
+from epist2int.algebra import evaluate, make_chain, refute
 from epist2int.prover_ep import check_kripke, prove_ep
 from epist2int.prover_ip import check_trace, equiv_ip, is_provable_ip, prove_ip
 from epist2int.syntax import (
@@ -52,7 +52,7 @@ def test_criterion_1_necessitation_inadmissibility():
     ok &= not prove_ip(Sequent((), boxed, IP)).provable
 
     cross = double_rel_neg(ff_translate(a, ctx.with_witness(0)), E)
-    value = evaluate(cross, Valuation({"B": 0, "C": 0, "E": 1}), make_chain(3))
+    value = evaluate(cross, {"B": 0, "C": 0, "E": 1}, make_chain(3))
     ok &= value == 1 and value != make_chain(3).top
     cm = refute(cross, max_chain=3)
     ok &= cm is not None and cm.recheck()

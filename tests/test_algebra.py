@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,12 @@ from hypothesis import given, settings
 from conftest import ip_formulas
 from epist2int.algebra import (
     AlgebraError,
-    Valuation,
-    algebra_from_order,
     enumerate_heyting_algebras,
     evaluate,
     make_chain,
     refute,
     rpc_chain,
+    upset_algebra,
 )
 from epist2int.prover_ip import is_provable_ip
 from epist2int.syntax import Atom, Conj, Disj, FALSUM, Impl, parse_formula, subformulas
@@ -35,7 +36,7 @@ class TestChains:
         h = make_chain(1)
         assert h.top == h.bottom == 0
         f = parse_formula("p -> q /\\ ~p")
-        assert evaluate(f, Valuation({"p": 0, "q": 0}), h) == h.top
+        assert evaluate(f, {"p": 0, "q": 0}, h) == h.top
 
     def test_rejects_nonpositive(self):
         with pytest.raises(AlgebraError):
@@ -52,6 +53,17 @@ class TestChains:
             candidates = [z for z in range(n) if min(z, x) <= y]
             assert h.rpc[x][y] == max(candidates)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_closed_forms(self, n):
+        h = make_chain(n)
+        top = n - 1
+        assert (h.size, h.bottom, h.top, h.kind) == (n, 0, top, "chain")
+        for x, y in itertools.product(range(n), repeat=2):
+            assert h.leq[x][y] == (x <= y)
+            assert h.meet[x][y] == min(x, y)
+            assert h.join[x][y] == max(x, y)
+            assert h.rpc[x][y] == (top if x <= y else y)
+
 
 def test_chain_residuation_law_exhaustive():
     for n in range(1, 8):
@@ -65,36 +77,36 @@ class TestEvaluate:
         for n in (2, 3, 5):
             h = make_chain(n)
             for v in range(n):
-                assert evaluate(parse_formula("p -> p"), Valuation({"p": v}), h) == h.top
+                assert evaluate(parse_formula("p -> p"), {"p": v}, h) == h.top
 
     def test_falsum_is_bottom(self):
         h = make_chain(4)
-        assert evaluate(FALSUM, Valuation({}), h) == h.bottom
+        assert evaluate(FALSUM, {}, h) == h.bottom
 
     def test_clauses(self):
         h = make_chain(4)
-        v = Valuation({"p": 1, "q": 2})
+        v = {"p": 1, "q": 2}
         assert evaluate(Conj(p, q), v, h) == 1
         assert evaluate(Disj(p, q), v, h) == 2
         assert evaluate(Impl(q, p), v, h) == 1
 
     def test_unassigned_atom_reported(self):
         with pytest.raises(ValueError, match="'q'"):
-            evaluate(Conj(p, q), Valuation({"p": 0}), make_chain(2))
+            evaluate(Conj(p, q), {"p": 0}, make_chain(2))
 
     def test_inadmissibility_witness_value(self):
         # the doubly negated cross-witness translation takes the middle
         # value (not top) on the 3-chain with B=C=0 and E=1
         f = parse_formula("((((E -> C) -> C) -> ((B -> C) -> C)) -> E) -> E")
         h = make_chain(3)
-        value = evaluate(f, Valuation({"B": 0, "C": 0, "E": 1}), h)
+        value = evaluate(f, {"B": 0, "C": 0, "E": 1}, h)
         assert value == 1 != h.top
 
     def test_two_chain_is_classical_truth_table(self):
         h = make_chain(2)
         f = parse_formula("(p -> q) \\/ (q -> p)")
         for vp, vq in itertools.product((0, 1), repeat=2):
-            assert evaluate(f, Valuation({"p": vp, "q": vq}), h) == 1
+            assert evaluate(f, {"p": vp, "q": vq}, h) == 1
 
 
 class TestRefute:
@@ -102,7 +114,7 @@ class TestRefute:
         cm = refute(parse_formula("((p -> q) -> p) -> p"), max_chain=3)
         assert cm is not None
         assert cm.algebra.size == 3 and cm.algebra.kind == "chain"
-        assert cm.valuation.assignment == {"p": 1, "q": 0}
+        assert cm.valuation == {"p": 1, "q": 0}
         assert cm.value == 1
         assert cm.recheck()
 
@@ -135,22 +147,19 @@ class TestRefute:
 
 class TestTableAlgebras:
     def test_diamond_is_heyting(self):
-        # 0 < a,b < 1 with a,b incomparable: the product of two 2-chains
-        h = algebra_from_order(4, {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)})
+        # the up-sets of two incomparable points: the product of two 2-chains
+        h = upset_algebra([0b01, 0b10])
         assert h.meet[1][2] == 0 and h.join[1][2] == 3
         assert h.rpc[1][2] == 2
 
-    def test_m3_is_not_heyting(self):
-        # three incomparable middles: a lattice but not distributive
-        pairs = {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (0, 4)}
-        with pytest.raises(AlgebraError):
-            algebra_from_order(5, pairs)
+    def test_rejects_non_reflexive(self):
+        with pytest.raises(AlgebraError, match="containing 1"):
+            upset_algebra([0b11, 0b00])
 
-    def test_pentagon_is_not_a_heyting_algebra(self):
-        # N5: 0 < a < c < 1 and 0 < b < 1 with b incomparable to a, c
-        pairs = {(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 4), (3, 4), (0, 4)}
-        with pytest.raises(AlgebraError):
-            algebra_from_order(5, pairs)
+    def test_rejects_non_transitive(self):
+        # 0 sees 1 and 1 sees 2, but 0 does not see 2
+        with pytest.raises(AlgebraError, match="not transitive"):
+            upset_algebra([0b011, 0b110, 0b100])
 
     def test_enumeration_yields_valid_algebras(self):
         seen = 0
@@ -159,6 +168,17 @@ class TestTableAlgebras:
             for w, x, y in itertools.product(range(h.size), repeat=3):
                 assert h.le(w, h.rpc[x][y]) == h.le(h.meet[w][x], y)
         assert seen >= 4  # at least the chains and the diamond
+
+    def test_enumeration_up_to_five(self):
+        # the 2-, 3-, 4- and 5-chains, the diamond, and the diamond with a
+        # new bottom or top; the non-distributive M3 and N5 never appear
+        algebras = list(enumerate_heyting_algebras(5))
+        sizes = [h.size for h in algebras]
+        assert sizes == sorted(sizes) == [2, 3, 4, 4, 5, 5, 5]
+        tables = sorted(json.dumps([h.leq, h.meet, h.join, h.rpc]) for h in algebras)
+        digest = hashlib.sha256("\n".join(tables).encode()).hexdigest()
+        # recorded from the brute-force lattice search this construction replaced
+        assert digest == "e26de0a96ab796a62956e15fd0df7a9488fcdfbcc8e3c0afe93572a567059899"
 
 
 def test_rpc_chain_is_left_nested():
@@ -181,6 +201,6 @@ def test_monotone_evaluation_without_implication(f):
         return
     h = make_chain(4)
     names = sorted({g.name for g in subformulas(f) if isinstance(g, Atom)})
-    lo = Valuation({n: 1 for n in names})
-    hi = Valuation({n: 2 for n in names})
+    lo = {n: 1 for n in names}
+    hi = {n: 2 for n in names}
     assert h.le(evaluate(f, lo, h), evaluate(f, hi, h))

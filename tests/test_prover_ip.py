@@ -73,11 +73,11 @@ def test_reverse_double_negation_refuted_by_algebra():
     # the NotProvable verdict for ((p->q)->q)->p is independently
     # witnessed on the 3-chain with p in the middle and q at the bottom
     # (refute itself already finds a smaller, classical countermodel)
-    from epist2int.algebra import Valuation, evaluate, make_chain
+    from epist2int.algebra import evaluate, make_chain
 
     f = parse_formula("((p -> q) -> q) -> p")
     h = make_chain(3)
-    assert evaluate(f, Valuation({"p": 1, "q": 0}), h) == 1 != h.top
+    assert evaluate(f, {"p": 1, "q": 0}, h) == 1 != h.top
     cm = refute(f, max_chain=3)
     assert cm is not None and cm.recheck()
     assert not prove_ip(Sequent((), f)).provable

@@ -232,6 +232,31 @@ def test_to_json_tree_deep():
     assert depth == 5000 and tree == {"node": "atom", "name": "p", "children": []}
 
 
+def test_subformulas_pre_order_with_repeats():
+    f = Conj(Impl(p, q), Box(p))
+    assert list(subformulas(f)) == [f, Impl(p, q), p, q, Box(p), p]
+
+
+# the walkers keep their own stack, so nesting depth costs no Python stack
+def test_formula_size_deep():
+    f = p
+    for _ in range(5000):
+        f = neg(f)
+    assert formula_size(f) == 2 * 5000 + 1
+    # each level adds a node, and a leaf too unless it is a box
+    assert formula_size(_deep(5000)) == 1 + 5000 + sum(i % 6 != 1 for i in range(5000))
+
+
+def test_subformulas_deep():
+    f = p
+    for _ in range(5000):
+        f = neg(f)
+    subs = list(subformulas(f))
+    assert len(subs) == 2 * 5000 + 1
+    # pre-order: the 5000 implications outside in, p, then their 5000 falsums
+    assert subs[0] is f and subs[5000] is p and subs[5001:] == [FALSUM] * 5000
+
+
 @given(ep_formulas())
 def test_is_ip_iff_no_box(f):
     assert is_ip_formula(f) == all(not isinstance(g, Box) for g in subformulas(f))
