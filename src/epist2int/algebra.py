@@ -140,6 +140,13 @@ def enumerate_heyting_algebras(max_size: int) -> Iterator[HeytingAlgebra]:
     the up-set algebras of the strict orders on 1..max_size-1 points in
     which a point sees only later ones.  Isomorphic posets give isomorphic
     algebras, so a size above 5 can yield one algebra more than once."""
+    yield from _heyting_algebras(max_size)
+
+
+@functools.lru_cache(maxsize=None)
+def _heyting_algebras(max_size: int) -> tuple[HeytingAlgebra, ...]:
+    """enumerate_heyting_algebras, memoised per max_size like make_chain, so
+    each algebra is built and validated once per process."""
     found = []
     for n in range(1, max_size):
         # up[w] is w plus any subset of the later points
@@ -152,7 +159,7 @@ def enumerate_heyting_algebras(max_size: int) -> Iterator[HeytingAlgebra]:
             if count <= max_size:
                 found.append(upset_algebra(up))
     found.sort(key=lambda h: h.size)
-    yield from found
+    return tuple(found)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ A1,...,An entail A iff (A1 /\\ ... /\\ An) -> A is valid.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -25,7 +24,6 @@ from .syntax import (
     Impl,
     Sequent,
     atoms_of,
-    formula_key,
 )
 from .prover_ip import SearchLimitError
 
@@ -79,21 +77,27 @@ def _parts(sign: bool, f: Formula):
     return zip(_RULES[sign, type(f)][1], (f.inner,) if type(f) is Box else (f.left, f.right))
 
 
-def _put(sf, present: set, alphas: deque, betas: deque) -> bool:
-    """Add a signed formula to a world state; False when it closes the branch."""
-    if sf in present:
-        return True
-    sign, f = sf
-    if (not sign, f) in present or (sign and f is FALSUM):
-        return False
-    present.add(sf)
-    rule = _RULES.get((sign, type(f)))
-    if rule is not None:
-        (betas if rule[0] else alphas).append(sf)
+def _put(parts, state: dict, alphas: list, betas: list) -> bool:
+    """Add signed formulas to a world state; False when one closes the branch."""
+    for sf in parts:
+        if sf in state:
+            continue
+        sign, f = sf
+        if (not sign, f) in state or (sign and f is FALSUM):
+            return False
+        state[sf] = None
+        rule = _RULES.get((sign, type(f)))
+        if rule is not None:
+            (betas if rule[0] else alphas).append(sf)
     return True
 
 
 class _Tableau:
+    """The search.  A world state is a dict used as an ordered set of signed
+    formulas, and every choice takes them in the order they were added, so
+    the search order depends only on the formula's structure: not on the
+    hash seed, nor on what else the process has built or printed."""
+
     def __init__(self, node_cap: Optional[int]):
         self.node_cap = node_cap
         self.steps = 0
@@ -104,71 +108,74 @@ class _Tableau:
         if self.node_cap is not None and self.steps > self.node_cap:
             raise SearchLimitError(f"node cap {self.node_cap} exceeded")
 
-    def saturated(self, present: set, alphas: deque, betas: deque) -> Iterator[frozenset]:
-        """All open, fully expanded extensions of the current world state."""
-        while alphas:
-            self._tick()
-            sign, f = alphas.popleft()
-            for part in _parts(sign, f):
-                if not _put(part, present, alphas, betas):
-                    return
-        if betas:
-            self._tick()
-            sign, f = betas.popleft()
-            for alt in _parts(sign, f):
-                p2, a2, b2 = set(present), deque(alphas), deque(betas)
-                if _put(alt, p2, a2, b2):
-                    yield from self.saturated(p2, a2, b2)
-            return
-        yield frozenset(present)
+    def saturations(self, seed: tuple) -> Iterator[dict]:
+        """The open, fully expanded world states that extend the seed.
 
-    def expand_seed(self, seed: frozenset) -> Iterator[frozenset]:
-        present: set = set()
-        alphas: deque = deque()
-        betas: deque = deque()
-        for sf in sorted(seed, key=lambda sf: (sf[0], formula_key(sf[1]))):
-            if not _put(sf, present, alphas, betas):
-                return
-        yield from self.saturated(present, alphas, betas)
+        A branch applies its alphas first; then its oldest beta splits it,
+        first part first.  A branch waits on the stack as its state, its
+        unsplit betas and the parts still to put in; at a split the first
+        part gets a copy of the state and the second the state itself.
+        """
+        stack = [({}, [], seed)]
+        while stack:
+            state, betas, parts = stack.pop()
+            alphas = []
+            if not _put(parts, state, alphas, betas):
+                continue
+            for sign, f in alphas:  # a queue: the loop sees what it appends
+                self._tick()
+                if not _put(_parts(sign, f), state, alphas, betas):
+                    break
+            else:
+                if not betas:
+                    yield state
+                    continue
+                self._tick()
+                (sign, f), rest = betas[0], betas[1:]
+                first, second = _parts(sign, f)
+                stack += (state, rest, (second,)), (dict(state), rest[:], (first,))
 
-    def satisfy(self, seed: frozenset, chain: tuple) -> Optional[tuple]:
+    def satisfy(self, seed: tuple, key: frozenset, chain: dict) -> Optional[tuple]:
         """A world realizing the seed, or None.
 
+        The seed is `(F A, *the T[] formulas of the state demanding []A)`
+        in the order they arose, and key is its frozenset; chain maps the
+        ancestors' keys to their worlds, and a demand whose seed is an
+        ancestor's loops back to that world.
         Returns (world_id, worlds, edges) where worlds maps ids to sets of
         true atoms and edges are the accessibility seeds (before closure).
         """
         wid = next(self.ids)
-        here = chain + ((seed, wid),)
-        for state in self.expand_seed(seed):
-            boxed, demands, atoms = set(), set(), set()
+        here = {**chain, key: wid}
+        for state in self.saturations(seed):
+            boxed, demands, atoms = [], [], set()
             for sf in state:
                 sign, f = sf
                 kind = type(f)
                 if kind is Box:
                     if sign:
-                        boxed.add(sf)
+                        boxed.append(sf)
                     else:
-                        demands.add(f.inner)
+                        demands.append(f.inner)
                 elif sign and kind is Atom:
                     atoms.add(f.name)
             worlds = {wid: atoms}
             edges = set()
-            ok = True
-            for inner in sorted(demands, key=formula_key):
-                succ = frozenset({(False, inner)} | boxed)
-                target = next((w for s, w in here if s == succ), None)
+            for inner in demands:
+                succ = ((False, inner), *boxed)
+                succ_key = frozenset(succ)
+                target = here.get(succ_key)
                 if target is not None:
                     edges.add((wid, target))
                     continue
-                sub = self.satisfy(succ, here)
+                sub = self.satisfy(succ, succ_key, here)
                 if sub is None:
-                    ok = False
                     break
                 sub_id, sub_worlds, sub_edges = sub
                 worlds.update(sub_worlds)
                 edges |= sub_edges
                 edges.add((wid, sub_id))
-            if ok:
+            else:
                 return wid, worlds, edges
         return None
 
@@ -202,7 +209,8 @@ def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
     else:
         target = goal
     tableau = _Tableau(node_cap)
-    got = tableau.satisfy(frozenset({(False, target)}), ())
+    seed = ((False, target),)
+    got = tableau.satisfy(seed, frozenset(seed), {})
     if got is None:
         return EpProofResult(True, None, tableau.steps)
     root, worlds, edges = got

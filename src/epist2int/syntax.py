@@ -344,9 +344,10 @@ def _wrap(f: Formula, need: int) -> str:
 def formula_key(f: Formula) -> str:
     """Minimal-parenthesis text of f, cached on the node.
 
-    It is also the deterministic total-order key the provers sort by
-    (independent of hash randomization).  A missing key is built from the
-    children's keys, over an explicit stack, so depth costs no Python stack.
+    It is also the deterministic total-order key prover_ip sorts its
+    contexts by (independent of hash randomization).  A missing key is
+    built from the children's keys, over an explicit stack, so depth costs
+    no Python stack.
     """
     key = f._key
     if key is not None:

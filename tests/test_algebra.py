@@ -180,6 +180,16 @@ class TestTableAlgebras:
         # recorded from the brute-force lattice search this construction replaced
         assert digest == "e26de0a96ab796a62956e15fd0df7a9488fcdfbcc8e3c0afe93572a567059899"
 
+    def test_enumeration_memoised_per_size(self):
+        # refute(..., also_lattices=True) walks these on every call
+        first = list(enumerate_heyting_algebras(5))
+        second = list(enumerate_heyting_algebras(5))
+        assert len(first) == 7
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        smaller = enumerate_heyting_algebras(4)
+        assert iter(smaller) is smaller  # still an iterator, one per call
+        assert [h.size for h in smaller] == [2, 3, 4, 4]
+
 
 def test_rpc_chain_is_left_nested():
     h = make_chain(3)

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import epist2int
 from conftest import ep_formulas
 from epist2int.harness import enumerate_ip_formulas
 from epist2int.prover_ep import (
@@ -22,8 +27,12 @@ from epist2int.syntax import (
     Atom,
     Box,
     Conj,
+    Disj,
+    Impl,
     Sequent,
+    neg,
     parse_sequent,
+    subformulas,
 )
 from epist2int.translate import godel_translate
 
@@ -90,6 +99,16 @@ def test_necessitation_on_theorems():
             assert is_provable_ep((), Box(f))
             found += 1
     assert found >= 20
+
+
+def test_saturation_takes_any_depth():
+    # p, ~p \/ (~p \/ (... \/ q)) |- q splits 3000 times inside one world
+    chain = q
+    for _ in range(3000):
+        chain = Disj(neg(p), chain)
+    res = prove_ep(Sequent((p, chain), q, EP))
+    assert res.provable
+    assert res.worlds_expanded == 6002
 
 
 def test_equiv_ep():
@@ -168,7 +187,8 @@ def test_stability_shape(f):
 def test_godel_search_order_is_pinned():
     """The tableau's search order, pinned on 200 criterion-6 formulas: the
     verdicts, the summed worlds_expanded and the countermodels of each
-    Goedel translation and its two stability sequents, as first recorded."""
+    Goedel translation and its two stability sequents, as recorded when
+    the search came to take formulas in the order they arise."""
     pool = enumerate_ip_formulas(7, ("p", "q"))
     counts = Counter()
     steps = 0
@@ -185,6 +205,56 @@ def test_godel_search_order_is_pinned():
                 models.append(res.countermodel.to_json())
     assert counts == {("translation", "Provable"): 44, ("translation", "NotProvable"): 156,
                       ("stability", "Provable"): 400}
-    assert steps == 2657
+    assert steps == 2649
     digest = hashlib.sha256(json.dumps(models).encode()).hexdigest()
-    assert digest == "8240c253226620f4b00dd5f2b5049b3b419e96b2a1a674b968e2258b4a9f9edb"
+    assert digest == "c2479fe4991dc3a6ebe5c5c59295f46cb7c1a1e3ac7711512cb2c1cd3c8d2204"
+
+
+_ORDER_PROBE = """
+import json, random, sys
+from epist2int.harness import enumerate_ip_formulas
+from epist2int.prover_ep import prove_ep
+from epist2int.syntax import EP, Box, Sequent, random_formula_sized
+from epist2int.translate import godel_translate
+for i in range(int(sys.argv[1])):
+    prove_ep(Sequent((), random_formula_sized(9, ["p", "q", "r", "s"], EP, seed=40000 + i), EP))
+out = []
+for a in random.Random(1).sample(enumerate_ip_formulas(7, ("p", "q")), 300):
+    ta = godel_translate(a)
+    for s in (Sequent((), ta, EP), Sequent((ta,), Box(ta), EP), Sequent((Box(ta),), ta, EP)):
+        res = prove_ep(s)
+        out.append([res.worlds_expanded, res.countermodel and res.countermodel.to_json()])
+print(json.dumps(out))
+"""
+
+
+def _order_probe(hash_seed: str, warm_up: int) -> list:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(Path(epist2int.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _ORDER_PROBE, str(warm_up)], env=env,
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    return json.loads(out)
+
+
+def test_search_order_ignores_hash_seed_and_history():
+    """Steps and countermodels of 300 criterion-6 translations and their
+    stability sequents repeat exactly in a process with another hash seed
+    that first proves 3000 unrelated formulas."""
+    fresh = _order_probe("1", 0)
+    used = _order_probe("2", 3000)
+    assert len(fresh) == 900 and any(model for _, model in fresh)
+    assert fresh == used
+
+
+def test_search_prints_nothing():
+    """The S4 search never builds a printed form: formulas over atom names
+    no other test uses keep `_key` None after every kind of verdict."""
+    a, b = Atom("unprinted_a"), Atom("unprinted_b")
+    goals = [Impl(a, Box(a)), Impl(Box(Impl(a, b)), Impl(Box(a), Box(b))),
+             Box(Impl(Box(a), a))]
+    sequents = [Sequent((), g, EP) for g in goals] + [Sequent((Box(a), Box(b)), Box(Conj(a, b)), EP)]
+    verdicts = [prove_ep(s).provable for s in sequents]
+    assert verdicts == [False, True, True, True]
+    for s in sequents:
+        for f in (*s.assumptions, s.goal):
+            assert all(g._key is None for g in subformulas(f))
