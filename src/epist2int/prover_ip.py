@@ -1,10 +1,10 @@
 """Decision procedure for intuitionistic propositional derivability.
 
-The engine is a contraction-free sequent calculus: the left-implication
-rule is split four ways on the shape of the implication's antecedent, so
-proof search terminates without loop checking.  Verdicts can carry a
-derivation tree whose nodes are independently re-checkable rule
-instances (see check_trace).
+The engine is Dyckhoff's contraction-free sequent calculus G4ip: the
+left-implication rule is split four ways on the shape of the antecedent,
+so proof search terminates without loop checking.  One table, _RULES,
+gives each rule's premises to the search and to check_trace, which
+re-checks node by node the derivation tree a verdict can carry.
 """
 
 from __future__ import annotations
@@ -69,6 +69,85 @@ class ProofResult:
 _PROVED = object()
 
 
+# ---------------------------------------------------------------- G4ip
+# One function per rule: (ctx, goal, principal) -> the premise sequents, as
+# (context, goal) pairs in the order the search proves them, or None when
+# the triple is not an instance.  The search and check_trace read _RULES.
+
+def _l_falsum(ctx, goal, principal):
+    if principal == FALSUM and FALSUM in ctx:
+        return []
+
+
+def _axiom(ctx, goal, principal):
+    if principal == goal and goal in ctx:
+        return []
+
+
+def _r_impl(ctx, goal, principal):
+    if principal is None and isinstance(goal, Impl):
+        return [(ctx | {goal.left}, goal.right)]
+
+
+def _r_conj(ctx, goal, principal):
+    if principal is None and isinstance(goal, Conj):
+        return [(ctx, goal.left), (ctx, goal.right)]
+
+
+def _r_disj_1(ctx, goal, principal):
+    if principal is None and isinstance(goal, Disj):
+        return [(ctx, goal.left)]
+
+
+def _r_disj_2(ctx, goal, principal):
+    if principal is None and isinstance(goal, Disj):
+        return [(ctx, goal.right)]
+
+
+def _l_conj(ctx, goal, f):
+    if isinstance(f, Conj) and f in ctx:
+        return [(ctx - {f} | {f.left, f.right}, goal)]
+
+
+def _l_disj(ctx, goal, f):
+    if isinstance(f, Disj) and f in ctx:
+        rest = ctx - {f}
+        return [(rest | {f.left}, goal), (rest | {f.right}, goal)]
+
+
+def _l_impl_atom(ctx, goal, f):
+    if isinstance(f, Impl) and isinstance(f.left, Atom) and f.left in ctx and f in ctx:
+        return [(ctx - {f} | {f.right}, goal)]
+
+
+def _l_impl_conj(ctx, goal, f):
+    if isinstance(f, Impl) and isinstance(f.left, Conj) and f in ctx:
+        return [(ctx - {f} | {Impl(f.left.left, Impl(f.left.right, f.right))}, goal)]
+
+
+def _l_impl_disj(ctx, goal, f):
+    if isinstance(f, Impl) and isinstance(f.left, Disj) and f in ctx:
+        return [(ctx - {f} | {Impl(f.left.left, f.right), Impl(f.left.right, f.right)}, goal)]
+
+
+def _l_impl_impl(ctx, goal, f):
+    if isinstance(f, Impl) and isinstance(f.left, Impl) and f in ctx:
+        rest = ctx - {f}
+        return [(rest | {Impl(f.left.right, f.right)}, f.left), (rest | {f.right}, goal)]
+
+
+_RULES = {
+    "L-falsum": _l_falsum, "axiom": _axiom,
+    "R-impl": _r_impl, "R-conj": _r_conj, "R-disj-1": _r_disj_1, "R-disj-2": _r_disj_2,
+    "L-conj": _l_conj, "L-disj": _l_disj, "L-impl-atom": _l_impl_atom,
+    "L-impl-conj": _l_impl_conj, "L-impl-disj": _l_impl_disj, "L-impl-impl": _l_impl_impl,
+}
+
+# the invertible rules by the type of an implication's antecedent, or of the goal
+_INVERTIBLE_IMPL = {Atom: "L-impl-atom", Conj: "L-impl-conj", Disj: "L-impl-disj"}
+_INVERTIBLE_RIGHT = {Impl: "R-impl", Conj: "R-conj"}
+
+
 class _Search:
     def __init__(self, want_trace: bool, node_cap: Optional[int]):
         self.memo: dict = {}
@@ -76,11 +155,6 @@ class _Search:
         self.node_cap = node_cap
         self.nodes = 0
         self.max_depth = 0
-
-    def node(self, rule, ctx, goal, principal, premises):
-        if not self.want_trace:
-            return _PROVED
-        return TraceNode(rule, ctx, goal, principal, tuple(premises))
 
     def prove(self, ctx: frozenset, goal: Formula, depth: int = 0):
         key = (ctx, goal)
@@ -96,85 +170,54 @@ class _Search:
         self.memo[key] = result
         return result
 
-    def _expand(self, ctx: frozenset, goal: Formula, d: int):
-        if FALSUM in ctx:
-            return self.node("L-falsum", ctx, goal, FALSUM, ())
-        if goal in ctx:
-            return self.node("axiom", ctx, goal, goal, ())
-
-        items = sorted(ctx, key=formula_key)
-
-        # invertible, non-branching left rules
-        for f in items:
-            if isinstance(f, Conj):
-                sub = self.prove(ctx - {f} | {f.left, f.right}, goal, d)
-                if sub is None:
-                    return None
-                return self.node("L-conj", ctx, goal, f, (sub,))
-            if isinstance(f, Impl):
-                a = f.left
-                if isinstance(a, Atom) and a in ctx:
-                    sub = self.prove(ctx - {f} | {f.right}, goal, d)
-                    if sub is None:
-                        return None
-                    return self.node("L-impl-atom", ctx, goal, f, (sub,))
-                if isinstance(a, Conj):
-                    g = Impl(a.left, Impl(a.right, f.right))
-                    sub = self.prove(ctx - {f} | {g}, goal, d)
-                    if sub is None:
-                        return None
-                    return self.node("L-impl-conj", ctx, goal, f, (sub,))
-                if isinstance(a, Disj):
-                    g = ctx - {f} | {Impl(a.left, f.right), Impl(a.right, f.right)}
-                    sub = self.prove(g, goal, d)
-                    if sub is None:
-                        return None
-                    return self.node("L-impl-disj", ctx, goal, f, (sub,))
-
-        # invertible right rules
-        if isinstance(goal, Impl):
-            sub = self.prove(ctx | {goal.left}, goal.right, d)
+    def apply(self, rule: str, ctx: frozenset, goal: Formula, principal, d: int):
+        """Prove the premises _RULES gives a rule instance, left to right,
+        stopping at the first that fails: the derivation, or None."""
+        subs = ()
+        for pctx, pgoal in _RULES[rule](ctx, goal, principal):
+            sub = self.prove(pctx, pgoal, d)
             if sub is None:
                 return None
-            return self.node("R-impl", ctx, goal, None, (sub,))
-        if isinstance(goal, Conj):
-            left = self.prove(ctx, goal.left, d)
-            if left is None:
-                return None
-            right = self.prove(ctx, goal.right, d)
-            if right is None:
-                return None
-            return self.node("R-conj", ctx, goal, None, (left, right))
+            subs += (sub,)
+        return TraceNode(rule, ctx, goal, principal, subs) if self.want_trace else _PROVED
 
-        # invertible branching left rule
-        for f in items:
-            if isinstance(f, Disj):
-                left = self.prove(ctx - {f} | {f.left}, goal, d)
-                if left is None:
-                    return None
-                right = self.prove(ctx - {f} | {f.right}, goal, d)
-                if right is None:
-                    return None
-                return self.node("L-disj", ctx, goal, f, (left, right))
+    def _expand(self, ctx: frozenset, goal: Formula, d: int):
+        if FALSUM in ctx:
+            return self.apply("L-falsum", ctx, goal, FALSUM, d)
+        if goal in ctx:
+            return self.apply("axiom", ctx, goal, goal, d)
+        items = sorted(ctx, key=formula_key)
 
-        # choice points
-        if isinstance(goal, Disj):
-            sub = self.prove(ctx, goal.left, d)
-            if sub is not None:
-                return self.node("R-disj-1", ctx, goal, None, (sub,))
-            sub = self.prove(ctx, goal.right, d)
-            if sub is not None:
-                return self.node("R-disj-2", ctx, goal, None, (sub,))
+        # invertible one-premise left rules, on the first formula with one
+        # (an implication whose antecedent is an atom has one once the atom
+        # is in ctx)
         for f in items:
-            if isinstance(f, Impl) and isinstance(f.left, Impl):
-                rest = ctx - {f}
-                first = self.prove(rest | {Impl(f.left.right, f.right)}, f.left, d)
-                if first is None:
-                    continue
-                second = self.prove(rest | {f.right}, goal, d)
-                if second is None:
-                    continue
-                return self.node("L-impl-impl", ctx, goal, f, (first, second))
+            if type(f) is Conj:
+                return self.apply("L-conj", ctx, goal, f, d)
+            if type(f) is Impl:
+                rule = _INVERTIBLE_IMPL.get(type(f.left))
+                if rule is not None and (type(f.left) is not Atom or f.left in ctx):
+                    return self.apply(rule, ctx, goal, f, d)
+
+        # invertible right rules, then the invertible branching left rule
+        rule = _INVERTIBLE_RIGHT.get(type(goal))
+        if rule is not None:
+            return self.apply(rule, ctx, goal, None, d)
+        for f in items:
+            if type(f) is Disj:
+                return self.apply("L-disj", ctx, goal, f, d)
+
+        # choice points: on failure, try the next
+        if type(goal) is Disj:
+            for rule in ("R-disj-1", "R-disj-2"):
+                got = self.apply(rule, ctx, goal, None, d)
+                if got is not None:
+                    return got
+        for f in items:
+            if type(f) is Impl and type(f.left) is Impl:
+                got = self.apply("L-impl-impl", ctx, goal, f, d)
+                if got is not None:
+                    return got
         return None
 
 
@@ -201,86 +244,38 @@ def equiv_ip(a: Formula, b: Formula) -> bool:
     return is_provable_ip((a,), b) and is_provable_ip((b,), a)
 
 
-def _expected_premises(rule: str, ctx: frozenset, goal: Formula,
-                       principal: Optional[Formula]) -> Optional[list[tuple[frozenset, Formula]]]:
-    """Premise sequents a rule instance must have, or None if malformed."""
-    if rule == "L-falsum":
-        return [] if FALSUM in ctx else None
-    if rule == "axiom":
-        return [] if principal == goal and goal in ctx else None
-    if rule == "R-impl":
-        if not isinstance(goal, Impl):
-            return None
-        return [(ctx | {goal.left}, goal.right)]
-    if rule == "R-conj":
-        if not isinstance(goal, Conj):
-            return None
-        return [(ctx, goal.left), (ctx, goal.right)]
-    if rule == "R-disj-1":
-        return [(ctx, goal.left)] if isinstance(goal, Disj) else None
-    if rule == "R-disj-2":
-        return [(ctx, goal.right)] if isinstance(goal, Disj) else None
-    if principal is None or principal not in ctx:
-        return None
-    rest = ctx - {principal}
-    if rule == "L-conj":
-        if not isinstance(principal, Conj):
-            return None
-        return [(rest | {principal.left, principal.right}, goal)]
-    if rule == "L-disj":
-        if not isinstance(principal, Disj):
-            return None
-        return [(rest | {principal.left}, goal), (rest | {principal.right}, goal)]
-    if not isinstance(principal, Impl):
-        return None
-    a, b = principal.left, principal.right
-    if rule == "L-impl-atom":
-        if not (isinstance(a, Atom) and a in ctx):
-            return None
-        return [(rest | {b}, goal)]
-    if rule == "L-impl-conj":
-        if not isinstance(a, Conj):
-            return None
-        return [(rest | {Impl(a.left, Impl(a.right, b))}, goal)]
-    if rule == "L-impl-disj":
-        if not isinstance(a, Disj):
-            return None
-        return [(rest | {Impl(a.left, b), Impl(a.right, b)}, goal)]
-    if rule == "L-impl-impl":
-        if not isinstance(a, Impl):
-            return None
-        return [(rest | {Impl(a.right, b)}, a), (rest | {b}, goal)]
-    return None
-
-
 def validate_trace(trace: Optional[TraceNode], s: Sequent) -> Optional[str]:
     """None when the trace certifies the sequent, else an error with a node path."""
     if trace is None:
         return "no trace"
+    if not isinstance(trace, TraceNode):
+        return "root: not a trace node"
     if trace.context != frozenset(s.assumptions) or trace.goal != s.goal:
         return "root conclusion does not match the queried sequent"
     ok: set[int] = set()
+    path: list[int] = []  # child indices from the root to the node at fault
 
-    def walk(n: TraceNode, path: str) -> Optional[str]:
-        if id(n) in ok:
-            return None
-        if not isinstance(n, TraceNode):
-            return f"{path}: not a trace node"
-        expected = _expected_premises(n.rule, n.context, n.goal, n.principal)
+    def walk(n: TraceNode) -> Optional[str]:
+        rule = _RULES.get(n.rule)
+        expected = rule(n.context, n.goal, n.principal) if rule is not None else None
         if expected is None:
-            return f"{path}: bad {n.rule} instance"
+            return f"bad {n.rule} instance"
         if len(expected) != len(n.premises):
-            return f"{path}: {n.rule} wants {len(expected)} premises, has {len(n.premises)}"
+            return f"{n.rule} wants {len(expected)} premises, has {len(n.premises)}"
         for i, ((ectx, egoal), prem) in enumerate(zip(expected, n.premises)):
+            path.append(i)
+            if not isinstance(prem, TraceNode):
+                return "not a trace node"
             if prem.context != ectx or prem.goal != egoal:
-                return f"{path}.{i}: premise sequent differs from the {n.rule} instance"
-            err = walk(prem, f"{path}.{i}")
-            if err is not None:
+                return f"premise sequent differs from the {n.rule} instance"
+            if id(prem) not in ok and (err := walk(prem)) is not None:
                 return err
+            path.pop()
         ok.add(id(n))
         return None
 
-    return walk(trace, "root")
+    err = walk(trace)
+    return None if err is None else f"{'.'.join(['root', *map(str, path)])}: {err}"
 
 
 def check_trace(trace: Optional[TraceNode], s: Sequent) -> bool:

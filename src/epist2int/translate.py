@@ -188,30 +188,32 @@ def _step(f: Formula) -> Formula | None:
     return None
 
 
-def _rewrite_once(f: Formula) -> Formula | None:
-    if isinstance(f, (Conj, Disj, Impl)):
-        left = _rewrite_once(f.left)
-        if left is not None:
-            return type(f)(left, f.right)
-        right = _rewrite_once(f.right)
-        if right is not None:
-            return type(f)(f.left, right)
-    if isinstance(f, Box):
-        inner = _rewrite_once(f.inner)
-        if inner is not None:
-            return Box(inner)
-    return _step(f)
-
-
 def ff_simplify(f: Formula) -> Formula:
     """Exhaustively rewrite to a provably equivalent, smaller IP formula.
 
     The rules are structural: every rule instance is an interprovability
     for any witness shape, so the simplifier is sound on arbitrary IP
-    input.  Best-effort normalization only.
+    input.  Best-effort normalization only.  Innermost: a node's children
+    are normalized, left then right, before a rule is tried at the node,
+    and a rewritten node is normalized again; each distinct node is
+    normalized once per call.
     """
-    while True:
-        g = _rewrite_once(f)
-        if g is None:
-            return f
-        f = g
+    memo: dict[Formula, Formula] = {}
+
+    def norm(g: Formula) -> Formula:
+        got = memo.get(g)
+        if got is None:
+            kind = type(g)
+            if kind is Conj or kind is Disj or kind is Impl:
+                got = kind(norm(g.left), norm(g.right))
+            elif kind is Box:
+                got = Box(norm(g.inner))
+            else:
+                got = g
+            step = _step(got)
+            if step is not None:
+                got = norm(step)
+            memo[g] = got
+        return got
+
+    return norm(f)

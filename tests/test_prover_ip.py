@@ -1,12 +1,23 @@
 """The IP prover against known theorems, non-theorems and its own traces."""
 
 import dataclasses
+import hashlib
+import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import ip_formulas
-from epist2int.algebra import refute
+from epist2int import prover_ip
+from epist2int.algebra import enumerate_heyting_algebras, refute
+from epist2int.harness import (
+    _IP_LEMMAS,
+    _TRANSLATION_LEMMAS,
+    _random_ctx,
+    enumerate_ip_formulas,
+)
 from epist2int.prover_ip import (
     SearchLimitError,
     TraceNode,
@@ -14,19 +25,25 @@ from epist2int.prover_ip import (
     equiv_ip,
     is_provable_ip,
     prove_ip,
+    trace_to_json,
     validate_trace,
 )
 from epist2int.syntax import (
+    EP,
     FALSUM,
+    IP,
     Atom,
     Box,
     Conj,
     Disj,
+    Falsum,
     Impl,
     Sequent,
+    atoms_of,
     neg,
     parse_formula,
     parse_sequent,
+    random_formula_sized,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -173,6 +190,38 @@ class TestTraces:
         res = prove_ip(seq, want_trace=True)
         assert validate_trace(res.trace, seq) is None
 
+    def test_falsum_node_must_name_falsum(self):
+        s = parse_sequent("_|_ |- p")
+        res = prove_ip(s, want_trace=True)
+        assert res.trace.rule == "L-falsum" and check_trace(res.trace, s)
+        forged = dataclasses.replace(res.trace, principal=q)
+        assert validate_trace(forged, s) == "root: bad L-falsum instance"
+
+    def test_right_rule_names_no_principal(self):
+        s = parse_sequent("|- p -> p")
+        res = prove_ip(s, want_trace=True)
+        forged = dataclasses.replace(res.trace, principal=q)
+        assert validate_trace(forged, s) == "root: bad R-impl instance"
+
+    def test_non_node_rejected(self):
+        s = parse_sequent("|- p -> p")
+        res = prove_ip(s, want_trace=True)
+        forged = dataclasses.replace(res.trace, premises=(None,))
+        assert not check_trace(forged, s)
+        assert validate_trace(forged, s) == "root.0: not a trace node"
+        assert not check_trace("p -> p", s)
+        assert validate_trace("p -> p", s) == "root: not a trace node"
+
+    def test_error_path_names_the_node(self):
+        s = parse_sequent("|- (p -> q) -> (q -> r) -> p -> r")
+        res = prove_ip(s, want_trace=True)
+        inner = res.trace.premises[0].premises[0]
+        forged_inner = dataclasses.replace(inner, premises=())
+        forged = dataclasses.replace(res.trace, premises=(
+            dataclasses.replace(res.trace.premises[0], premises=(forged_inner,)),))
+        err = validate_trace(forged, s)
+        assert err.startswith(f"root.0.0: {inner.rule} wants ")
+
     def test_no_trace_when_not_requested(self):
         res = prove_ip(parse_sequent("|- p -> p"))
         assert res.provable and res.trace is None
@@ -192,3 +241,136 @@ def test_weakening(f):
     if is_provable_ip((), f):
         assert is_provable_ip((q,), f)
         assert is_provable_ip((Impl(q, r), FALSUM), f)
+
+
+def _lemma_sequents(count: int, seed: int = 0) -> list[Sequent]:
+    """The first `count` sequents of seeded instances of the harness's
+    relative-negation and translation lemma schemata, taken in turn: the
+    kind of sequent the certify benchmark proves and checks."""
+    schemata = [*_IP_LEMMAS.items(), *_TRANSLATION_LEMMAS.items()]
+    rng = random.Random(seed)
+    out: list[Sequent] = []
+    for i in itertools.count():
+        name, schema = schemata[i % len(schemata)]
+        sub = seed * 40009 + i * 17
+        if name in _TRANSLATION_LEMMAS:
+            pairs = schema(random_formula_sized(4, ["p", "q"], EP, sub + 3), _random_ctx(sub, rng))
+        else:
+            pairs = schema(*(random_formula_sized(5, ["p", "q", "r"], IP, sub + k)
+                             for k in range(3)))
+        out += [Sequent(hyps, goal, IP) for hyps, goal in pairs]
+        if len(out) >= count:
+            return out[:count]
+
+
+def test_ip_search_order_is_pinned():
+    """The G4ip search order, pinned on 300 lemma sequents and 200
+    criterion-6 formulas: verdicts, the summed nodes_expanded and
+    max_depth, and the digest of every trace_to_json."""
+    pool = enumerate_ip_formulas(7, ("p", "q"))
+    sequents = _lemma_sequents(300) + [Sequent((), a, IP) for a in random.Random(0).sample(pool, 200)]
+    results = [prove_ip(s, want_trace=True) for s in sequents]
+    assert sum(r.provable for r in results) == 344
+    assert sum(r.nodes_expanded for r in results) == 3881
+    assert sum(r.max_depth for r in results) == 1946
+    traces = [trace_to_json(r.trace) if r.provable else None for r in results]
+    digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
+    assert digest == "4254796c7b64b07aa65f01113ac808f82c9788116b07544c2ff7c9665ba2e331"
+
+
+# ---------------------------------------------------------------- the rule table
+# Checked against the semantics, not against the search: every instance
+# _RULES admits on a corpus of sequents must be sound in every Heyting
+# algebra of at most 4 elements, pointwise: under each valuation where
+# every premise holds, the conclusion holds.
+
+def _rule_instances() -> list[tuple]:
+    """Every (rule, ctx, goal, principal, premises) that _RULES admits,
+    with no principal, the goal or a context formula, on the sequents of
+    the traces of 150 lemma sequents and of PROVABLE, and on the premise
+    sequents it gives those (which need not be provable)."""
+    roots = _lemma_sequents(150) + [parse_sequent(t) for t in PROVABLE]
+    todo = [prove_ip(s, want_trace=True).trace for s in roots]
+    traced = set()
+    while todo:
+        n = todo.pop()
+        if (n.context, n.goal) not in traced:
+            traced.add((n.context, n.goal))
+            todo.extend(n.premises)
+
+    def admitted(sequents):
+        return [(rule, ctx, goal, principal, premises)
+                for ctx, goal in sequents
+                for rule, premises_of in prover_ip._RULES.items()
+                for principal in (None, goal, *ctx)
+                if (premises := premises_of(ctx, goal, principal)) is not None]
+
+    first = admitted(traced)
+    return first + admitted({p for *_, premises in first for p in premises} - traced)
+
+
+def _unsound(instances: list[tuple]) -> list[tuple]:
+    """The instances with a point where every premise holds and the
+    conclusion does not.  A point is an algebra and a valuation; a sequent
+    holds at it when the meet of its context is below its goal."""
+    names = sorted(set().union(*(atoms_of(f) for _, ctx, goal, _, _ in instances
+                                 for f in (*ctx, goal))))
+    points = [(h, dict(zip(names, vals))) for h in enumerate_heyting_algebras(4)
+              for vals in itertools.product(range(h.size), repeat=len(names))]
+    ops = {Conj: "meet", Disj: "join", Impl: "rpc"}
+    values: dict = {}  # formula -> its value at each point
+    masks: dict = {}   # sequent -> bitmask of the points where it holds
+
+    def value(f):
+        got = values.get(f)
+        if got is None:
+            if isinstance(f, Atom):
+                got = tuple(v[f.name] for _, v in points)
+            elif isinstance(f, Falsum):
+                got = tuple(h.bottom for h, _ in points)
+            else:
+                op = ops[type(f)]
+                got = tuple(getattr(h, op)[x][y]
+                            for (h, _), x, y in zip(points, value(f.left), value(f.right)))
+            values[f] = got
+        return got
+
+    def holds(ctx, goal) -> int:
+        got = masks.get((ctx, goal))
+        if got is None:
+            meet = tuple(h.top for h, _ in points)
+            for f in ctx:
+                meet = tuple(h.meet[x][y] for (h, _), x, y in zip(points, meet, value(f)))
+            got = sum(1 << i for i, ((h, _), m, g) in enumerate(zip(points, meet, value(goal)))
+                      if h.leq[m][g])
+            masks[ctx, goal] = got
+        return got
+
+    bad = []
+    for inst in instances:
+        _, ctx, goal, _, premises = inst
+        need = (1 << len(points)) - 1
+        for sequent in premises:
+            need &= holds(*sequent)
+        if need & ~holds(ctx, goal):
+            bad.append(inst)
+    return bad
+
+
+def test_rules_sound_in_small_heyting_algebras():
+    instances = _rule_instances()
+    assert {rule for rule, *_ in instances} == set(prover_ip._RULES)
+    assert len(instances) > 6000
+    assert _unsound(instances) == []
+
+
+def test_semantic_check_catches_an_unsound_rule(monkeypatch):
+    def without_side_condition(ctx, goal, f):
+        # L-impl-atom without requiring its antecedent in the context
+        if isinstance(f, Impl) and isinstance(f.left, Atom) and f in ctx:
+            return [(ctx - {f} | {f.right}, goal)]
+
+    monkeypatch.setitem(prover_ip._RULES, "L-impl-atom", without_side_condition)
+    bad = _unsound(_rule_instances())
+    assert bad and {rule for rule, *_ in bad} == {"L-impl-atom"}
+    assert all(principal.left not in ctx for _, ctx, _, principal, _ in bad)

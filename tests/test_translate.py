@@ -1,12 +1,17 @@
 """Both translations, their defining clauses, and the simplifier."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import ep_formulas, ip_formulas
+from epist2int import translate
+from epist2int.harness import DEFAULT_GAMMA_POOL, gamma_contexts
 from epist2int.prover_ep import equiv_ep, is_provable_ep
 from epist2int.prover_ip import equiv_ip, is_provable_ip
 from epist2int.syntax import (
+    EP,
     FALSUM,
     IP,
     Atom,
@@ -187,6 +192,32 @@ class TestSimplifier:
     def test_equivalence_on_translations(self, f):
         raw = ff_translate(f, CTX)
         assert equiv_ip(raw, ff_simplify(raw))
+
+    def test_normal_forms_pinned(self):
+        """The normal forms of 1500 seeded inputs, as recorded when the
+        simplifier restarted from the root after every rewrite: FF
+        translations of random EP formulas under the 16 soundness-sweep
+        contexts, and random IP formulas."""
+        contexts = gamma_contexts(DEFAULT_GAMMA_POOL, 2)
+        inputs = [ff_translate(random_formula_sized(3 + i % 5, ["p", "q"], EP, 70000 + i),
+                               contexts[i % len(contexts)]) for i in range(1000)]
+        inputs += [random_formula_sized(3 + i % 12, ["p", "q", "r"], IP, 90000 + i)
+                   for i in range(500)]
+        outputs = [ff_simplify(f) for f in inputs]
+        assert sum(out != f for f, out in zip(inputs, outputs)) == 411
+        text = "\n".join(print_formula(f) for f in outputs)
+        assert hashlib.sha256(text.encode()).hexdigest() == "2d4377dd4347d281ad1aa9be2ecd907a1a0a4e52609c0bd499a03a16fb33734c"
+
+    def test_each_distinct_node_normalized_once(self, monkeypatch):
+        # x(k+1) = x(k) -> x(k): 2^17 - 1 occurrences, 17 distinct nodes
+        f = p
+        for _ in range(16):
+            f = Impl(f, f)
+        tried = []
+        step = translate._step
+        monkeypatch.setattr(translate, "_step", lambda g: tried.append(g) or step(g))
+        assert ff_simplify(f) == f
+        assert len(tried) == len(set(tried)) == 17
 
 
 class TestTranslationProperties:
