@@ -78,15 +78,26 @@ def _validate(h: HeytingAlgebra) -> None:
                     raise AlgebraError(f"residuation fails at ({x},{y},{w})")
 
 
-def _upsets(up: Sequence[int]) -> list[int]:
-    """The up-sets of the preorder `up`, as masks ordered by (size, mask);
-    raises AlgebraError unless `up` is reflexive and transitive."""
+def check_preorder(up: Sequence[int]) -> None:
+    """Raise AlgebraError unless the up-set masks `up` are a preorder on 0..n-1."""
     n = len(up)
     for w, u in enumerate(up):
-        if u >> n or not u >> w & 1:
-            raise AlgebraError(f"up[{w}] is not a set of points 0..{n - 1} containing {w}")
+        if u >> n:
+            raise AlgebraError(f"up[{w}] names an unknown world: the points are 0..{n - 1}")
+        if not u >> w & 1:
+            raise AlgebraError(f"up[{w}] is not a set containing {w}: the order is not reflexive")
         if any(u >> v & 1 and up[v] & ~u for v in range(n)):
             raise AlgebraError(f"up[{w}] is not closed upwards: the order is not transitive")
+
+
+def interior(up: Sequence[int], a: int) -> int:
+    """The points whose up-set lies inside a: S4's box, and x |> y is interior(up, ~x | y)."""
+    return sum(1 << w for w, u in enumerate(up) if not u & ~a)
+
+
+def _upsets(up: Sequence[int]) -> list[int]:
+    """The up-sets of the preorder `up`, as masks ordered by (size, mask)."""
+    check_preorder(up)
     sets = {0}
     for u in up:
         sets |= {s | u for s in sets}
@@ -100,21 +111,16 @@ def upset_algebra(up: Sequence[int], kind: str = "table") -> HeytingAlgebra:
     are the unions of principal up-sets, numbered by (size, mask), so the
     empty set is bottom = 0 and the set of all points is top.  The order
     is inclusion, meet and join are intersection and union, and x |> y is
-    the set of points whose up-set meets x only inside y.
+    interior(up, ~x | y), the points whose up-set meets x only inside y.
     """
     elems = _upsets(up)
     index = {s: i for i, s in enumerate(elems)}
-
-    def rpc(x: int, y: int) -> int:
-        outside = x & ~y
-        return index[sum(1 << w for w, u in enumerate(up) if not u & outside)]
-
     h = HeytingAlgebra(
         len(elems),
         tuple(tuple(not x & ~y for y in elems) for x in elems),
         tuple(tuple(index[x & y] for y in elems) for x in elems),
         tuple(tuple(index[x | y] for y in elems) for x in elems),
-        tuple(tuple(rpc(x, y) for y in elems) for x in elems),
+        tuple(tuple(index[interior(up, ~x | y)] for y in elems) for x in elems),
         0, len(elems) - 1, kind,
     )
     _validate(h)

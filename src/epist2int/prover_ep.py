@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
+from .algebra import check_preorder, interior
 from .syntax import (
     EP,
     FALSUM,
@@ -30,18 +31,27 @@ from .prover_ip import SearchLimitError
 
 @dataclass(frozen=True)
 class KripkeModel:
-    """Reflexive-transitive frame with a designated (root) world."""
+    """Reflexive-transitive frame on the worlds 0..n-1 with a root world.
 
-    worlds: tuple[int, ...]
-    relation: frozenset
+    `up[w]` is the bitmask of the worlds that w sees, the preorder format
+    of `algebra.upset_algebra`, and `valuation[a]` the bitmask of the
+    worlds where atom a is true.
+    """
+
+    up: tuple[int, ...]
     valuation: dict
     root: int
 
+    @property
+    def worlds(self) -> range:
+        return range(len(self.up))
+
     def to_json(self) -> dict:
+        ws = self.worlds
         return {
-            "worlds": list(self.worlds),
-            "relation": sorted(map(list, self.relation)),
-            "valuation": {a: sorted(ws) for a, ws in sorted(self.valuation.items())},
+            "worlds": list(ws),
+            "relation": [[w, v] for w in ws for v in ws if self.up[w] >> v & 1],
+            "valuation": {a: [w for w in ws if m >> w & 1] for a, m in sorted(self.valuation.items())},
             "root": self.root,
         }
 
@@ -180,22 +190,14 @@ class _Tableau:
         return None
 
 
-def _closure(worlds: list[int], edges: set) -> frozenset:
-    """The reflexive-transitive closure: each world with all it reaches."""
-    succ: dict = {w: [] for w in worlds}
+def _closure(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The reflexive-transitive closure as up-set masks (Warshall on bitsets)."""
+    up = [1 << w for w in range(n)]
     for a, b in edges:
-        succ[a].append(b)
-    rel = set()
-    for w in worlds:
-        seen = {w}
-        todo = [w]
-        while todo:
-            for v in succ[todo.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-        rel.update((w, v) for v in seen)
-    return frozenset(rel)
+        up[a] |= 1 << b
+    for k in range(n):
+        up = [u | up[k] if u >> k & 1 else u for u in up]
+    return tuple(up)
 
 
 def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
@@ -216,13 +218,10 @@ def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
     root, worlds, edges = got
     order = sorted(worlds)
     renum = {old: i for i, old in enumerate(order)}
-    ids = [renum[w] for w in order]
-    relation = _closure(ids, {(renum[a], renum[b]) for a, b in edges})
-    names = sorted(atoms_of(target))
-    valuation = {
-        name: frozenset(renum[w] for w in order if name in worlds[w]) for name in names
-    }
-    model = KripkeModel(tuple(ids), relation, valuation, renum[root])
+    up = _closure(len(order), ((renum[a], renum[b]) for a, b in edges))
+    valuation = {name: sum(1 << i for i, w in enumerate(order) if name in worlds[w])
+                 for name in sorted(atoms_of(target))}
+    model = KripkeModel(up, valuation, renum[root])
     return EpProofResult(False, model, tableau.steps)
 
 
@@ -234,30 +233,22 @@ def equiv_ep(a: Formula, b: Formula) -> bool:
     return is_provable_ep((a,), b) and is_provable_ep((b,), a)
 
 
-def eval_world(model: KripkeModel, world: int, f: Formula, _memo=None) -> bool:
-    """Classical truth at a world; box quantifies over accessible worlds."""
-    if _memo is None:
-        _memo = {}
-    key = (world, f)
-    if key in _memo:
-        return _memo[key]
-    if isinstance(f, Atom):
-        got = world in model.valuation.get(f.name, ())
-    elif isinstance(f, Falsum):
-        got = False
-    elif isinstance(f, Conj):
-        got = eval_world(model, world, f.left, _memo) and eval_world(model, world, f.right, _memo)
-    elif isinstance(f, Disj):
-        got = eval_world(model, world, f.left, _memo) or eval_world(model, world, f.right, _memo)
-    elif isinstance(f, Impl):
-        got = (not eval_world(model, world, f.left, _memo)) or eval_world(model, world, f.right, _memo)
-    else:
-        got = all(
-            eval_world(model, v, f.inner, _memo)
-            for (w, v) in model.relation
-            if w == world
-        )
-    _memo[key] = got
+def _truth(model: KripkeModel, f: Formula, memo: dict) -> int:
+    """The bitmask of the worlds where f is true, memoised per subformula;
+    ~a | b may be negative, an infinite set whose world bits alone are read."""
+    got = memo.get(f)
+    if got is None:
+        kind = type(f)
+        if kind is Atom:
+            got = model.valuation.get(f.name, 0)
+        elif kind is Falsum:
+            got = 0
+        elif kind is Box:
+            got = interior(model.up, _truth(model, f.inner, memo))
+        else:
+            a, b = _truth(model, f.left, memo), _truth(model, f.right, memo)
+            got = a & b if kind is Conj else a | b if kind is Disj else ~a | b
+        memo[f] = got
     return got
 
 
@@ -267,24 +258,14 @@ def check_kripke(model: KripkeModel, s: Sequent) -> bool:
     Raises ValueError when the frame is not reflexive-transitive or the
     model is otherwise malformed.
     """
-    ws = set(model.worlds)
-    if model.root not in ws:
+    if model.root not in model.worlds:
         raise ValueError("root world missing")
-    for a, b in model.relation:
-        if a not in ws or b not in ws:
-            raise ValueError(f"relation mentions unknown world ({a},{b})")
-    for w in ws:
-        if (w, w) not in model.relation:
-            raise ValueError(f"relation not reflexive at {w}")
-    rel = model.relation
-    for a, b in rel:
-        for c, d in rel:
-            if b == c and (a, d) not in rel:
-                raise ValueError(f"relation not transitive: ({a},{b}),({c},{d})")
+    check_preorder(model.up)
     for name, where in model.valuation.items():
-        if not set(where) <= ws:
+        if where >> len(model.up):
             raise ValueError(f"valuation of {name!r} mentions unknown worlds")
     memo: dict = {}
-    if not all(eval_world(model, model.root, a, memo) for a in s.assumptions):
-        return False
-    return not eval_world(model, model.root, s.goal, memo)
+    refuted = ~_truth(model, s.goal, memo)
+    for a in s.assumptions:
+        refuted &= _truth(model, a, memo)
+    return bool(refuted >> model.root & 1)

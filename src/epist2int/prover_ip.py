@@ -256,6 +256,8 @@ def validate_trace(trace: Optional[TraceNode], s: Sequent) -> Optional[str]:
     path: list[int] = []  # child indices from the root to the node at fault
 
     def walk(n: TraceNode) -> Optional[str]:
+        if not (isinstance(n.rule, str) and isinstance(n.premises, tuple)):
+            return "rule is not a string or premises not a tuple"
         rule = _RULES.get(n.rule)
         expected = rule(n.context, n.goal, n.principal) if rule is not None else None
         if expected is None:

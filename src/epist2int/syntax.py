@@ -25,7 +25,8 @@ class _Node:
     structurally equal formulas are the same object and == and hash are
     the inherited identity ones.  The intern table is a plain dict per
     class that lives, and grows, for the whole process.  `_key` caches
-    the printed form that formula_key sorts by.
+    the printed form formula_key returns, the key prover_ip sorts
+    contexts by.
     """
 
     __slots__ = ("_key",)
@@ -419,17 +420,20 @@ def to_json_tree(f: Formula) -> dict:
 
 
 def from_json_tree(d: dict) -> Formula:
-    node = d["node"]
-    if node == "atom":
-        return Atom(d["name"])
-    if node == "falsum":
-        return FALSUM
-    children = [from_json_tree(c) for c in d.get("children", ())]
-    if node == "box":
-        return Box(*children)
-    if node in ("conj", "disj", "impl"):
-        return _JSON_NODES[node](*children)
-    raise ValueError(f"unknown node kind {node!r}")
+    """The formula of a to_json_tree dict; loops, like to_json_tree."""
+    nodes, todo = [], [d]
+    while todo:  # each node before its children, the last child first
+        nodes.append(todo.pop())
+        todo += nodes[-1].get("children", ())
+    built: list = []  # reversed, that is post-order: a node's children end `built`, in order
+    for d in reversed(nodes):
+        node = d["node"]
+        kind = _JSON_NODES.get(node) if type(node) is str else None
+        if kind is None:
+            raise ValueError(f"unknown node kind {node!r}")
+        start = len(built) - len(d.get("children", ()))
+        built[start:] = [kind(d["name"]) if kind is Atom else kind(*built[start:])]
+    return built[0]
 
 
 def formula_to_json(f: Formula) -> str:

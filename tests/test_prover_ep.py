@@ -14,6 +14,7 @@ from hypothesis import given, settings
 
 import epist2int
 from conftest import ep_formulas
+from epist2int.algebra import upset_algebra
 from epist2int.harness import enumerate_ip_formulas
 from epist2int.prover_ep import (
     KripkeModel,
@@ -78,7 +79,7 @@ def test_two_world_countermodel_for_boxing_an_atom():
     res = prove_ep(parse_sequent("|- p -> []p", EP))
     model = res.countermodel
     assert len(model.worlds) == 2
-    assert model.valuation["p"] == frozenset({model.root})
+    assert model.valuation["p"] == 1 << model.root
 
 
 def test_local_consequence_reading():
@@ -119,12 +120,8 @@ def test_equiv_ep():
 
 class TestCheckKripke:
     def refuting_model(self):
-        return KripkeModel(
-            worlds=(0, 1),
-            relation=frozenset({(0, 0), (0, 1), (1, 1)}),
-            valuation={"p": frozenset({0})},
-            root=0,
-        )
+        # 0 sees 1, p holds only at 0
+        return KripkeModel(up=(0b11, 0b10), valuation={"p": 0b01}, root=0)
 
     def test_accepts_real_refutation(self):
         s = parse_sequent("|- p -> []p", EP)
@@ -134,31 +131,34 @@ class TestCheckKripke:
         # the same model does not refute a theorem
         assert not check_kripke(self.refuting_model(), parse_sequent("|- []p -> p", EP))
 
-    def test_non_transitive_relation_errors(self):
-        model = KripkeModel(
-            worlds=(0, 1, 2),
-            relation=frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}),
-            valuation={"p": frozenset({0})},
-            root=0,
-        )
-        with pytest.raises(ValueError, match="transitive"):
+    def test_valuation_outside_frame_errors(self):
+        model = KripkeModel((0b1,), {"p": 0b10}, 0)
+        with pytest.raises(ValueError, match="unknown worlds"):
             check_kripke(model, parse_sequent("|- p", EP))
 
-    def test_non_reflexive_relation_errors(self):
-        model = KripkeModel((0,), frozenset(), {"p": frozenset()}, 0)
-        with pytest.raises(ValueError, match="reflexive"):
-            check_kripke(model, parse_sequent("|- p", EP))
-
-    def test_unknown_world_errors(self):
-        model = KripkeModel((0,), frozenset({(0, 0), (0, 7)}), {}, 0)
-        with pytest.raises(ValueError, match="unknown world"):
-            check_kripke(model, parse_sequent("|- p", EP))
+    def test_root_outside_frame_errors(self):
+        with pytest.raises(ValueError, match="root world missing"):
+            check_kripke(KripkeModel((0b1,), {}, 1), parse_sequent("|- p", EP))
 
     def test_one_world_model_cannot_refute_reflexivity_axiom(self):
         s = parse_sequent("|- []p -> p", EP)
-        for labeling in (frozenset(), frozenset({0})):
-            model = KripkeModel((0,), frozenset({(0, 0)}), {"p": labeling}, 0)
+        for labeling in (0b0, 0b1):
+            model = KripkeModel((0b1,), {"p": labeling}, 0)
             assert not check_kripke(model, s)
+
+
+@pytest.mark.parametrize("up, error", [
+    ([0b11, 0b00], "containing 1: the order is not reflexive"),
+    ([0b011, 0b110, 0b100], "not transitive"),  # 0 sees 1 and 1 sees 2, not 0 sees 2
+    ([1 << 7 | 0b1], "unknown world"),  # 0 sees a world 7
+], ids=["not-reflexive", "not-transitive", "unknown-world"])
+def test_malformed_preorder_rejected_by_both_checkers(up, error):
+    """The Heyting algebras and the S4 checker read one preorder format
+    and reject a malformed one with one check."""
+    with pytest.raises(ValueError, match=error):
+        upset_algebra(up)
+    with pytest.raises(ValueError, match=error):
+        check_kripke(KripkeModel(tuple(up), {}, 0), parse_sequent("|- p", EP))
 
 
 def test_countermodel_json_schema():

@@ -211,6 +211,10 @@ class TestTraces:
         assert validate_trace(forged, s) == "root.0: not a trace node"
         assert not check_trace("p -> p", s)
         assert validate_trace("p -> p", s) == "root: not a trace node"
+        for field in ({"premises": None}, {"rule": ["R-impl"]}):
+            forged = dataclasses.replace(res.trace, **field)
+            assert not check_trace(forged, s)
+            assert validate_trace(forged, s) == "root: rule is not a string or premises not a tuple"
 
     def test_error_path_names_the_node(self):
         s = parse_sequent("|- (p -> q) -> (q -> r) -> p -> r")

@@ -232,6 +232,21 @@ def test_to_json_tree_deep():
     assert depth == 5000 and tree == {"node": "atom", "name": "p", "children": []}
 
 
+def test_from_json_tree_deep():
+    f = p
+    for _ in range(3000):
+        f = neg(f)
+    assert from_json_tree(to_json_tree(f)) is f
+    assert from_json_tree(to_json_tree(_deep(5000))) is _deep(5000)
+
+
+def test_from_json_tree_unknown_kind():
+    tree = to_json_tree(Conj(p, neg(q)))
+    tree["children"][1]["children"][0]["node"] = "not"
+    with pytest.raises(ValueError, match="unknown node kind 'not'"):
+        from_json_tree(tree)
+
+
 def test_subformulas_pre_order_with_repeats():
     f = Conj(Impl(p, q), Box(p))
     assert list(subformulas(f)) == [f, Impl(p, q), p, q, Box(p), p]
