@@ -82,6 +82,9 @@ def check_preorder(up: Sequence[int]) -> None:
     """Raise AlgebraError unless the up-set masks `up` are a preorder on 0..n-1."""
     n = len(up)
     for w, u in enumerate(up):
+        if not isinstance(u, int):
+            raise AlgebraError(f"up[{w}] is {u!r}, not an int bitmask")
+    for w, u in enumerate(up):
         if u >> n:
             raise AlgebraError(f"up[{w}] names an unknown world: the points are 0..{n - 1}")
         if not u >> w & 1:

@@ -262,6 +262,8 @@ def check_kripke(model: KripkeModel, s: Sequent) -> bool:
         raise ValueError("root world missing")
     check_preorder(model.up)
     for name, where in model.valuation.items():
+        if not isinstance(where, int):
+            raise ValueError(f"valuation of {name!r} is {where!r}, not an int bitmask")
         if where >> len(model.up):
             raise ValueError(f"valuation of {name!r} mentions unknown worlds")
     memo: dict = {}

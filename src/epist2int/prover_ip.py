@@ -10,7 +10,7 @@ re-checks node by node the derivation tree a verdict can carry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .syntax import (
     FALSUM,
@@ -31,8 +31,7 @@ class SearchLimitError(RuntimeError):
     """Raised when a node-count cap is exceeded."""
 
 
-@dataclass(frozen=True)
-class TraceNode:
+class TraceNode(NamedTuple):
     """One rule instance: premises are shared sub-derivations (a DAG)."""
 
     rule: str
@@ -42,15 +41,15 @@ class TraceNode:
     premises: tuple
 
     def count_nodes(self) -> int:
+        """The number of distinct nodes; a loop, so depth costs no Python stack."""
         seen: set[int] = set()
-
-        def walk(n: TraceNode) -> int:
-            if id(n) in seen:
-                return 0
-            seen.add(id(n))
-            return 1 + sum(walk(p) for p in n.premises)
-
-        return walk(self)
+        todo = [self]
+        while todo:
+            n = todo.pop()
+            if id(n) not in seen:
+                seen.add(id(n))
+                todo += n.premises
+        return len(seen)
 
 
 @dataclass
@@ -186,26 +185,36 @@ class _Search:
             return self.apply("L-falsum", ctx, goal, FALSUM, d)
         if goal in ctx:
             return self.apply("axiom", ctx, goal, goal, d)
-        items = sorted(ctx, key=formula_key)
+        # one scan puts each context formula in the bucket of the rule it
+        # takes: an invertible one-premise left rule (an implication whose
+        # antecedent is an atom takes one once the atom is in ctx), L-disj,
+        # or L-impl-impl; formula_key breaks ties within a bucket only
+        invertible, disjunctions, impl_impl = [], [], []
+        for f in ctx:
+            kind = type(f)
+            if kind is Impl:
+                left = type(f.left)
+                if left is Impl:
+                    impl_impl.append(f)
+                elif left is Conj or left is Disj or left is Atom and f.left in ctx:
+                    invertible.append(f)
+            elif kind is Conj:
+                invertible.append(f)
+            elif kind is Disj:
+                disjunctions.append(f)
 
-        # invertible one-premise left rules, on the first formula with one
-        # (an implication whose antecedent is an atom has one once the atom
-        # is in ctx)
-        for f in items:
-            if type(f) is Conj:
-                return self.apply("L-conj", ctx, goal, f, d)
-            if type(f) is Impl:
-                rule = _INVERTIBLE_IMPL.get(type(f.left))
-                if rule is not None and (type(f.left) is not Atom or f.left in ctx):
-                    return self.apply(rule, ctx, goal, f, d)
+        if invertible:
+            f = invertible[0] if len(invertible) == 1 else min(invertible, key=formula_key)
+            rule = "L-conj" if type(f) is Conj else _INVERTIBLE_IMPL[type(f.left)]
+            return self.apply(rule, ctx, goal, f, d)
 
         # invertible right rules, then the invertible branching left rule
         rule = _INVERTIBLE_RIGHT.get(type(goal))
         if rule is not None:
             return self.apply(rule, ctx, goal, None, d)
-        for f in items:
-            if type(f) is Disj:
-                return self.apply("L-disj", ctx, goal, f, d)
+        if disjunctions:
+            f = disjunctions[0] if len(disjunctions) == 1 else min(disjunctions, key=formula_key)
+            return self.apply("L-disj", ctx, goal, f, d)
 
         # choice points: on failure, try the next
         if type(goal) is Disj:
@@ -213,11 +222,12 @@ class _Search:
                 got = self.apply(rule, ctx, goal, None, d)
                 if got is not None:
                     return got
-        for f in items:
-            if type(f) is Impl and type(f.left) is Impl:
-                got = self.apply("L-impl-impl", ctx, goal, f, d)
-                if got is not None:
-                    return got
+        if len(impl_impl) > 1:
+            impl_impl.sort(key=formula_key)
+        for f in impl_impl:
+            got = self.apply("L-impl-impl", ctx, goal, f, d)
+            if got is not None:
+                return got
         return None
 
 
@@ -256,20 +266,21 @@ def validate_trace(trace: Optional[TraceNode], s: Sequent) -> Optional[str]:
     path: list[int] = []  # child indices from the root to the node at fault
 
     def walk(n: TraceNode) -> Optional[str]:
-        if not (isinstance(n.rule, str) and isinstance(n.premises, tuple)):
+        rule, context, goal, principal, premises = n
+        if not (isinstance(rule, str) and isinstance(premises, tuple)):
             return "rule is not a string or premises not a tuple"
-        rule = _RULES.get(n.rule)
-        expected = rule(n.context, n.goal, n.principal) if rule is not None else None
+        premises_of = _RULES.get(rule)
+        expected = premises_of(context, goal, principal) if premises_of is not None else None
         if expected is None:
-            return f"bad {n.rule} instance"
-        if len(expected) != len(n.premises):
-            return f"{n.rule} wants {len(expected)} premises, has {len(n.premises)}"
-        for i, ((ectx, egoal), prem) in enumerate(zip(expected, n.premises)):
+            return f"bad {rule} instance"
+        if len(expected) != len(premises):
+            return f"{rule} wants {len(expected)} premises, has {len(premises)}"
+        for i, ((ectx, egoal), prem) in enumerate(zip(expected, premises)):
             path.append(i)
             if not isinstance(prem, TraceNode):
                 return "not a trace node"
             if prem.context != ectx or prem.goal != egoal:
-                return f"premise sequent differs from the {n.rule} instance"
+                return f"premise sequent differs from the {rule} instance"
             if id(prem) not in ok and (err := walk(prem)) is not None:
                 return err
             path.pop()

@@ -24,12 +24,13 @@ class _Node:
     The constructor returns the one node per class and argument tuple, so
     structurally equal formulas are the same object and == and hash are
     the inherited identity ones.  The intern table is a plain dict per
-    class that lives, and grows, for the whole process.  `_key` caches
-    the printed form formula_key returns, the key prover_ip sorts
-    contexts by.
+    class that lives, and grows, for the whole process.  Two caches start
+    as None and are filled the first time they are asked for: `_key`, the
+    printed form formula_key returns, which prover_ip also breaks ties
+    by, and `_ip`, the box-free flag is_ip_formula returns.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_ip")
 
     def __init_subclass__(cls):
         cls._table = {}
@@ -43,6 +44,7 @@ class _Node:
             for name, value in zip(cls.__slots__, args):
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_key", None)
+            object.__setattr__(node, "_ip", None)
             # setdefault publishes one node even if two threads race here
             node = cls._table.setdefault(args, node)
         return node
@@ -109,16 +111,35 @@ def neg(f: Formula) -> Formula:
 
 
 def is_ip_formula(f: Formula) -> bool:
-    """True iff the formula contains no box node."""
+    """True iff the formula contains no box node.
+
+    The flag is cached on the node.  A missing flag is built from the
+    children's flags over an explicit stack, so each node is walked at
+    most once per process and depth costs no Python stack.
+    """
+    flag = f._ip
+    if flag is not None:
+        return flag
     todo = [f]
     while todo:
-        g = todo.pop()
+        g = todo[-1]
+        if g._ip is not None:
+            todo.pop()
+            continue
         kind = type(g)
         if kind is Box:
-            return False
-        if kind is not Atom and kind is not Falsum:
-            todo += g.left, g.right
-    return True
+            flag = False
+        elif kind is Atom or kind is Falsum:
+            flag = True
+        else:
+            left, right = g.left, g.right
+            if left._ip is None or right._ip is None:
+                todo += left, right
+                continue
+            flag = left._ip and right._ip
+        todo.pop()
+        object.__setattr__(g, "_ip", flag)
+    return f._ip
 
 
 def formula_size(f: Formula) -> int:
@@ -176,10 +197,14 @@ class Sequent:
     def __post_init__(self):
         if self.logic not in (IP, EP):
             raise ValueError(f"unknown logic tag {self.logic!r}")
-        if self.logic == IP:
-            for f in (*self.assumptions, self.goal):
-                if not is_ip_formula(f):
-                    raise ValueError("Box not allowed in IP sequent")
+        ip = self.logic == IP
+        for f in (*self.assumptions, self.goal):
+            if not isinstance(f, _Node):
+                i = next((i for i, g in enumerate(self.assumptions) if g is f), None)
+                member = "goal" if i is None else f"assumption {i}"
+                raise TypeError(f"sequent {member} is not a formula: {f!r}")
+            if ip and not is_ip_formula(f):
+                raise ValueError("Box not allowed in IP sequent")
 
 
 class ParseError(ValueError):
@@ -345,10 +370,11 @@ def _wrap(f: Formula, need: int) -> str:
 def formula_key(f: Formula) -> str:
     """Minimal-parenthesis text of f, cached on the node.
 
-    It is also the deterministic total-order key prover_ip sorts its
-    contexts by (independent of hash randomization).  A missing key is
-    built from the children's keys, over an explicit stack, so depth costs
-    no Python stack.
+    Printed forms are distinct for distinct formulas, so it is also the
+    deterministic total-order key prover_ip breaks ties by when two
+    context formulas take the same rule (independent of hash
+    randomization).  A missing key is built from the children's keys,
+    over an explicit stack, so depth costs no Python stack.
     """
     key = f._key
     if key is not None:

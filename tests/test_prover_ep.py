@@ -136,6 +136,12 @@ class TestCheckKripke:
         with pytest.raises(ValueError, match="unknown worlds"):
             check_kripke(model, parse_sequent("|- p", EP))
 
+    def test_non_int_masks_error(self):
+        # the valuation format before up-set masks, and a frame of non-masks
+        for model in (KripkeModel((1,), {"p": frozenset({0})}, 0), KripkeModel(("x",), {}, 0)):
+            with pytest.raises(ValueError, match="not an int bitmask"):
+                check_kripke(model, parse_sequent("|- p", EP))
+
     def test_root_outside_frame_errors(self):
         with pytest.raises(ValueError, match="root world missing"):
             check_kripke(KripkeModel((0b1,), {}, 1), parse_sequent("|- p", EP))
@@ -151,7 +157,8 @@ class TestCheckKripke:
     ([0b11, 0b00], "containing 1: the order is not reflexive"),
     ([0b011, 0b110, 0b100], "not transitive"),  # 0 sees 1 and 1 sees 2, not 0 sees 2
     ([1 << 7 | 0b1], "unknown world"),  # 0 sees a world 7
-], ids=["not-reflexive", "not-transitive", "unknown-world"])
+    ([0b11, "x"], "up\\[1\\] is 'x', not an int bitmask"),
+], ids=["not-reflexive", "not-transitive", "unknown-world", "not-int"])
 def test_malformed_preorder_rejected_by_both_checkers(up, error):
     """The Heyting algebras and the S4 checker read one preorder format
     and reject a malformed one with one check."""

@@ -1,6 +1,5 @@
 """The IP prover against known theorems, non-theorems and its own traces."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -40,6 +39,7 @@ from epist2int.syntax import (
     Impl,
     Sequent,
     atoms_of,
+    formula_key,
     neg,
     parse_formula,
     parse_sequent,
@@ -164,7 +164,7 @@ class TestTraces:
     def test_forged_rule_rejected(self):
         s = parse_sequent("p |- (p -> q) -> q")
         res = prove_ip(s, want_trace=True)
-        forged = dataclasses.replace(res.trace, rule="L-impl-impl")
+        forged = res.trace._replace(rule="L-impl-impl")
         err = validate_trace(forged, s)
         assert err is not None and "L-impl-impl" in err
 
@@ -172,7 +172,7 @@ class TestTraces:
         s = parse_sequent("|- p -> p")
         res = prove_ip(s, want_trace=True)
         bad_leaf = TraceNode("axiom", frozenset({q}), q, q, ())
-        forged = dataclasses.replace(res.trace, premises=(bad_leaf,))
+        forged = res.trace._replace(premises=(bad_leaf,))
         assert not check_trace(forged, s)
 
     def test_empty_trace_rejected(self):
@@ -181,7 +181,7 @@ class TestTraces:
     def test_trace_premises_missing(self):
         s = parse_sequent("|- p -> p")
         res = prove_ip(s, want_trace=True)
-        forged = dataclasses.replace(res.trace, premises=())
+        forged = res.trace._replace(premises=())
         assert not check_trace(forged, s)
 
     @pytest.mark.parametrize("s", PROVABLE)
@@ -194,25 +194,25 @@ class TestTraces:
         s = parse_sequent("_|_ |- p")
         res = prove_ip(s, want_trace=True)
         assert res.trace.rule == "L-falsum" and check_trace(res.trace, s)
-        forged = dataclasses.replace(res.trace, principal=q)
+        forged = res.trace._replace(principal=q)
         assert validate_trace(forged, s) == "root: bad L-falsum instance"
 
     def test_right_rule_names_no_principal(self):
         s = parse_sequent("|- p -> p")
         res = prove_ip(s, want_trace=True)
-        forged = dataclasses.replace(res.trace, principal=q)
+        forged = res.trace._replace(principal=q)
         assert validate_trace(forged, s) == "root: bad R-impl instance"
 
     def test_non_node_rejected(self):
         s = parse_sequent("|- p -> p")
         res = prove_ip(s, want_trace=True)
-        forged = dataclasses.replace(res.trace, premises=(None,))
+        forged = res.trace._replace(premises=(None,))
         assert not check_trace(forged, s)
         assert validate_trace(forged, s) == "root.0: not a trace node"
         assert not check_trace("p -> p", s)
         assert validate_trace("p -> p", s) == "root: not a trace node"
         for field in ({"premises": None}, {"rule": ["R-impl"]}):
-            forged = dataclasses.replace(res.trace, **field)
+            forged = res.trace._replace(**field)
             assert not check_trace(forged, s)
             assert validate_trace(forged, s) == "root: rule is not a string or premises not a tuple"
 
@@ -220,9 +220,9 @@ class TestTraces:
         s = parse_sequent("|- (p -> q) -> (q -> r) -> p -> r")
         res = prove_ip(s, want_trace=True)
         inner = res.trace.premises[0].premises[0]
-        forged_inner = dataclasses.replace(inner, premises=())
-        forged = dataclasses.replace(res.trace, premises=(
-            dataclasses.replace(res.trace.premises[0], premises=(forged_inner,)),))
+        forged_inner = inner._replace(premises=())
+        forged = res.trace._replace(premises=(
+            res.trace.premises[0]._replace(premises=(forged_inner,)),))
         err = validate_trace(forged, s)
         assert err.startswith(f"root.0.0: {inner.rule} wants ")
 
@@ -280,6 +280,84 @@ def test_ip_search_order_is_pinned():
     traces = [trace_to_json(r.trace) if r.provable else None for r in results]
     digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
     assert digest == "4254796c7b64b07aa65f01113ac808f82c9788116b07544c2ff7c9665ba2e331"
+
+
+# ---------------------------------------------------------------- principal order
+# Where a rule takes several context formulas, the principal is the least
+# by formula_key.  The invertible one-premise left rules share one bucket;
+# L-disj and L-impl-impl have one each.
+
+_BUCKETS = {rule: bucket for bucket in (("L-conj", "L-impl-atom", "L-impl-conj", "L-impl-disj"),
+                                        ("L-disj",), ("L-impl-impl",))
+            for rule in bucket}
+
+TIES = {
+    "L-conj": "p /\\ q, r /\\ s |- q /\\ s",
+    "L-impl-atom": "p, p -> q, p -> r |- q /\\ r",
+    "L-impl-conj": "(p /\\ q) -> r, (p \\/ q) -> s, p, q |- r /\\ s",
+    "L-disj": "p \\/ q, r \\/ s |- (q \\/ p) /\\ (s \\/ r)",
+    # the least candidate, (p -> q) -> r, fails: p -> q does not follow
+    "L-impl-impl": "(p -> q) -> r, (s -> s) -> u |- u",
+}
+
+
+def _distinct_nodes(trace: TraceNode) -> list[TraceNode]:
+    seen: dict[int, TraceNode] = {}
+    todo = [trace]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            todo += n.premises
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("rule, text", TIES.items(), ids=list(TIES))
+def test_ties_go_to_the_least_formula_key(rule, text):
+    s = parse_sequent(text)
+    res = prove_ip(s, want_trace=True)
+    assert res.provable and check_trace(res.trace, s)
+    tied = False
+    for n in _distinct_nodes(res.trace):
+        if n.rule not in _BUCKETS:
+            continue
+        takers = [f for f in n.context
+                  if any(prover_ip._RULES[r](n.context, n.goal, f) is not None
+                         for r in _BUCKETS[n.rule])]
+        if n.rule == "L-impl-impl":
+            # a lesser candidate is passed over only when a premise fails
+            lesser = [f for f in takers if formula_key(f) < formula_key(n.principal)]
+            for f in lesser:
+                premises = prover_ip._RULES[n.rule](n.context, n.goal, f)
+                assert not all(prove_ip(Sequent(tuple(c), g)).provable for c, g in premises)
+            tied |= n.rule == rule and bool(lesser)
+        else:
+            assert n.principal == min(takers, key=formula_key)
+            tied |= n.rule == rule and len(takers) > 1
+    assert tied, f"no node of the trace of {text} chose among {rule} candidates"
+
+
+def test_no_printed_keys_without_ties(monkeypatch):
+    calls = []
+
+    def counting_key(f):
+        calls.append(f)
+        return formula_key(f)
+
+    monkeypatch.setattr(prover_ip, "formula_key", counting_key)
+    res = prove_ip(parse_sequent("|- (p -> q) -> (q -> r) -> p -> r"), want_trace=True)
+    assert res.provable and calls == []
+    prove_ip(parse_sequent(TIES["L-conj"]))
+    assert calls  # the wrapper does see the keys a tie asks for
+
+
+def test_count_nodes_deep_chain():
+    n = TraceNode("axiom", frozenset({p}), p, p, ())
+    for _ in range(4999):
+        n = TraceNode("R-impl", frozenset(), Impl(p, p), None, (n,))
+    assert n.count_nodes() == 5000
+    # shared premises count once
+    assert TraceNode("R-conj", frozenset(), p, None, (n, n)).count_nodes() == 5001
 
 
 # ---------------------------------------------------------------- the rule table

@@ -183,6 +183,14 @@ def test_sequent_validates_logic():
     Sequent((Box(p),), p, EP)
 
 
+@pytest.mark.parametrize("logic", [IP, EP])
+def test_sequent_rejects_non_formula_members(logic):
+    with pytest.raises(TypeError, match="goal is not a formula: 'p'"):
+        Sequent((p,), "p", logic)
+    with pytest.raises(TypeError, match="assumption 1 is not a formula: 'q'"):
+        Sequent((p, "q"), p, logic)
+
+
 def test_roundtrip_bulk():
     for seed in range(10000):
         f = random_formula(3, ["p", "q", "r"], EP, seed)
@@ -275,6 +283,16 @@ def test_subformulas_deep():
 @given(ep_formulas())
 def test_is_ip_iff_no_box(f):
     assert is_ip_formula(f) == all(not isinstance(g, Box) for g in subformulas(f))
+
+
+def test_is_ip_formula_deep_and_cached():
+    plain, boxed = p, Box(p)
+    for _ in range(5000):
+        plain, boxed = neg(plain), neg(boxed)
+    assert is_ip_formula(plain) and not is_ip_formula(boxed)
+    # the walk left its flag on every node it passed
+    assert plain.left._ip is True and boxed.left._ip is False
+    assert not is_ip_formula(Conj(plain, boxed)) and is_ip_formula(Disj(plain, plain))
 
 
 @given(ep_formulas())
