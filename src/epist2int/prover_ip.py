@@ -1,8 +1,13 @@
 """Decision procedure for intuitionistic propositional derivability.
 
-The engine is Dyckhoff's contraction-free sequent calculus G4ip: the
-left-implication rule is split four ways on the shape of the antecedent,
-so proof search terminates without loop checking.  One table, _RULES,
+The engine is Dyckhoff's contraction-free sequent calculus G4ip, so proof
+search terminates without loop checking.  The left-implication rule is
+split on the antecedent: modus ponens (L-impl-mp) takes an implication
+whose antecedent is already in the context, whatever its shape; otherwise
+the rule splits three ways on the antecedent's shape (L-impl-conj,
+L-impl-disj, L-impl-impl).  As in Dyckhoff and Negri (JSL 2000),
+L-impl-mp is invertible, and an implication whose consequent is already
+in the context is never tried at a choice point.  One table, _RULES,
 gives each rule's premises to the search and to check_trace, which
 re-checks node by node the derivation tree a verdict can carry.
 """
@@ -15,7 +20,6 @@ from typing import NamedTuple, Optional
 from .syntax import (
     FALSUM,
     IP,
-    Atom,
     Conj,
     Disj,
     Formula,
@@ -23,6 +27,7 @@ from .syntax import (
     Sequent,
     formula_key,
     is_ip_formula,
+    print_formula,
     print_sequent,
 )
 
@@ -114,8 +119,8 @@ def _l_disj(ctx, goal, f):
         return [(rest | {f.left}, goal), (rest | {f.right}, goal)]
 
 
-def _l_impl_atom(ctx, goal, f):
-    if isinstance(f, Impl) and isinstance(f.left, Atom) and f.left in ctx and f in ctx:
+def _l_impl_mp(ctx, goal, f):
+    if isinstance(f, Impl) and f.left in ctx and f in ctx:
         return [(ctx - {f} | {f.right}, goal)]
 
 
@@ -138,12 +143,13 @@ def _l_impl_impl(ctx, goal, f):
 _RULES = {
     "L-falsum": _l_falsum, "axiom": _axiom,
     "R-impl": _r_impl, "R-conj": _r_conj, "R-disj-1": _r_disj_1, "R-disj-2": _r_disj_2,
-    "L-conj": _l_conj, "L-disj": _l_disj, "L-impl-atom": _l_impl_atom,
+    "L-conj": _l_conj, "L-disj": _l_disj, "L-impl-mp": _l_impl_mp,
     "L-impl-conj": _l_impl_conj, "L-impl-disj": _l_impl_disj, "L-impl-impl": _l_impl_impl,
 }
 
-# the invertible rules by the type of an implication's antecedent, or of the goal
-_INVERTIBLE_IMPL = {Atom: "L-impl-atom", Conj: "L-impl-conj", Disj: "L-impl-disj"}
+# the invertible rules by the type of an implication's antecedent (when the
+# antecedent is not in the context; then L-impl-mp applies), or of the goal
+_INVERTIBLE_IMPL = {Conj: "L-impl-conj", Disj: "L-impl-disj"}
 _INVERTIBLE_RIGHT = {Impl: "R-impl", Conj: "R-conj"}
 
 
@@ -187,17 +193,25 @@ class _Search:
             return self.apply("axiom", ctx, goal, goal, d)
         # one scan puts each context formula in the bucket of the rule it
         # takes: an invertible one-premise left rule (an implication whose
-        # antecedent is an atom takes one once the atom is in ctx), L-disj,
-        # or L-impl-impl; formula_key breaks ties within a bucket only
+        # antecedent is in ctx takes L-impl-mp, whatever that antecedent's
+        # shape), L-disj, or L-impl-impl; formula_key breaks ties within a
+        # bucket only
         invertible, disjunctions, impl_impl = [], [], []
         for f in ctx:
             kind = type(f)
             if kind is Impl:
                 left = type(f.left)
-                if left is Impl:
-                    impl_impl.append(f)
-                elif left is Conj or left is Disj or left is Atom and f.left in ctx:
+                if f.left in ctx or left is Conj or left is Disj:
                     invertible.append(f)
+                elif left is Impl and f.right not in ctx:
+                    # a candidate f = (C -> D) -> B with B in ctx is left
+                    # out: B proves f, so ctx proves the goal iff ctx - {f}
+                    # does.  At the choice points no invertible rule
+                    # applies to ctx, so none applies to ctx - {f} either;
+                    # if ctx - {f} proves the goal, a proof ends in another
+                    # choice, and by weakening that choice's premises
+                    # also hold with f, so the search finds it from ctx.
+                    impl_impl.append(f)
             elif kind is Conj:
                 invertible.append(f)
             elif kind is Disj:
@@ -205,7 +219,12 @@ class _Search:
 
         if invertible:
             f = invertible[0] if len(invertible) == 1 else min(invertible, key=formula_key)
-            rule = "L-conj" if type(f) is Conj else _INVERTIBLE_IMPL[type(f.left)]
+            if type(f) is Conj:
+                rule = "L-conj"
+            elif f.left in ctx:
+                rule = "L-impl-mp"
+            else:
+                rule = _INVERTIBLE_IMPL[type(f.left)]
             return self.apply(rule, ctx, goal, f, d)
 
         # invertible right rules, then the invertible branching left rule
@@ -296,15 +315,28 @@ def check_trace(trace: Optional[TraceNode], s: Sequent) -> bool:
     return validate_trace(trace, s) is None
 
 
-def trace_to_json(n: TraceNode) -> dict:
-    from .syntax import print_formula
-
-    return {
-        "rule": n.rule,
-        "sequent": {
-            "assumptions": sorted(print_formula(f) for f in n.context),
-            "goal": print_formula(n.goal),
-        },
-        "principal": print_formula(n.principal) if n.principal is not None else None,
-        "premises": [trace_to_json(p) for p in n.premises],
-    }
+def trace_to_json(trace: TraceNode) -> dict:
+    """The trace as nested dicts; a loop, so depth costs no Python stack.
+    A sub-derivation the DAG shares is one dict, shared in the result."""
+    done: dict[int, dict] = {}
+    todo = [trace]
+    while todo:
+        n = todo[-1]
+        if id(n) in done:
+            todo.pop()
+            continue
+        waiting = [p for p in n.premises if id(p) not in done]
+        if waiting:
+            todo += waiting
+            continue
+        todo.pop()
+        done[id(n)] = {
+            "rule": n.rule,
+            "sequent": {
+                "assumptions": sorted(print_formula(f) for f in n.context),
+                "goal": print_formula(n.goal),
+            },
+            "principal": print_formula(n.principal) if n.principal is not None else None,
+            "premises": [done[id(p)] for p in n.premises],
+        }
+    return done[id(trace)]

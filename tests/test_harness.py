@@ -113,6 +113,25 @@ def test_soundness_small():
     assert r.details["translated_sequents_checked"] == 160
 
 
+def test_soundness_names_its_costliest_sequents():
+    r = harness.check_soundness_theorem(sample=10, seed=3)
+    costliest = r.details["costliest"]
+    assert len(costliest) == 3
+    assert all(set(c) == {"sequent", "ctx", "nodes_expanded"} for c in costliest)
+    nodes = [c["nodes_expanded"] for c in costliest]
+    assert nodes == sorted(nodes, reverse=True)
+
+
+def test_criterion_2_sequents_prove_under_node_cap():
+    from epist2int.prover_ip import prove_ip
+
+    checked = 0
+    for _, _, s in harness.translated_sequents(sample=100, seed=0):
+        assert prove_ip(s, node_cap=20_000).provable
+        checked += 1
+    assert checked == 1600
+
+
 def test_godel_small():
     r = harness.check_godel_faithfulness(max_size=5)
     assert r.passed

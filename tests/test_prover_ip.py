@@ -275,11 +275,11 @@ def test_ip_search_order_is_pinned():
     sequents = _lemma_sequents(300) + [Sequent((), a, IP) for a in random.Random(0).sample(pool, 200)]
     results = [prove_ip(s, want_trace=True) for s in sequents]
     assert sum(r.provable for r in results) == 344
-    assert sum(r.nodes_expanded for r in results) == 3881
-    assert sum(r.max_depth for r in results) == 1946
+    assert sum(r.nodes_expanded for r in results) == 3244
+    assert sum(r.max_depth for r in results) == 1802
     traces = [trace_to_json(r.trace) if r.provable else None for r in results]
     digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
-    assert digest == "4254796c7b64b07aa65f01113ac808f82c9788116b07544c2ff7c9665ba2e331"
+    assert digest == "317b594f9661bc384b5c52129237125a1cd977d8776d326cf265b744ea9e5aa0"
 
 
 # ---------------------------------------------------------------- principal order
@@ -287,13 +287,13 @@ def test_ip_search_order_is_pinned():
 # by formula_key.  The invertible one-premise left rules share one bucket;
 # L-disj and L-impl-impl have one each.
 
-_BUCKETS = {rule: bucket for bucket in (("L-conj", "L-impl-atom", "L-impl-conj", "L-impl-disj"),
+_BUCKETS = {rule: bucket for bucket in (("L-conj", "L-impl-mp", "L-impl-conj", "L-impl-disj"),
                                         ("L-disj",), ("L-impl-impl",))
             for rule in bucket}
 
 TIES = {
     "L-conj": "p /\\ q, r /\\ s |- q /\\ s",
-    "L-impl-atom": "p, p -> q, p -> r |- q /\\ r",
+    "L-impl-mp": "p, p -> q, p -> r |- q /\\ r",
     "L-impl-conj": "(p /\\ q) -> r, (p \\/ q) -> s, p, q |- r /\\ s",
     "L-disj": "p \\/ q, r \\/ s |- (q \\/ p) /\\ (s \\/ r)",
     # the least candidate, (p -> q) -> r, fails: p -> q does not follow
@@ -325,8 +325,10 @@ def test_ties_go_to_the_least_formula_key(rule, text):
                   if any(prover_ip._RULES[r](n.context, n.goal, f) is not None
                          for r in _BUCKETS[n.rule])]
         if n.rule == "L-impl-impl":
-            # a lesser candidate is passed over only when a premise fails
-            lesser = [f for f in takers if formula_key(f) < formula_key(n.principal)]
+            # a lesser candidate is passed over only when a premise fails,
+            # or when it is left out because its consequent is in the context
+            lesser = [f for f in takers if formula_key(f) < formula_key(n.principal)
+                      and f.right not in n.context]
             for f in lesser:
                 premises = prover_ip._RULES[n.rule](n.context, n.goal, f)
                 assert not all(prove_ip(Sequent(tuple(c), g)).provable for c, g in premises)
@@ -349,6 +351,47 @@ def test_no_printed_keys_without_ties(monkeypatch):
     assert res.provable and calls == []
     prove_ip(parse_sequent(TIES["L-conj"]))
     assert calls  # the wrapper does see the keys a tie asks for
+
+
+@pytest.mark.parametrize("text", ["p \\/ q, p \\/ q -> r |- r", "p -> q, (p -> q) -> r |- r"],
+                         ids=["disj", "impl"])
+def test_modus_ponens_on_any_antecedent(text):
+    s = parse_sequent(text)
+    res = prove_ip(s, want_trace=True)
+    assert res.trace.rule == "L-impl-mp" and res.nodes_expanded == 2
+    assert check_trace(res.trace, s)
+
+
+def test_modus_ponens_on_a_conjunction_antecedent():
+    # the search takes L-conj on the conjunction first (its printed form is
+    # a prefix of the implication's), so the rule is checked as check_trace
+    # reads it
+    s = parse_sequent("p /\\ q, p /\\ q -> r |- r")
+    ctx, f = frozenset(s.assumptions), s.assumptions[1]
+    leaf = TraceNode("axiom", ctx - {f} | {r}, r, r, ())
+    assert check_trace(TraceNode("L-impl-mp", ctx, r, f, (leaf,)), s)
+    assert prover_ip._RULES["L-impl-mp"](ctx - {s.assumptions[0]}, r, f) is None
+
+
+def test_choice_leaves_out_an_implication_whose_consequent_is_present():
+    # (p -> p) -> r is the least L-impl-impl candidate and would succeed,
+    # but r is already in the context, so the search takes the other one
+    s = parse_sequent("(p -> p) -> r, r, (s -> s) -> u |- u")
+    res = prove_ip(s, want_trace=True)
+    assert res.trace.rule == "L-impl-impl"
+    assert res.trace.principal == parse_formula("(s -> s) -> u")
+    assert check_trace(res.trace, s)
+
+
+def test_trace_to_json_deep_chain():
+    n = TraceNode("axiom", frozenset({p}), p, p, ())
+    for _ in range(4999):
+        n = TraceNode("R-impl", frozenset(), Impl(p, p), None, (n,))
+    doc, depth = trace_to_json(n), 1
+    while doc["premises"]:
+        assert doc["rule"] == "R-impl" and doc["sequent"]["goal"] == "p -> p"
+        doc, depth = doc["premises"][0], depth + 1
+    assert depth == 5000 and doc["principal"] == "p"
 
 
 def test_count_nodes_deep_chain():
@@ -442,17 +485,19 @@ def _unsound(instances: list[tuple]) -> list[tuple]:
 def test_rules_sound_in_small_heyting_algebras():
     instances = _rule_instances()
     assert {rule for rule, *_ in instances} == set(prover_ip._RULES)
+    assert {type(principal.left) for rule, _, _, principal, _ in instances
+            if rule == "L-impl-mp"} >= {Atom, Conj, Disj, Impl}
     assert len(instances) > 6000
     assert _unsound(instances) == []
 
 
 def test_semantic_check_catches_an_unsound_rule(monkeypatch):
     def without_side_condition(ctx, goal, f):
-        # L-impl-atom without requiring its antecedent in the context
-        if isinstance(f, Impl) and isinstance(f.left, Atom) and f in ctx:
+        # L-impl-mp without requiring its antecedent in the context
+        if isinstance(f, Impl) and f in ctx:
             return [(ctx - {f} | {f.right}, goal)]
 
-    monkeypatch.setitem(prover_ip._RULES, "L-impl-atom", without_side_condition)
+    monkeypatch.setitem(prover_ip._RULES, "L-impl-mp", without_side_condition)
     bad = _unsound(_rule_instances())
-    assert bad and {rule for rule, *_ in bad} == {"L-impl-atom"}
+    assert bad and {rule for rule, *_ in bad} == {"L-impl-mp"}
     assert all(principal.left not in ctx for _, ctx, _, principal, _ in bad)
