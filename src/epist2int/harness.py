@@ -123,10 +123,10 @@ def _decide(s: Sequent, failures: list, label: str, expect: Optional[bool] = Tru
     return None
 
 
-def sample_provable_ep_sequents(sample: int, max_size: int, seed: int,
-                                atoms=("p", "q", "r")) -> list[Sequent]:
-    """Provable EP sequents, biased toward derivations that need the
-    box-introduction rule (boxed assumptions, boxed goals)."""
+def sample_provable_ep_sequents(sample: int, max_size: int, seed: int) -> list[Sequent]:
+    """Provable EP sequents over p, q, r, biased toward derivations that
+    need the box-introduction rule (boxed assumptions, boxed goals)."""
+    atoms = ["p", "q", "r"]
     rng = random.Random(seed)
     out: list[Sequent] = []
     tries = itertools.count()
@@ -135,20 +135,20 @@ def sample_provable_ep_sequents(sample: int, max_size: int, seed: int,
         mode = i % 3
         sub = seed * 100003 + i
         if mode == 0:
-            goal = random_formula_sized(max_size, list(atoms), EP, sub)
+            goal = random_formula_sized(max_size, atoms, EP, sub)
             s = Sequent((), goal, EP)
         elif mode == 1:
-            goal = random_formula_sized(max_size, list(atoms), EP, sub)
+            goal = random_formula_sized(max_size, atoms, EP, sub)
             n = rng.randint(1, 2)
             assumptions = tuple(
-                Box(random_formula_sized(3, list(atoms), EP, sub + 7 * (j + 1)))
+                Box(random_formula_sized(3, atoms, EP, sub + 7 * (j + 1)))
                 for j in range(n)
             )
             s = Sequent(assumptions, goal, EP)
         else:
-            b1 = random_formula_sized(3, list(atoms), EP, sub + 1)
-            b2 = random_formula_sized(3, list(atoms), EP, sub + 2)
-            x = random_formula_sized(2, list(atoms), EP, sub + 3)
+            b1 = random_formula_sized(3, atoms, EP, sub + 1)
+            b2 = random_formula_sized(3, atoms, EP, sub + 2)
+            x = random_formula_sized(2, atoms, EP, sub + 3)
             shape = rng.choice(["conj", "disj", "box", "impl"])
             goal = {
                 "conj": Box(Conj(b1, b2)),
@@ -162,29 +162,26 @@ def sample_provable_ep_sequents(sample: int, max_size: int, seed: int,
     return out
 
 
-def translated_sequents(sample: int = 500, max_size: int = 8,
-                        gamma_pool=DEFAULT_GAMMA_POOL, seed: int = 0):
+def translated_sequents(sample: int = 500, max_size: int = 8, seed: int = 0):
     """The soundness sweep's IP sequents: each sampled provable EP sequent
-    translated under every context drawn from the pool (subsets of size
-    <= 2, every witness), as (EP sequent, context, translated sequent)."""
-    ctxs = gamma_contexts(gamma_pool, 2)
+    translated under every context of gamma_contexts(DEFAULT_GAMMA_POOL, 2),
+    as (EP sequent, context, translated sequent)."""
+    ctxs = gamma_contexts(DEFAULT_GAMMA_POOL, 2)
     for s in sample_provable_ep_sequents(sample, max_size, seed):
         for ctx in ctxs:
             assumptions = tuple(ff_translate(a, ctx) for a in s.assumptions)
             yield s, ctx, Sequent(assumptions, ff_translate(s.goal, ctx), IP)
 
 
-def check_soundness_theorem(sample: int = 500, max_size: int = 8,
-                            gamma_pool=DEFAULT_GAMMA_POOL,
-                            seed: int = 0) -> CheckReport:
-    """Provable EP sequents stay provable in IP under every translation
-    drawn from the pool, each proof's trace checked; the details name the
-    three translated sequents that cost the search the most nodes."""
+def check_soundness_theorem(sample: int = 500, max_size: int = 8, seed: int = 0) -> CheckReport:
+    """Provable EP sequents stay provable in IP under every context the
+    sweep draws from DEFAULT_GAMMA_POOL, each proof's trace checked; the
+    details name the three translated sequents that cost the most nodes."""
     t0 = time.perf_counter()
     failures: list = []
     costs = []  # (nodes_expanded, EP sequent, context label)
     checked = 0
-    for s, ctx, translated in translated_sequents(sample, max_size, gamma_pool, seed):
+    for s, ctx, translated in translated_sequents(sample, max_size, seed):
         checked += 1
         ep, label = print_sequent(s), _ctx_label(ctx)
         res = _decide(translated, failures, f"{ep} under {label}")
@@ -192,7 +189,7 @@ def check_soundness_theorem(sample: int = 500, max_size: int = 8,
             costs.append((res.nodes_expanded, ep, label))
     details = {
         "sequents": sample,
-        "contexts": len(gamma_contexts(gamma_pool, 2)),
+        "contexts": len(gamma_contexts(DEFAULT_GAMMA_POOL, 2)),
         "translated_sequents_checked": checked,
         "costliest": [{"sequent": ep, "ctx": label, "nodes_expanded": nodes}
                       for nodes, ep, label in heapq.nlargest(3, costs, key=lambda c: c[0])],
@@ -291,14 +288,15 @@ def check_unfaithfulness_fernandez() -> CheckReport:
     return _finish("unfaithfulness_fernandez", failures, details, 0, t0)
 
 
-def check_weak_unfaithfulness_inoue(pools=INOUE_GAMMA_POOLS) -> CheckReport:
-    """p -> []p translates to an IP theorem for every pool context, yet is
-    not an EP theorem; so even pool-quantified faithfulness fails."""
+def check_weak_unfaithfulness_inoue() -> CheckReport:
+    """p -> []p translates to an IP theorem for every context drawn from
+    INOUE_GAMMA_POOLS, yet is not an EP theorem; so even pool-quantified
+    faithfulness fails."""
     t0 = time.perf_counter()
     failures: list = []
     a = Impl(_P, Box(_P))
     contexts = 0
-    for gamma in pools:
+    for gamma in INOUE_GAMMA_POOLS:
         for wi in range(len(gamma)):
             ctx = TranslationContext(gamma, wi)
             contexts += 1

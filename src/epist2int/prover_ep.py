@@ -8,7 +8,6 @@ A1,...,An entail A iff (A1 /\\ ... /\\ An) -> A is valid.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -111,7 +110,8 @@ class _Tableau:
     def __init__(self, node_cap: Optional[int]):
         self.node_cap = node_cap
         self.steps = 0
-        self.ids = itertools.count()
+        self.worlds: list[set] = []  # the true atoms of each world, by number
+        self.edges: list[tuple[int, int]] = []  # accessibility, before closure
 
     def _tick(self):
         self.steps += 1
@@ -145,17 +145,19 @@ class _Tableau:
                 first, second = _parts(sign, f)
                 stack += (state, rest, (second,)), (dict(state), rest[:], (first,))
 
-    def satisfy(self, seed: tuple, key: frozenset, chain: dict) -> Optional[tuple]:
-        """A world realizing the seed, or None.
+    def satisfy(self, seed: tuple, key: frozenset, chain: dict) -> Optional[int]:
+        """The number of a world realizing the seed, or None.
 
         The seed is `(F A, *the T[] formulas of the state demanding []A)`
         in the order they arose, and key is its frozenset; chain maps the
         ancestors' keys to their worlds, and a demand whose seed is an
-        ancestor's loops back to that world.
-        Returns (world_id, worlds, edges) where worlds maps ids to sets of
-        true atoms and edges are the accessibility seeds (before closure).
+        ancestor's loops back to that world.  A world is numbered as the
+        search enters it, and its true atoms and its edges go to
+        `self.worlds` and `self.edges`; an attempt that fails truncates
+        both back to where it began, so the worlds left are numbered in
+        the order the search entered them.
         """
-        wid = next(self.ids)
+        wid, first_edge = len(self.worlds), len(self.edges)
         here = {**chain, key: wid}
         for state in self.saturations(seed):
             boxed, demands, atoms = [], [], set()
@@ -169,24 +171,19 @@ class _Tableau:
                         demands.append(f.inner)
                 elif sign and kind is Atom:
                     atoms.add(f.name)
-            worlds = {wid: atoms}
-            edges = set()
+            self.worlds.append(atoms)
             for inner in demands:
                 succ = ((False, inner), *boxed)
                 succ_key = frozenset(succ)
                 target = here.get(succ_key)
-                if target is not None:
-                    edges.add((wid, target))
-                    continue
-                sub = self.satisfy(succ, succ_key, here)
-                if sub is None:
-                    break
-                sub_id, sub_worlds, sub_edges = sub
-                worlds.update(sub_worlds)
-                edges |= sub_edges
-                edges.add((wid, sub_id))
+                if target is None:
+                    target = self.satisfy(succ, succ_key, here)
+                    if target is None:
+                        break
+                self.edges.append((wid, target))
             else:
-                return wid, worlds, edges
+                return wid
+            del self.worlds[wid:], self.edges[first_edge:]
         return None
 
 
@@ -212,16 +209,12 @@ def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
         target = goal
     tableau = _Tableau(node_cap)
     seed = ((False, target),)
-    got = tableau.satisfy(seed, frozenset(seed), {})
-    if got is None:
+    if tableau.satisfy(seed, frozenset(seed), {}) is None:
         return EpProofResult(True, None, tableau.steps)
-    root, worlds, edges = got
-    order = sorted(worlds)
-    renum = {old: i for i, old in enumerate(order)}
-    up = _closure(len(order), ((renum[a], renum[b]) for a, b in edges))
-    valuation = {name: sum(1 << i for i, w in enumerate(order) if name in worlds[w])
+    worlds = tableau.worlds
+    valuation = {name: sum(1 << w for w, atoms in enumerate(worlds) if name in atoms)
                  for name in sorted(atoms_of(target))}
-    model = KripkeModel(up, valuation, renum[root])
+    model = KripkeModel(_closure(len(worlds), tableau.edges), valuation, 0)
     return EpProofResult(False, model, tableau.steps)
 
 

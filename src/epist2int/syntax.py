@@ -24,10 +24,11 @@ class _Node:
     The constructor returns the one node per class and argument tuple, so
     structurally equal formulas are the same object and == and hash are
     the inherited identity ones.  The intern table is a plain dict per
-    class that lives, and grows, for the whole process.  Two caches start
-    as None and are filled the first time they are asked for: `_key`, the
-    printed form formula_key returns, which prover_ip also breaks ties
-    by, and `_ip`, the box-free flag is_ip_formula returns.
+    class that lives, and grows, for the whole process.  Interning sets
+    `_ip`, the box-free flag is_ip_formula returns, from the children's
+    flags.  `_key`, the printed form formula_key returns, which prover_ip
+    also breaks ties by, starts as None and is built the first time it is
+    asked for: most nodes are never printed.
     """
 
     __slots__ = ("_key", "_ip")
@@ -44,7 +45,10 @@ class _Node:
             for name, value in zip(cls.__slots__, args):
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_key", None)
-            object.__setattr__(node, "_ip", None)
+            # box-free: not a box and, for a binary node (the only kind with
+            # two arguments), both children box-free
+            ip = cls is not Box and (len(args) != 2 or args[0]._ip and args[1]._ip)
+            object.__setattr__(node, "_ip", ip)
             # setdefault publishes one node even if two threads race here
             node = cls._table.setdefault(args, node)
         return node
@@ -111,34 +115,7 @@ def neg(f: Formula) -> Formula:
 
 
 def is_ip_formula(f: Formula) -> bool:
-    """True iff the formula contains no box node.
-
-    The flag is cached on the node.  A missing flag is built from the
-    children's flags over an explicit stack, so each node is walked at
-    most once per process and depth costs no Python stack.
-    """
-    flag = f._ip
-    if flag is not None:
-        return flag
-    todo = [f]
-    while todo:
-        g = todo[-1]
-        if g._ip is not None:
-            todo.pop()
-            continue
-        kind = type(g)
-        if kind is Box:
-            flag = False
-        elif kind is Atom or kind is Falsum:
-            flag = True
-        else:
-            left, right = g.left, g.right
-            if left._ip is None or right._ip is None:
-                todo += left, right
-                continue
-            flag = left._ip and right._ip
-        todo.pop()
-        object.__setattr__(g, "_ip", flag)
+    """True iff the formula contains no box node; the flag interning set."""
     return f._ip
 
 

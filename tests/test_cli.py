@@ -34,6 +34,13 @@ def test_translate_witness_not_in_gamma(capsys):
     assert code == 2 and "witness not in gamma" in err
 
 
+def test_translate_ff_without_context_is_json_error(capsys):
+    code, out, _ = run(capsys, "translate", "--mode", "ff", "--output", "json", "p")
+    assert code == 2
+    assert json.loads(out) == {"schema_version": 1,
+                               "error": "ff mode requires --gamma and --witness"}
+
+
 def test_translate_json_has_raw_and_simplified(capsys):
     code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "E",
                        "--witness", "E", "--simplify", "--output", "json", "[]p")
@@ -104,6 +111,13 @@ def test_eval_out_of_range(capsys):
     assert code == 2 and "out of range" in err
 
 
+def test_eval_bad_assignment_is_json_error(capsys):
+    code, out, _ = run(capsys, "eval", "--output", "json", "--assign", "p", "p")
+    assert code == 2
+    assert json.loads(out) == {"schema_version": 1,
+                               "error": "bad assignment 'p', expected atom=index"}
+
+
 def test_eval_respects_env_chain(capsys, monkeypatch):
     monkeypatch.setenv("EPIST2INT_MAX_CHAIN", "2")
     code, out, _ = run(capsys, "eval", "--assign", "p=1", "p")
@@ -114,6 +128,14 @@ def test_eval_respects_env_chain(capsys, monkeypatch):
 def test_paper_targets_pass(capsys, target):
     code, out, _ = run(capsys, "paper", target)
     assert code == 0 and "PASS" in out
+
+
+def test_paper_human_names_a_failing_check(capsys, monkeypatch):
+    failing = harness.CheckReport("broken", "fail", {"failures": [{"check": "x"}]})
+    monkeypatch.setitem(harness.ALL_CHECKS, "inoue", (lambda: failing,))
+    code, out, _ = run(capsys, "paper", "inoue")
+    assert code == 1
+    assert out.splitlines()[-1] == 'failures in broken: [{"check": "x"}]'
 
 
 def test_paper_lemmas_sampled(capsys):

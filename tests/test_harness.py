@@ -4,7 +4,7 @@ import pytest
 
 from epist2int import harness
 from epist2int.prover_ep import prove_ep
-from epist2int.syntax import print_sequent
+from epist2int.syntax import IP, Atom, Sequent, print_sequent
 
 
 def test_necessitation_counterexample_report():
@@ -97,6 +97,13 @@ def test_godel_checks_certificates(monkeypatch, checker):
     r = harness.check_godel_faithfulness(max_size=3)
     assert not r.passed
     assert any(f.get("error") == "certificate rejected" for f in r.details["failures"])
+
+
+def test_decide_records_a_wrong_verdict():
+    failures = []
+    assert harness._decide(Sequent((), Atom("p"), IP), failures, "x") is None
+    assert failures == [{"check": "x", "sequent": "|- p", "verdict": "NotProvable",
+                         "expected": True}]
 
 
 def test_fernandez_checks_countermodel(monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 
 import epist2int
 from conftest import ep_formulas
+from epist2int import prover_ep
 from epist2int.algebra import upset_algebra
 from epist2int.harness import enumerate_ip_formulas
 from epist2int.prover_ep import (
@@ -215,6 +216,31 @@ def test_godel_search_order_is_pinned():
     assert steps == 2649
     digest = hashlib.sha256(json.dumps(models).encode()).hexdigest()
     assert digest == "c2479fe4991dc3a6ebe5c5c59295f46cb7c1a1e3ac7711512cb2c1cd3c8d2204"
+
+
+def test_failed_attempt_leaves_no_world(monkeypatch):
+    """One of the pinned sequents enters world 2, fails there and enters
+    world 2 again: the failed attempt leaves no world behind, and the
+    countermodel is the one recorded when the worlds were renumbered in
+    sorted order after the search."""
+    entered = []
+    satisfy = prover_ep._Tableau.satisfy
+
+    def spy(self, *args):
+        entered.append(len(self.worlds))
+        return satisfy(self, *args)
+
+    monkeypatch.setattr(prover_ep._Tableau, "satisfy", spy)
+    s = parse_sequent(r"|- []([]p -> []([]q -> []p) /\ []q)", EP)
+    res = prove_ep(s)
+    assert entered == [0, 1, 2, 2]
+    assert res.countermodel.to_json() == {
+        "worlds": [0, 1, 2],
+        "relation": [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]],
+        "valuation": {"p": [1, 2], "q": []},
+        "root": 0,
+    }
+    assert check_kripke(res.countermodel, s)
 
 
 _ORDER_PROBE = """

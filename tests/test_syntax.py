@@ -290,7 +290,7 @@ def test_is_ip_formula_deep_and_cached():
     for _ in range(5000):
         plain, boxed = neg(plain), neg(boxed)
     assert is_ip_formula(plain) and not is_ip_formula(boxed)
-    # the walk left its flag on every node it passed
+    # interning set the flag on every node, from its children's flags
     assert plain.left._ip is True and boxed.left._ip is False
     assert not is_ip_formula(Conj(plain, boxed)) and is_ip_formula(Disj(plain, plain))
 

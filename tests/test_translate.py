@@ -208,6 +208,14 @@ class TestSimplifier:
         text = "\n".join(print_formula(f) for f in outputs)
         assert hashlib.sha256(text.encode()).hexdigest() == "2d4377dd4347d281ad1aa9be2ecd907a1a0a4e52609c0bd499a03a16fb33734c"
 
+    def test_conj_drops_a_double_negation_of_a_double_negated_conjunct(self):
+        # ((p->q)->q) double-negated again under r is implied by the
+        # conjunct (p->r)->r, and _conj_pass drops it
+        f = parse_formula(r"((p -> r) -> r) /\ ((((p -> q) -> q) -> r) -> r)")
+        out = ff_simplify(f)
+        assert out == parse_formula("(p -> r) -> r")
+        assert equiv_ip(f, out)
+
     def test_each_distinct_node_normalized_once(self, monkeypatch):
         # x(k+1) = x(k) -> x(k): 2^17 - 1 occurrences, 17 distinct nodes
         f = p
