@@ -123,6 +123,15 @@ def _decide(s: Sequent, failures: list, label: str, expect: Optional[bool] = Tru
     return None
 
 
+# the goals of sample_provable_ep_sequents' third mode; one is built per try
+_BOXED_GOALS = (
+    lambda b1, b2, x: Box(Conj(b1, b2)),
+    lambda b1, b2, x: Box(Disj(b1, x)),
+    lambda b1, b2, x: Box(Box(b1)),
+    lambda b1, b2, x: Box(Impl(x, b1)),
+)
+
+
 def sample_provable_ep_sequents(sample: int, max_size: int, seed: int) -> list[Sequent]:
     """Provable EP sequents over p, q, r, biased toward derivations that
     need the box-introduction rule (boxed assumptions, boxed goals)."""
@@ -149,13 +158,7 @@ def sample_provable_ep_sequents(sample: int, max_size: int, seed: int) -> list[S
             b1 = random_formula_sized(3, atoms, EP, sub + 1)
             b2 = random_formula_sized(3, atoms, EP, sub + 2)
             x = random_formula_sized(2, atoms, EP, sub + 3)
-            shape = rng.choice(["conj", "disj", "box", "impl"])
-            goal = {
-                "conj": Box(Conj(b1, b2)),
-                "disj": Box(Disj(b1, x)),
-                "box": Box(Box(b1)),
-                "impl": Box(Impl(x, b1)),
-            }[shape]
+            goal = rng.choice(_BOXED_GOALS)(b1, b2, x)
             s = Sequent((Box(b1), Box(b2)), goal, EP)
         if prove_ep(s).provable:
             out.append(s)

@@ -281,10 +281,20 @@ def validate_trace(trace: Optional[TraceNode], s: Sequent) -> Optional[str]:
         return "root: not a trace node"
     if trace.context != frozenset(s.assumptions) or trace.goal != s.goal:
         return "root conclusion does not match the queried sequent"
-    ok: set[int] = set()
     path: list[int] = []  # child indices from the root to the node at fault
+    err = _trace_error(trace, path)
+    return None if err is None else f"{'.'.join(['root', *map(str, path)])}: {err}"
 
-    def walk(n: TraceNode) -> Optional[str]:
+
+def _trace_error(trace: TraceNode, path: list[int]) -> Optional[str]:
+    """The first fault a depth-first walk meets, premises in order, or None;
+    `path` is left naming the node at fault.  A loop over an explicit
+    stack, so depth costs no Python stack."""
+    ok: set[int] = set()  # ids of nodes whose whole sub-derivation checked
+    stack: list = []  # (node, its expected premise sequents) from the root down
+    n = trace
+    while True:
+        # n is not known good yet: check it as a rule instance
         rule, context, goal, principal, premises = n
         if not (isinstance(rule, str) and isinstance(premises, tuple)):
             return "rule is not a string or premises not a tuple"
@@ -294,20 +304,28 @@ def validate_trace(trace: Optional[TraceNode], s: Sequent) -> Optional[str]:
             return f"bad {rule} instance"
         if len(expected) != len(premises):
             return f"{rule} wants {len(expected)} premises, has {len(premises)}"
-        for i, ((ectx, egoal), prem) in enumerate(zip(expected, premises)):
+        stack.append((n, expected))
+        i = 0
+        while True:  # premise i of the deepest open node: check it, or walk in
+            n, expected = stack[-1]
+            if i == len(expected):
+                ok.add(id(n))
+                stack.pop()
+                if not stack:
+                    return None
+                i = path.pop() + 1
+                continue
+            prem, (ectx, egoal) = n.premises[i], expected[i]
             path.append(i)
             if not isinstance(prem, TraceNode):
                 return "not a trace node"
             if prem.context != ectx or prem.goal != egoal:
-                return f"premise sequent differs from the {rule} instance"
-            if id(prem) not in ok and (err := walk(prem)) is not None:
-                return err
+                return f"premise sequent differs from the {n.rule} instance"
+            if id(prem) not in ok:
+                n = prem
+                break
             path.pop()
-        ok.add(id(n))
-        return None
-
-    err = walk(trace)
-    return None if err is None else f"{'.'.join(['root', *map(str, path)])}: {err}"
+            i += 1
 
 
 def check_trace(trace: Optional[TraceNode], s: Sequent) -> bool:

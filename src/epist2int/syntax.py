@@ -9,6 +9,7 @@ the verum constant T abbreviates _|_ -> _|_.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -447,40 +448,74 @@ def formula_from_json(text: str) -> Formula:
     return from_json_tree(json.loads(text))
 
 
-def random_formula(max_depth: int, atoms: list[str], logic: str = IP, seed: int = 0) -> Formula:
-    """Bounded random formula, a pure function of its arguments."""
+# What rng.choice picks for a node above depth 0, per logic: a constructor,
+# or None for a leaf drawn as at depth 0.  Leaves stay likely so sizes
+# remain small enough for exhaustive provers.
+_DRAW_IP = (None, Conj, Disj, Impl, Impl, None)
+_DRAW_EP = (None, Conj, Disj, Impl, Impl, Box, Box, None)
+
+
+class _TooBig(Exception):
+    """A draw passed its size bound."""
+
+
+def _sampler(max_depth: int, atoms: list[str], logic: str):
+    """Check the arguments once; return draw(seed, max_size), the formula of
+    that seed, or None as soon as it has more than max_size nodes."""
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if not atoms:
         raise ValueError("atoms must be nonempty")
     leaves = [Atom(a) for a in atoms]  # raises on a bad name such as "T"
-    rng = random.Random(seed)
+    kinds = _DRAW_EP if logic == EP else _DRAW_IP
+    rand = choice = None  # the current draw's random.Random methods
+    budget = 0  # nodes the current draw may still make
 
     def gen(depth: int) -> Formula:
-        if depth == 0:
-            if rng.random() < 0.15:
-                return FALSUM
-            return rng.choice(leaves)
-        # leaves stay likely so sizes remain small enough for exhaustive provers
-        choices = ["atom", "conj", "disj", "impl", "impl"]
-        if logic == EP:
-            choices += ["box", "box"]
-        kind = rng.choice(choices + ["atom"])
-        if kind == "atom":
-            return gen(0)
-        if kind == "box":
-            return Box(gen(depth - 1))
-        ctor = {"conj": Conj, "disj": Disj, "impl": Impl}[kind]
-        return ctor(gen(depth - 1), gen(depth - 1))
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise _TooBig
+        if depth:
+            ctor = choice(kinds)
+            if ctor is Box:
+                return Box(gen(depth - 1))
+            if ctor is not None:
+                return ctor(gen(depth - 1), gen(depth - 1))
+        return FALSUM if rand() < 0.15 else choice(leaves)
 
-    return gen(max_depth)
+    def draw(seed: int, max_size: float) -> Formula | None:
+        nonlocal rand, choice, budget
+        rng = random.Random(seed)
+        rand, choice = rng.random, rng.choice
+        budget = max_size
+        try:
+            return gen(max_depth)
+        except _TooBig:
+            return None
+
+    return draw
+
+
+def random_formula(max_depth: int, atoms: list[str], logic: str = IP, seed: int = 0) -> Formula:
+    """Bounded random formula, a pure function of its arguments."""
+    return _sampler(max_depth, atoms, logic)(seed, math.inf)
 
 
 def random_formula_sized(max_size: int, atoms: list[str], logic: str = IP, seed: int = 0,
                          max_depth: int = 4) -> Formula:
-    """First depth-bounded sample with at most max_size nodes (rejection loop)."""
+    """First depth-bounded sample with at most max_size nodes: the
+    random_formula of seed * 10007 + i for the least such i below 10000.
+
+    A rejection loop that stops each draw as it passes max_size, so a
+    rejected attempt makes at most max_size + 1 nodes; the draws it keeps
+    are random_formula's, so the output is a pure function of the
+    arguments.  Raises random_formula's ValueErrors, and RuntimeError when
+    no attempt fits.
+    """
+    draw = _sampler(max_depth, atoms, logic)
     for i in range(10000):
-        f = random_formula(max_depth, atoms, logic, seed * 10007 + i)
-        if formula_size(f) <= max_size:
+        f = draw(seed * 10007 + i, max_size)
+        if f is not None:
             return f
-    raise RuntimeError("rejection sampling failed")  # pragma: no cover
+    raise RuntimeError("rejection sampling failed")

@@ -394,6 +394,24 @@ def test_trace_to_json_deep_chain():
     assert depth == 5000 and doc["principal"] == "p"
 
 
+def test_validate_trace_deep_chain():
+    # |- p -> p -> ... -> p: 4999 R-impl nodes, then an axiom
+    goal, n = p, TraceNode("axiom", frozenset({p}), p, p, ())
+    for k in range(4999):
+        goal = Impl(p, goal)
+        n = TraceNode("R-impl", frozenset() if k == 4998 else frozenset({p}), goal, None, (n,))
+    s = Sequent((), goal, IP)
+    assert validate_trace(n, s) is None
+    # the same chain with its deepest node corrupted
+    chain = [n]
+    while chain[-1].premises:
+        chain.append(chain[-1].premises[0])
+    forged = chain[-1]._replace(principal=q)
+    for node in reversed(chain[:-1]):
+        forged = node._replace(premises=(forged,))
+    assert validate_trace(forged, s) == "root" + ".0" * 4999 + ": bad axiom instance"
+
+
 def test_count_nodes_deep_chain():
     n = TraceNode("axiom", frozenset({p}), p, p, ())
     for _ in range(4999):

@@ -1,7 +1,9 @@
 import copy
+import hashlib
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import given
 
 from conftest import ep_formulas
 import epist2int
+from epist2int import syntax
 from epist2int.syntax import (
     EP,
     FALSUM,
@@ -37,6 +40,7 @@ from epist2int.syntax import (
     print_formula,
     print_sequent,
     random_formula,
+    random_formula_sized,
     subformulas,
     to_json_tree,
 )
@@ -324,6 +328,64 @@ def test_random_formula_validation():
         random_formula(-1, ["p"], IP, 0)
     with pytest.raises(ValueError):
         random_formula(2, ["T"], IP, 0)
+
+
+def test_random_formula_stream_is_pinned():
+    # the digest must not move: the benchmark corpora, the harness samples
+    # and the pinned search-order digests all rest on this stream
+    lines = []
+    for logic in (IP, EP):
+        for atoms in (["p"], ["p", "q"], ["p", "q", "r"], ["a", "b1", "c_2", "d"]):
+            for max_size in (1, 2, 3, 5, 8, 12):
+                for max_depth in (0, 2, 4, 6):
+                    for seed in (0, 1, 7, 123):
+                        f = random_formula_sized(max_size, atoms, logic, seed, max_depth)
+                        lines.append(print_formula(f))
+    for logic in (IP, EP):
+        for depth in range(6):
+            for seed in range(5):
+                lines.append(print_formula(random_formula(depth, ["p", "q"], logic, seed)))
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == "d5d5a7424e4c1936264f261b9d76091c097a5f3a57e87ff13f49ad7be2528d02"
+
+
+def test_rejected_draw_stops_at_its_size_bound(monkeypatch):
+    attempts = []  # node constructions per attempt, one entry per seeding
+    new = syntax._Node.__new__
+
+    def spy_new(cls, *args):
+        if attempts:
+            attempts[-1] += 1
+        return new(cls, *args)
+
+    class SpyRandom(random.Random):
+        def seed(self, *args, **kwargs):
+            attempts.append(0)
+            super().seed(*args, **kwargs)
+
+    monkeypatch.setattr(syntax._Node, "__new__", staticmethod(spy_new))
+    monkeypatch.setattr(syntax.random, "Random", SpyRandom)
+    rejected = []
+    for max_size, max_depth in ((1, 4), (3, 6), (5, 4), (8, 6)):
+        for seed in range(20):
+            attempts.clear()
+            f = random_formula_sized(max_size, ["p", "q"], EP, seed, max_depth)
+            assert formula_size(f) <= max_size
+            rejected += ((max_size, built) for built in attempts[:-1])
+    assert all(built <= max_size + 1 for max_size, built in rejected)
+    # the spy sees the constructions of rejected draws
+    assert len(rejected) > 100 and max(built for _, built in rejected) > 1
+
+
+def test_random_formula_sized_errors():
+    with pytest.raises(RuntimeError):
+        random_formula_sized(0, ["p"])
+    for args in ((2, [], IP, 0, 2), (2, ["p"], IP, 0, -1), (2, ["T"], IP, 0, 2), (2, [], IP, 0, -1)):
+        with pytest.raises(ValueError) as sized:
+            random_formula_sized(*args)
+        with pytest.raises(ValueError) as plain:
+            random_formula(args[4], args[1], IP, 0)
+        assert str(sized.value) == str(plain.value)
 
 
 def test_equal_formulas_are_identical():
