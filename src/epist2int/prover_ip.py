@@ -9,7 +9,9 @@ L-impl-disj, L-impl-impl).  As in Dyckhoff and Negri (JSL 2000),
 L-impl-mp is invertible, and an implication whose consequent is already
 in the context is never tried at a choice point.  One table, _RULES,
 gives each rule's premises to the search and to check_trace, which
-re-checks node by node the derivation tree a verdict can carry.
+re-checks node by node the derivation tree a verdict can carry.  The
+search is one recursive method, one frame per node, over the rule
+instances _choices lists.
 """
 
 from __future__ import annotations
@@ -151,6 +153,66 @@ _RULES = {
 # antecedent is not in the context; then L-impl-mp applies), or of the goal
 _INVERTIBLE_IMPL = {Conj: "L-impl-conj", Disj: "L-impl-disj"}
 _INVERTIBLE_RIGHT = {Impl: "R-impl", Conj: "R-conj"}
+_R_DISJ = (("R-disj-1", None), ("R-disj-2", None))
+
+
+def _choices(ctx: frozenset, goal: Formula) -> tuple:
+    """The rule instances the search tries at ctx |- goal, as (rule,
+    principal) pairs in order: one invertible instance alone, else the
+    choice points, tried until one is proved."""
+    if FALSUM in ctx:
+        return (("L-falsum", FALSUM),)
+    if goal in ctx:
+        return (("axiom", goal),)
+    # one scan puts each context formula in the bucket of the rule it
+    # takes: an invertible one-premise left rule (an implication whose
+    # antecedent is in ctx takes L-impl-mp, whatever that antecedent's
+    # shape), L-disj, or L-impl-impl; formula_key breaks ties within a
+    # bucket only
+    invertible, disjunctions, impl_impl = [], [], []
+    for f in ctx:
+        kind = type(f)
+        if kind is Impl:
+            left = type(f.left)
+            if f.left in ctx or left is Conj or left is Disj:
+                invertible.append(f)
+            elif left is Impl and f.right not in ctx:
+                # a candidate f = (C -> D) -> B with B in ctx is left
+                # out: B proves f, so ctx proves the goal iff ctx - {f}
+                # does.  At the choice points no invertible rule
+                # applies to ctx, so none applies to ctx - {f} either;
+                # if ctx - {f} proves the goal, a proof ends in another
+                # choice, and by weakening that choice's premises
+                # also hold with f, so the search finds it from ctx.
+                impl_impl.append(f)
+        elif kind is Conj:
+            invertible.append(f)
+        elif kind is Disj:
+            disjunctions.append(f)
+
+    if invertible:
+        f = invertible[0] if len(invertible) == 1 else min(invertible, key=formula_key)
+        if type(f) is Conj:
+            rule = "L-conj"
+        elif f.left in ctx:
+            rule = "L-impl-mp"
+        else:
+            rule = _INVERTIBLE_IMPL[type(f.left)]
+        return ((rule, f),)
+
+    # invertible right rules, then the invertible branching left rule
+    rule = _INVERTIBLE_RIGHT.get(type(goal))
+    if rule is not None:
+        return ((rule, None),)
+    if disjunctions:
+        f = disjunctions[0] if len(disjunctions) == 1 else min(disjunctions, key=formula_key)
+        return (("L-disj", f),)
+
+    # choice points
+    if len(impl_impl) > 1:
+        impl_impl.sort(key=formula_key)
+    choices = tuple(("L-impl-impl", f) for f in impl_impl)
+    return _R_DISJ + choices if type(goal) is Disj else choices
 
 
 class _Search:
@@ -162,6 +224,9 @@ class _Search:
         self.max_depth = 0
 
     def prove(self, ctx: frozenset, goal: Formula, depth: int = 0):
+        """The derivation of ctx |- goal, or None: the first of its
+        _choices whose premises, from _RULES, are all proved, left to
+        right.  One frame per search node."""
         key = (ctx, goal)
         hit = self.memo.get(key, False)
         if hit is not False:
@@ -171,83 +236,21 @@ class _Search:
             raise SearchLimitError(f"node cap {self.node_cap} exceeded")
         if depth > self.max_depth:
             self.max_depth = depth
-        result = self._expand(ctx, goal, depth + 1)
+        result = None
+        for rule, principal in _choices(ctx, goal):
+            subs = ()
+            for pctx, pgoal in _RULES[rule](ctx, goal, principal):
+                sub = self.prove(pctx, pgoal, depth + 1)
+                if sub is None:
+                    break
+                subs += (sub,)
+            else:
+                # tuple.__new__ skips the named tuple's own Python-level __new__
+                result = (tuple.__new__(TraceNode, (rule, ctx, goal, principal, subs))
+                          if self.want_trace else _PROVED)
+                break
         self.memo[key] = result
         return result
-
-    def apply(self, rule: str, ctx: frozenset, goal: Formula, principal, d: int):
-        """Prove the premises _RULES gives a rule instance, left to right,
-        stopping at the first that fails: the derivation, or None."""
-        subs = ()
-        for pctx, pgoal in _RULES[rule](ctx, goal, principal):
-            sub = self.prove(pctx, pgoal, d)
-            if sub is None:
-                return None
-            subs += (sub,)
-        return TraceNode(rule, ctx, goal, principal, subs) if self.want_trace else _PROVED
-
-    def _expand(self, ctx: frozenset, goal: Formula, d: int):
-        if FALSUM in ctx:
-            return self.apply("L-falsum", ctx, goal, FALSUM, d)
-        if goal in ctx:
-            return self.apply("axiom", ctx, goal, goal, d)
-        # one scan puts each context formula in the bucket of the rule it
-        # takes: an invertible one-premise left rule (an implication whose
-        # antecedent is in ctx takes L-impl-mp, whatever that antecedent's
-        # shape), L-disj, or L-impl-impl; formula_key breaks ties within a
-        # bucket only
-        invertible, disjunctions, impl_impl = [], [], []
-        for f in ctx:
-            kind = type(f)
-            if kind is Impl:
-                left = type(f.left)
-                if f.left in ctx or left is Conj or left is Disj:
-                    invertible.append(f)
-                elif left is Impl and f.right not in ctx:
-                    # a candidate f = (C -> D) -> B with B in ctx is left
-                    # out: B proves f, so ctx proves the goal iff ctx - {f}
-                    # does.  At the choice points no invertible rule
-                    # applies to ctx, so none applies to ctx - {f} either;
-                    # if ctx - {f} proves the goal, a proof ends in another
-                    # choice, and by weakening that choice's premises
-                    # also hold with f, so the search finds it from ctx.
-                    impl_impl.append(f)
-            elif kind is Conj:
-                invertible.append(f)
-            elif kind is Disj:
-                disjunctions.append(f)
-
-        if invertible:
-            f = invertible[0] if len(invertible) == 1 else min(invertible, key=formula_key)
-            if type(f) is Conj:
-                rule = "L-conj"
-            elif f.left in ctx:
-                rule = "L-impl-mp"
-            else:
-                rule = _INVERTIBLE_IMPL[type(f.left)]
-            return self.apply(rule, ctx, goal, f, d)
-
-        # invertible right rules, then the invertible branching left rule
-        rule = _INVERTIBLE_RIGHT.get(type(goal))
-        if rule is not None:
-            return self.apply(rule, ctx, goal, None, d)
-        if disjunctions:
-            f = disjunctions[0] if len(disjunctions) == 1 else min(disjunctions, key=formula_key)
-            return self.apply("L-disj", ctx, goal, f, d)
-
-        # choice points: on failure, try the next
-        if type(goal) is Disj:
-            for rule in ("R-disj-1", "R-disj-2"):
-                got = self.apply(rule, ctx, goal, None, d)
-                if got is not None:
-                    return got
-        if len(impl_impl) > 1:
-            impl_impl.sort(key=formula_key)
-        for f in impl_impl:
-            got = self.apply("L-impl-impl", ctx, goal, f, d)
-            if got is not None:
-                return got
-        return None
 
 
 def prove_ip(s: Sequent, want_trace: bool = False,

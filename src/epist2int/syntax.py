@@ -12,6 +12,7 @@ import json
 import math
 import random
 import re
+import string
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -173,16 +174,20 @@ class Sequent:
     logic: str = IP
 
     def __post_init__(self):
-        if self.logic not in (IP, EP):
-            raise ValueError(f"unknown logic tag {self.logic!r}")
-        ip = self.logic == IP
-        for f in (*self.assumptions, self.goal):
+        logic = self.logic
+        if logic != IP and logic != EP:
+            raise ValueError(f"unknown logic tag {logic!r}")
+        ip = logic == IP
+        for i, f in enumerate(self.assumptions):
             if not isinstance(f, _Node):
-                i = next((i for i, g in enumerate(self.assumptions) if g is f), None)
-                member = "goal" if i is None else f"assumption {i}"
-                raise TypeError(f"sequent {member} is not a formula: {f!r}")
-            if ip and not is_ip_formula(f):
+                raise TypeError(f"sequent assumption {i} is not a formula: {f!r}")
+            if ip and not f._ip:
                 raise ValueError("Box not allowed in IP sequent")
+        f = self.goal
+        if not isinstance(f, _Node):
+            raise TypeError(f"sequent goal is not a formula: {f!r}")
+        if ip and not f._ip:
+            raise ValueError("Box not allowed in IP sequent")
 
 
 class ParseError(ValueError):
@@ -197,79 +202,105 @@ class ParseError(ValueError):
 # makes any other character a one-character token, which _Parser rejects.
 _TOKEN_RE = re.compile(r"\s*(_\|_|->|/\\|\\/|\[\]|\|-|~|\(|\)|,|" + _ATOM_RE.pattern + r"|\S)")
 _PUNCT = frozenset(("_|_", "->", "/\\", "\\/", "[]", "|-", "~", "(", ")", ","))
-_PREFIX = {"~": neg, "[]": Box}
-# infix connective: (precedence, lowest stacked precedence it reduces,
-# constructor); -> is right-associative, \/ and /\ are left-associative
-_INFIX = {"->": (0, 1, Impl), "\\/": (1, 1, Disj), "/\\": (2, 2, Conj)}
+_LETTERS = frozenset(string.ascii_letters)
+# what an operand-position token stacks: "(" the marker _LPAR, a prefix
+# its constructor
+_LPAR = "("
+_OPEN = {"(": _LPAR, "~": neg, "[]": Box}
+_LEAF = {"_|_": FALSUM, "T": VERUM}
+# infix connective: (constructor, the stacked constructors it reduces
+# first); -> is right-associative, \/ and /\ are left-associative, and
+# any other token reduces all three
+_INFIX = {"->": (Impl, frozenset((Disj, Conj))), "\\/": (Disj, frozenset((Disj, Conj))),
+          "/\\": (Conj, frozenset((Conj,)))}
+_ANY_INFIX = frozenset((Impl, Disj, Conj))
 
 
 class _Parser:
+    """The tokens of a text, and the index of the next one to read.
+
+    `tokens` ends with None, so reading it needs no bounds check.  A
+    character the grammar does not have is a token too; a parse cannot
+    succeed past it, and every error reports the first such character
+    before anything else.
+    """
+
     def __init__(self, text: str, logic: str):
         self.text = text
         self.logic = logic
         self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append(None)
         self.i = 0
-        bad = [tok for tok in set(self.tokens) if tok not in _PUNCT and not _ATOM_RE.match(tok)]
-        if bad:
-            i = min(map(self.tokens.index, bad))
-            raise self.error(f"unexpected character {self.tokens[i]!r}", i)
 
     def error(self, message: str, i: int) -> ParseError:
-        """The error at token i; past the last token, the end of input."""
-        if i == len(self.tokens):
+        """The error at token i, unless the text has a character the
+        grammar does not have; at the closing None, the end of input."""
+        tokens = self.tokens
+        # an identifier starts with a letter, so any other token that is
+        # not punctuation is such a character
+        bad = next((j for j, tok in enumerate(tokens[:-1])
+                    if tok not in _PUNCT and tok[0] not in _LETTERS), None)
+        if bad is not None:
+            message, i = f"unexpected character {tokens[bad]!r}", bad
+        if tokens[i] is None:
             return ParseError("unexpected end of input", len(self.text))
         return ParseError(message, list(_TOKEN_RE.finditer(self.text))[i].start(1))
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def finish(self) -> None:
-        if self.i < len(self.tokens):
-            raise self.error(f"trailing input {self.peek()!r}", self.i)
 
     def formula(self) -> Formula:
         """The longest formula from the current token on.
 
-        Operator precedence without recursion: "(", prefixes and infix
-        connectives wait on `stack`, the left operands of the infix ones on
-        `lefts`, so nesting depth costs no Python stack.
+        Operator precedence without recursion: "(" markers and the
+        constructors of prefixes and infix connectives wait on `stack`, the
+        left operands of the infix ones on `lefts`, so nesting depth costs
+        no Python stack.  A node is looked up in its class's intern table
+        first; the constructor runs only for a node not yet interned.
         """
-        tokens, i, n = self.tokens, self.i, len(self.tokens)
-        stack: list[str] = []
+        tokens, i = self.tokens, self.i
+        atoms, negs, boxes = Atom._table, Impl._table, Box._table
+        stack: list = [None]  # a bottom that nothing reduces or pops
         lefts: list[Formula] = []
         depth = 0  # "(" on the stack
         while True:
             # operand: stack "(" and prefixes up to a leaf
-            tok = tokens[i] if i < n else None
-            if tok in _PREFIX or tok == "(":
-                if tok == "[]" and self.logic == IP:
-                    raise self.error("Box not allowed in IP", i)
-                depth += tok == "("
-                stack.append(tok)
-                i += 1
-                continue
-            if tok == "_|_":
-                f = FALSUM
-            elif tok == "T":
-                f = VERUM
-            elif tok is None or tok in _PUNCT:
-                raise self.error(f"unexpected token {tok!r}", i)
-            else:
-                f = Atom(tok)
+            tok = tokens[i]
+            f = atoms.get((tok,))
+            if f is None:
+                ctor = _OPEN.get(tok)
+                if ctor is not None:
+                    if ctor is Box and self.logic == IP:
+                        raise self.error("Box not allowed in IP", i)
+                    if ctor is _LPAR:
+                        depth += 1
+                    stack.append(ctor)
+                    i += 1
+                    continue
+                f = _LEAF.get(tok)
+                if f is None:
+                    if tok is None or tok in _PUNCT or tok[0] not in _LETTERS:
+                        raise self.error(f"unexpected token {tok!r}", i)
+                    f = Atom(tok)
             i += 1
             # f is complete: apply its prefixes, reduce what the next token
             # closes, then stack that token or end the formula
             while True:
-                while stack and stack[-1] in _PREFIX:
-                    f = _PREFIX[stack.pop()](f)
-                tok = tokens[i] if i < n else None
-                infix = _INFIX.get(tok)
-                floor = infix[1] if infix else 0
-                while stack and (top := _INFIX.get(stack[-1])) and top[0] >= floor:
+                top = stack[-1]
+                while top is neg or top is Box:
                     stack.pop()
-                    f = top[2](lefts.pop(), f)
+                    if top is neg:
+                        f = negs.get((f, FALSUM)) or neg(f)
+                    else:
+                        f = boxes.get((f,)) or Box(f)
+                    top = stack[-1]
+                tok = tokens[i]
+                infix = _INFIX.get(tok)
+                reduces = infix[1] if infix else _ANY_INFIX
+                while top in reduces:
+                    stack.pop()
+                    left = lefts.pop()
+                    f = top._table.get((left, f)) or top(left, f)
+                    top = stack[-1]
                 if infix:
-                    stack.append(tok)
+                    stack.append(infix[0])
                     lefts.append(f)
                     i += 1
                     break
@@ -287,26 +318,32 @@ def parse_formula(text: str, logic: str = IP) -> Formula:
     """Parse a formula; logic="ip" rejects the box modality."""
     p = _Parser(text, logic)
     f = p.formula()
-    p.finish()
+    tok = p.tokens[p.i]
+    if tok is not None:
+        raise p.error(f"trailing input {tok!r}", p.i)
     return f
 
 
 def parse_sequent(text: str, logic: str = IP) -> Sequent:
     """Parse `A1, ..., An |- B`; the assumption list may be empty."""
     p = _Parser(text, logic)
-    if not p.tokens:
+    tokens = p.tokens
+    if tokens[0] is None:
         raise ParseError("empty sequent", 0)
     assumptions: list[Formula] = []
-    if p.peek() != "|-":
+    if tokens[0] != "|-":
         assumptions.append(p.formula())
-        while p.peek() == ",":
+        while tokens[p.i] == ",":
             p.i += 1
             assumptions.append(p.formula())
-    if p.peek() != "|-":
-        raise p.error(f"expected turnstile, found {p.peek()!r}", p.i)
+    tok = tokens[p.i]
+    if tok != "|-":
+        raise p.error(f"expected turnstile, found {tok!r}", p.i)
     p.i += 1
     goal = p.formula()
-    p.finish()
+    tok = tokens[p.i]
+    if tok is not None:
+        raise p.error(f"trailing input {tok!r}", p.i)
     return Sequent(tuple(assumptions), goal, logic)
 
 

@@ -89,19 +89,39 @@ class TranslationContext:
 
 
 def ff_translate(a: Formula, ctx: TranslationContext) -> Formula:
-    """Epistemic-to-intuitionistic translation relative to ctx."""
-    e = ctx.witness
-    if isinstance(a, (Atom, Falsum)):
-        return double_rel_neg(a, e)
-    if isinstance(a, Conj):
-        return Conj(ff_translate(a.left, ctx), ff_translate(a.right, ctx))
-    if isinstance(a, Disj):
-        return double_rel_neg(Disj(ff_translate(a.left, ctx), ff_translate(a.right, ctx)), e)
-    if isinstance(a, Impl):
-        return Impl(ff_translate(a.left, ctx), ff_translate(a.right, ctx))
-    # box: conjunction over all witnesses, right-nested in stored order
-    parts = [ff_translate(a.inner, ctx.with_witness(i)) for i in range(len(ctx.gamma))]
-    return double_rel_neg(_nest(parts, Conj), e)
+    """Epistemic-to-intuitionistic translation relative to ctx.
+
+    A loop over an explicit stack, like godel_translate: a compound node
+    stacks its class, then its parts, each with the index in gamma of the
+    witness it is translated under (a box's part once per member of
+    gamma, in stored order); the class combines their translations.
+    """
+    gamma = ctx.gamma
+    done: list[Formula] = []
+    todo: list = [(a, ctx.witness_index)]
+    while todo:
+        f, w = todo.pop()
+        if f is Conj or f is Impl:
+            right = done.pop()
+            done[-1] = f(done[-1], right)
+        elif f is Disj:
+            right = done.pop()
+            done[-1] = double_rel_neg(Disj(done[-1], right), gamma[w])
+        elif f is Box:
+            # conjunction over all witnesses, right-nested in stored order
+            parts = done[-len(gamma):]
+            del done[-len(gamma):]
+            done.append(double_rel_neg(_nest(parts, Conj), gamma[w]))
+        else:
+            kind = type(f)
+            if kind is Atom or kind is Falsum:
+                done.append(double_rel_neg(f, gamma[w]))
+            elif kind is Box:
+                todo.append((Box, w))
+                todo += ((f.inner, i) for i in reversed(range(len(gamma))))
+            else:
+                todo += (kind, w), (f.right, w), (f.left, w)
+    return done[0]
 
 
 def _match_double(f: Formula):

@@ -258,6 +258,21 @@ def test_deep_formula_is_json_error(capsys):
     assert json.loads(lines[0])["error"] == "formula nested too deeply"
 
 
+def test_prove_deep_implication_chain(capsys):
+    chain = " -> ".join(f"a{i}" for i in range(400))
+    code, out, _ = run(capsys, "prove", "--logic", "ip", "--output", "json", f"|- {chain} -> a0")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "Provable"
+
+
+def test_translate_ff_deep_negation(capsys):
+    code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "q", "--witness", "q",
+                       "~" * 1200 + "p")
+    assert code == 0
+    # the translation of ~A is T(A) -> T(_|_), with T(_|_) = (_|_ -> q) -> q
+    assert out == "(" * 1200 + "(p -> q) -> q" + ") -> (_|_ -> q) -> q" * 1200
+
+
 @pytest.mark.parametrize("argv", [
     ["prove", "--logic", "ip", "--output", "json", "->p"],
     ["prove", "--logic", "ip", "--output", "json", "--bogus", "p |- p"],

@@ -412,6 +412,20 @@ def test_validate_trace_deep_chain():
     assert validate_trace(forged, s) == "root" + ".0" * 4999 + ": bad axiom instance"
 
 
+def test_deep_implication_chain():
+    # |- a0 -> a1 -> ... -> a600 -> a0: 601 R-impl nodes above an axiom,
+    # one prove frame each
+    atoms = [Atom(f"a{i}") for i in range(601)]
+    goal = atoms[0]
+    for a in reversed(atoms):
+        goal = Impl(a, goal)
+    s = Sequent((), goal, IP)
+    res = prove_ip(s, want_trace=True)
+    assert res.provable and res.max_depth == 601
+    assert res.trace.count_nodes() == 602
+    assert check_trace(res.trace, s)
+
+
 def test_count_nodes_deep_chain():
     n = TraceNode("axiom", frozenset({p}), p, p, ())
     for _ in range(4999):

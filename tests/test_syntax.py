@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
-from conftest import ep_formulas
+from conftest import ep_formulas, ip_formulas
 import epist2int
 from epist2int import syntax
 from epist2int.syntax import (
@@ -136,6 +137,13 @@ SEQUENT_ERRORS = [
     ("p, q", "unexpected end of input (at position 4)"),
     ("|- , p", "unexpected token ',' (at position 3)"),
     ("  ", "empty sequent (at position 0)"),
+    ("p, |- q", "unexpected token '|-' (at position 3)"),
+    ("|-", "unexpected end of input (at position 2)"),
+    ("p |-", "unexpected end of input (at position 4)"),
+    (", p |- q", "unexpected token ',' (at position 0)"),
+    ("p |- q |- r", "trailing input '|-' (at position 7)"),
+    ("p |- q,", "trailing input ',' (at position 6)"),
+    ("[]p |- p", "Box not allowed in IP (at position 0)"),
 ]
 
 
@@ -187,6 +195,24 @@ def test_sequent_validates_logic():
     Sequent((Box(p),), p, EP)
 
 
+def test_sequent_errors_in_order():
+    with pytest.raises(ValueError) as exc:
+        Sequent((p,), Box(p), IP)
+    assert str(exc.value) == "Box not allowed in IP sequent"
+    Sequent((p,), Box(p), EP)
+    # the logic tag is checked first, then each member in order
+    for assumptions, goal in [((p,), p), ((Box(p), "q"), "r")]:
+        with pytest.raises(ValueError) as exc:
+            Sequent(assumptions, goal, "s4")
+        assert str(exc.value) == "unknown logic tag 's4'"
+    with pytest.raises(ValueError, match="^Box not allowed in IP sequent$"):
+        Sequent((p, Box(q), "r"), "s", IP)
+    with pytest.raises(TypeError, match="^sequent assumption 0 is not a formula: 'r'$"):
+        Sequent(("r", Box(q)), p, IP)
+    with pytest.raises(TypeError, match="^sequent goal is not a formula: None$"):
+        Sequent((p, q), None, IP)
+
+
 @pytest.mark.parametrize("logic", [IP, EP])
 def test_sequent_rejects_non_formula_members(logic):
     with pytest.raises(TypeError, match="goal is not a formula: 'p'"):
@@ -204,6 +230,14 @@ def test_roundtrip_bulk():
 @given(ep_formulas())
 def test_roundtrip_hypothesis(f):
     assert parse_formula(print_formula(f), EP) == f
+
+
+@pytest.mark.parametrize("logic", [IP, EP])
+@given(data=st.data())
+def test_sequent_roundtrip_hypothesis(logic, data):
+    formulas = ep_formulas() if logic == EP else ip_formulas()
+    s = Sequent(tuple(data.draw(st.lists(formulas, max_size=3))), data.draw(formulas), logic)
+    assert parse_sequent(print_sequent(s), logic) == s
 
 
 @given(ep_formulas())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import ep_formulas, ip_formulas
 from epist2int import translate
-from epist2int.harness import DEFAULT_GAMMA_POOL, gamma_contexts
+from epist2int.harness import DEFAULT_GAMMA_POOL, gamma_contexts, translated_sequents
 from epist2int.prover_ep import equiv_ep, is_provable_ep
 from epist2int.prover_ip import equiv_ip, is_provable_ip
 from epist2int.syntax import (
@@ -23,6 +23,7 @@ from epist2int.syntax import (
     neg,
     parse_formula,
     print_formula,
+    print_sequent,
     random_formula_sized,
 )
 from epist2int.translate import (
@@ -150,6 +151,22 @@ class TestFfClauses:
 
     def test_falsum_translation_equivalent_to_witness(self):
         assert equiv_ip(ff_translate(FALSUM, CTX), E)
+
+    def test_deep_input(self):
+        # a loop over an explicit stack, so depth costs no Python stack
+        f, want = p, double_rel_neg(p, E)
+        for k in range(5000):
+            if k % 2:
+                f, want = Box(f), double_rel_neg(want, E)
+            else:
+                f, want = neg(f), Impl(want, double_rel_neg(FALSUM, E))
+        assert ff_translate(f, TranslationContext((E,), 0)) == want
+
+    def test_soundness_sweep_translations_pinned(self):
+        """The translations of criterion 2's 8000 sequents, as recorded
+        when ff_translate recursed once per level."""
+        text = "\n".join(print_sequent(t) for _, _, t in translated_sequents(500, 8, 0))
+        assert hashlib.sha256(text.encode()).hexdigest() == "912e1411c43fcadca599bef4651d552e1b3f03ab33e44f912bb46c3887f5e2f9"
 
     @settings(max_examples=150, deadline=None)
     @given(ep_formulas(max_leaves=5))
