@@ -9,7 +9,7 @@ from .algebra import (
     make_chain,
     refute,
 )
-from .prover_ep import EpProofResult, KripkeModel, check_kripke, equiv_ep, prove_ep
+from .prover_ep import EpProofResult, KripkeModel, check_kripke, prove_ep
 from .prover_ip import ProofResult, check_trace, equiv_ip, prove_ip
 from .syntax import (
     EP,
@@ -44,7 +44,7 @@ __all__ = [
     "FALSUM", "Falsum", "Formula", "HeytingAlgebra", "IP", "Impl",
     "KripkeModel", "ParseError", "ProofResult", "Sequent",
     "TranslationContext", "VERUM", "check_kripke",
-    "check_trace", "equiv_ep", "equiv_ip", "evaluate", "ff_simplify",
+    "check_trace", "equiv_ip", "evaluate", "ff_simplify",
     "ff_translate", "godel_translate", "make_chain", "parse_formula",
     "parse_sequent", "print_formula", "print_sequent", "prove_ep",
     "prove_ip", "random_formula", "refute", "rel_neg",

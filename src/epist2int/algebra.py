@@ -1,11 +1,14 @@
-"""Finite Heyting algebras as the up-sets of finite posets, evaluation
-and bounded countermodel search.
+"""Finite Heyting algebras as the up-sets of finite posets, one mask
+evaluator for them and for S4 Kripke models, and bounded countermodel
+search.
 
 Every finite Heyting algebra is the algebra of up-sets of a finite poset
 (Birkhoff), so one construction, `upset_algebra`, builds the chains and
-the table algebras alike.  A countermodel (a valuation giving a formula a
-non-top value) refutes intuitionistic provability; failure to find one
-proves nothing, since chains validate strictly more than IP does.
+the other algebras alike, and `truth` evaluates a formula on the up-set
+masks of a preorder: as a Heyting value, or as the worlds of an S4 model
+where it holds.  A countermodel (a valuation giving a formula a non-top
+value) refutes intuitionistic provability; failure to find one proves
+nothing, since chains validate strictly more than IP does.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .syntax import Atom, Conj, Disj, Falsum, Formula, Impl, atoms_of, is_ip_formula
+from .syntax import Atom, Box, Conj, Disj, Falsum, Formula, Impl, atoms_of, is_ip_formula
 
 
 class AlgebraError(ValueError):
@@ -24,58 +27,24 @@ class AlgebraError(ValueError):
 
 @dataclass(frozen=True)
 class HeytingAlgebra:
-    """Carrier 0..n-1 with meet/join/rpc given by tables.
+    """The up-sets of the preorder `up`, as masks in `upsets`.
 
-    `leq` is the full order relation as a tuple of tuples of bools;
-    `rpc[x][y]` is the relative pseudo-complement x |> y.
+    Element i is the up-set `upsets[i]`; the order is inclusion, so the
+    empty set is bottom = 0 and the set of all points is top.
     """
 
-    size: int
-    leq: tuple
-    meet: tuple
-    join: tuple
-    rpc: tuple
-    bottom: int
-    top: int
+    up: tuple[int, ...]
+    upsets: tuple[int, ...]
     kind: str = "table"
+    bottom = 0
 
-    def le(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
+    @property
+    def size(self) -> int:
+        return len(self.upsets)
 
-
-def _validate(h: HeytingAlgebra) -> None:
-    n = h.size
-    rng = range(n)
-    for x in rng:
-        if not h.leq[x][x]:
-            raise AlgebraError("order not reflexive")
-        if not (h.leq[h.bottom][x] and h.leq[x][h.top]):
-            raise AlgebraError("bottom/top not extremal")
-        for y in rng:
-            if h.leq[x][y] and h.leq[y][x] and x != y:
-                raise AlgebraError("order not antisymmetric")
-            for z in rng:
-                if h.leq[x][y] and h.leq[y][z] and not h.leq[x][z]:
-                    raise AlgebraError("order not transitive")
-    for x in rng:
-        for y in rng:
-            m, j = h.meet[x][y], h.join[x][y]
-            if not (h.leq[m][x] and h.leq[m][y]):
-                raise AlgebraError("meet not a lower bound")
-            if not (h.leq[x][j] and h.leq[y][j]):
-                raise AlgebraError("join not an upper bound")
-            for z in rng:
-                if h.leq[z][x] and h.leq[z][y] and not h.leq[z][m]:
-                    raise AlgebraError("meet not greatest lower bound")
-                if h.leq[x][z] and h.leq[y][z] and not h.leq[j][z]:
-                    raise AlgebraError("join not least upper bound")
-    # residuation: w <= x|>y  iff  w /\ x <= y
-    for x in rng:
-        for y in rng:
-            r = h.rpc[x][y]
-            for w in rng:
-                if h.leq[w][r] != h.leq[h.meet[w][x]][y]:
-                    raise AlgebraError(f"residuation fails at ({x},{y},{w})")
+    @property
+    def top(self) -> int:
+        return len(self.upsets) - 1
 
 
 def check_preorder(up: Sequence[int]) -> None:
@@ -116,18 +85,7 @@ def upset_algebra(up: Sequence[int], kind: str = "table") -> HeytingAlgebra:
     is inclusion, meet and join are intersection and union, and x |> y is
     interior(up, ~x | y), the points whose up-set meets x only inside y.
     """
-    elems = _upsets(up)
-    index = {s: i for i, s in enumerate(elems)}
-    h = HeytingAlgebra(
-        len(elems),
-        tuple(tuple(not x & ~y for y in elems) for x in elems),
-        tuple(tuple(index[x & y] for y in elems) for x in elems),
-        tuple(tuple(index[x | y] for y in elems) for x in elems),
-        tuple(tuple(index[interior(up, ~x | y)] for y in elems) for x in elems),
-        0, len(elems) - 1, kind,
-    )
-    _validate(h)
-    return h
+    return HeytingAlgebra(tuple(up), tuple(_upsets(up)), kind)
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,8 +93,8 @@ def make_chain(n: int) -> HeytingAlgebra:
     """The n-element chain 0 < 1 < ... < n-1: the up-sets of n-1 points in
     a line, where point w sees w and every later point.
 
-    Memoised per size (the algebra is frozen), so each size is built and
-    validated once per process.
+    Memoised per size (the algebra is frozen), so each size is built once
+    per process.
     """
     if n < 1:
         raise AlgebraError("chain needs at least one element")
@@ -155,7 +113,7 @@ def enumerate_heyting_algebras(max_size: int) -> Iterator[HeytingAlgebra]:
 @functools.lru_cache(maxsize=None)
 def _heyting_algebras(max_size: int) -> tuple[HeytingAlgebra, ...]:
     """enumerate_heyting_algebras, memoised per max_size like make_chain, so
-    each algebra is built and validated once per process."""
+    each algebra is built once per process."""
     found = []
     for n in range(1, max_size):
         # up[w] is w plus any subset of the later points
@@ -192,31 +150,63 @@ class Countermodel:
         }
 
 
+def truth(f: Formula, up: Sequence[int], valuation: Mapping[str, int],
+          memo: dict, heyting: bool = False) -> int:
+    """The mask of the points of the preorder `up` where f holds, memoised
+    per compound subformula in memo.
+
+    `valuation` maps atom names to masks; an atom it lacks raises
+    KeyError.  [] is interior.  a -> b is ~a | b, S4's reading, which may be
+    negative: an infinite set whose point bits alone are read.  With
+    heyting it is interior(up, ~a | b), the up-set a |> b.
+    """
+    kind = type(f)
+    if kind is Atom:
+        return valuation[f.name]
+    got = memo.get(f)
+    if got is None:
+        if kind is Falsum:
+            got = 0
+        elif kind is Box:
+            got = interior(up, truth(f.inner, up, valuation, memo, heyting))
+        else:
+            a = truth(f.left, up, valuation, memo, heyting)
+            b = truth(f.right, up, valuation, memo, heyting)
+            if kind is Conj:
+                got = a & b
+            elif kind is Disj:
+                got = a | b
+            else:
+                got = interior(up, ~a | b) if heyting else ~a | b
+        memo[f] = got
+    return got
+
+
 def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:
     """Standard extension of the valuation v, a mapping from atom names to
-    elements: /\\ is meet, \\/ is join, -> is rpc."""
-    if isinstance(f, Atom):
-        try:
-            return v[f.name]
-        except KeyError:
-            raise ValueError(f"unassigned atom {f.name!r}") from None
-    if isinstance(f, Falsum):
-        return h.bottom
-    if isinstance(f, Conj):
-        return h.meet[evaluate(f.left, v, h)][evaluate(f.right, v, h)]
-    if isinstance(f, Disj):
-        return h.join[evaluate(f.left, v, h)][evaluate(f.right, v, h)]
-    if isinstance(f, Impl):
-        return h.rpc[evaluate(f.left, v, h)][evaluate(f.right, v, h)]
-    raise ValueError("modal formulas have no Heyting-algebra value")
+    element numbers: /\\ is meet, \\/ is join, -> is rpc.  A number
+    outside 0..size-1 or an unassigned atom raises ValueError naming it."""
+    if not is_ip_formula(f):
+        raise ValueError("modal formulas have no Heyting-algebra value")
+    elems = h.upsets
+    masks = {}
+    for name, x in v.items():
+        if not 0 <= x < len(elems):
+            raise ValueError(f"atom {name!r} has value {x}, not an element 0..{h.top}")
+        masks[name] = elems[x]
+    try:
+        return elems.index(truth(f, h.up, masks, {}, heyting=True))
+    except KeyError as exc:
+        raise ValueError(f"unassigned atom {exc.args[0]!r}") from None
 
 
 def _search_algebra(f: Formula, names: list[str], h: HeytingAlgebra) -> Optional[Countermodel]:
-    for values in itertools.product(range(h.size), repeat=len(names)):
-        v = dict(zip(names, values))
-        got = evaluate(f, v, h)
-        if got != h.top:
-            return Countermodel(h, v, got, f)
+    top = h.upsets[-1]
+    for masks in itertools.product(h.upsets, repeat=len(names)):
+        got = truth(f, h.up, dict(zip(names, masks)), {}, heyting=True)
+        if got != top:
+            v = {n: h.upsets.index(m) for n, m in zip(names, masks)}
+            return Countermodel(h, v, h.upsets.index(got), f)
     return None
 
 
@@ -242,7 +232,5 @@ def refute(f: Formula, max_chain: int = 3, also_lattices: bool = False) -> Optio
 
 def rpc_chain(h: HeytingAlgebra, *xs: int) -> int:
     """Left-nested rpc chain: rpc_chain(h, a, b, c) is (a |> b) |> c."""
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = h.rpc[acc][x]
-    return acc
+    names = [f"x{i}" for i in range(len(xs))]
+    return evaluate(functools.reduce(Impl, map(Atom, names)), dict(zip(names, xs)), h)

@@ -278,9 +278,10 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, SearchLimitError, KeyError) as exc:
         message = str(exc)
     except RecursionError:
-        # parsing, printing and both translations are iterative; the
-        # provers, the simplifier and the neg[E](A) display mode recurse
-        # once per nesting level (prove_ip once per proof level)
+        # parsing, printing and both translations are iterative; the one
+        # mask evaluator (eval, refute, the Kripke check), the provers,
+        # ff_simplify and the neg[E](A) printer recurse once per nesting
+        # level (prove_ip once per proof level)
         message = "formula nested too deeply"
     if output == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, "error": message}))

@@ -260,7 +260,7 @@ def check_symbolic_chain_identity(sizes=range(4, 9)) -> CheckReport:
                     checked += 1
                     x = rpc_chain(h, e, c, c)
                     y = rpc_chain(h, b, c, c)
-                    got = rpc_chain(h, h.rpc[x][y], e, e)
+                    got = rpc_chain(h, rpc_chain(h, x, y), e, e)
                     if got != e:
                         failures.append({"chain": n, "b": b, "c": c, "e": e, "got": got})
     return _finish("symbolic_chain_identity", failures,

@@ -8,18 +8,17 @@ A1,...,An entail A iff (A1 /\\ ... /\\ An) -> A is valid.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .algebra import check_preorder, interior
+from .algebra import check_preorder, truth
 from .syntax import (
-    EP,
     FALSUM,
     Atom,
     Box,
     Conj,
     Disj,
-    Falsum,
     Formula,
     Impl,
     Sequent,
@@ -218,33 +217,6 @@ def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
     return EpProofResult(False, model, tableau.steps)
 
 
-def is_provable_ep(assumptions, goal: Formula, node_cap: Optional[int] = None) -> bool:
-    return prove_ep(Sequent(tuple(assumptions), goal, EP), node_cap=node_cap).provable
-
-
-def equiv_ep(a: Formula, b: Formula) -> bool:
-    return is_provable_ep((a,), b) and is_provable_ep((b,), a)
-
-
-def _truth(model: KripkeModel, f: Formula, memo: dict) -> int:
-    """The bitmask of the worlds where f is true, memoised per subformula;
-    ~a | b may be negative, an infinite set whose world bits alone are read."""
-    got = memo.get(f)
-    if got is None:
-        kind = type(f)
-        if kind is Atom:
-            got = model.valuation.get(f.name, 0)
-        elif kind is Falsum:
-            got = 0
-        elif kind is Box:
-            got = interior(model.up, _truth(model, f.inner, memo))
-        else:
-            a, b = _truth(model, f.left, memo), _truth(model, f.right, memo)
-            got = a & b if kind is Conj else a | b if kind is Disj else ~a | b
-        memo[f] = got
-    return got
-
-
 def check_kripke(model: KripkeModel, s: Sequent) -> bool:
     """True iff the model refutes the sequent at its root world.
 
@@ -259,8 +231,9 @@ def check_kripke(model: KripkeModel, s: Sequent) -> bool:
             raise ValueError(f"valuation of {name!r} is {where!r}, not an int bitmask")
         if where >> len(model.up):
             raise ValueError(f"valuation of {name!r} mentions unknown worlds")
+    valuation = defaultdict(int, model.valuation)  # an atom it lacks holds nowhere
     memo: dict = {}
-    refuted = ~_truth(model, s.goal, memo)
+    refuted = ~truth(s.goal, model.up, valuation, memo)
     for a in s.assumptions:
-        refuted &= _truth(model, a, memo)
+        refuted &= truth(a, model.up, valuation, memo)
     return bool(refuted >> model.root & 1)

@@ -1,6 +1,9 @@
+from typing import NamedTuple
+
 import hypothesis.strategies as st
 import pytest
 
+from epist2int.algebra import evaluate
 from epist2int.syntax import FALSUM, Atom, Box, Conj, Disj, Impl
 
 _leaves = st.sampled_from([Atom("p"), Atom("q"), Atom("r"), FALSUM])
@@ -16,6 +19,27 @@ def ip_formulas(max_leaves: int = 8):
         ),
         max_leaves=max_leaves,
     )
+
+
+class Tables(NamedTuple):
+    leq: tuple
+    meet: tuple
+    join: tuple
+    rpc: tuple
+
+
+def tables(h) -> Tables:
+    """The order of a finite Heyting algebra from its up-set masks (inclusion),
+    and meet, join and rpc as evaluate computes them, as tables over the
+    element numbers: rpc[x][y] is x |> y."""
+    elems = range(h.size)
+
+    def table(op):
+        f = op(Atom("x"), Atom("y"))
+        return tuple(tuple(evaluate(f, {"x": x, "y": y}, h) for y in elems) for x in elems)
+
+    return Tables(tuple(tuple(not x & ~y for y in h.upsets) for x in h.upsets),
+                  table(Conj), table(Disj), table(Impl))
 
 
 def ep_formulas(max_leaves: int = 8):

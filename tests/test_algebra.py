@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from conftest import ip_formulas
+from conftest import ip_formulas, tables
 from epist2int.algebra import (
     AlgebraError,
     enumerate_heyting_algebras,
@@ -15,6 +15,7 @@ from epist2int.algebra import (
     rpc_chain,
     upset_algebra,
 )
+from epist2int.harness import enumerate_ip_formulas
 from epist2int.prover_ip import is_provable_ip
 from epist2int.syntax import Atom, Conj, Disj, FALSUM, Impl, parse_formula, subformulas
 
@@ -24,13 +25,14 @@ p, q = Atom("p"), Atom("q")
 class TestChains:
     def test_two_chain_is_boolean(self):
         h = make_chain(2)
+        rpc = tables(h).rpc
         assert h.bottom == 0 and h.top == 1
-        assert h.rpc[1][0] == 0 and h.rpc[0][0] == 1 and h.rpc[0][1] == 1
+        assert rpc[1][0] == 0 and rpc[0][0] == 1 and rpc[0][1] == 1
 
     def test_three_chain_rpc_entries(self):
-        h = make_chain(3)
-        assert h.rpc[2][1] == 1
-        assert h.rpc[1][2] == 2
+        rpc = tables(make_chain(3)).rpc
+        assert rpc[2][1] == 1
+        assert rpc[1][2] == 2
 
     def test_degenerate_chain(self):
         h = make_chain(1)
@@ -48,28 +50,56 @@ class TestChains:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_closed_form_matches_residuation(self, n):
-        h = make_chain(n)
+        rpc = tables(make_chain(n)).rpc
         for x, y in itertools.product(range(n), repeat=2):
             candidates = [z for z in range(n) if min(z, x) <= y]
-            assert h.rpc[x][y] == max(candidates)
+            assert rpc[x][y] == max(candidates)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_closed_forms(self, n):
         h = make_chain(n)
+        t = tables(h)
         top = n - 1
         assert (h.size, h.bottom, h.top, h.kind) == (n, 0, top, "chain")
         for x, y in itertools.product(range(n), repeat=2):
-            assert h.leq[x][y] == (x <= y)
-            assert h.meet[x][y] == min(x, y)
-            assert h.join[x][y] == max(x, y)
-            assert h.rpc[x][y] == (top if x <= y else y)
+            assert t.leq[x][y] == (x <= y)
+            assert t.meet[x][y] == min(x, y)
+            assert t.join[x][y] == max(x, y)
+            assert t.rpc[x][y] == (top if x <= y else y)
 
 
 def test_chain_residuation_law_exhaustive():
     for n in range(1, 8):
-        h = make_chain(n)
+        leq, meet, _, rpc = tables(make_chain(n))
         for w, x, y in itertools.product(range(n), repeat=3):
-            assert h.le(w, h.rpc[x][y]) == h.le(h.meet[w][x], y)
+            assert leq[w][rpc[x][y]] == leq[meet[w][x]][y]
+
+
+LAW_ALGEBRAS = [make_chain(n) for n in range(1, 11)] + list(enumerate_heyting_algebras(5))
+
+
+@pytest.mark.parametrize("h", LAW_ALGEBRAS, ids=lambda h: f"{h.kind}-{h.up}")
+def test_heyting_laws(h):
+    # the order, the lattice bounds and residuation, over every element
+    leq, meet, join, rpc = tables(h)
+    rng = range(h.size)
+    for x in rng:
+        assert leq[x][x], "order not reflexive"
+        assert leq[h.bottom][x] and leq[x][h.top], "bottom/top not extremal"
+        for y in rng:
+            assert not (leq[x][y] and leq[y][x] and x != y), "order not antisymmetric"
+            for z in rng:
+                assert not (leq[x][y] and leq[y][z] and not leq[x][z]), "order not transitive"
+    for x, y in itertools.product(rng, repeat=2):
+        m, j = meet[x][y], join[x][y]
+        assert leq[m][x] and leq[m][y], "meet not a lower bound"
+        assert leq[x][j] and leq[y][j], "join not an upper bound"
+        for z in rng:
+            assert not (leq[z][x] and leq[z][y] and not leq[z][m]), "meet not greatest lower bound"
+            assert not (leq[x][z] and leq[y][z] and not leq[j][z]), "join not least upper bound"
+    # residuation: w <= x|>y  iff  w /\ x <= y
+    for x, y, w in itertools.product(rng, repeat=3):
+        assert leq[w][rpc[x][y]] == leq[meet[w][x]][y], f"residuation fails at ({x},{y},{w})"
 
 
 class TestEvaluate:
@@ -93,6 +123,12 @@ class TestEvaluate:
     def test_unassigned_atom_reported(self):
         with pytest.raises(ValueError, match="'q'"):
             evaluate(Conj(p, q), {"p": 0}, make_chain(2))
+
+    @pytest.mark.parametrize("f, value", [(p, 7), (p, 3), (Conj(p, p), -1), (Impl(q, p), -3)])
+    def test_value_outside_carrier_reported(self, f, value):
+        # neither passed through (7) nor wrapped round to another element (-1 is top)
+        with pytest.raises(ValueError, match="'p'"):
+            evaluate(f, {"p": value, "q": 0}, make_chain(3))
 
     def test_inadmissibility_witness_value(self):
         # the doubly negated cross-witness translation takes the middle
@@ -139,6 +175,22 @@ class TestRefute:
         with pytest.raises(ValueError):
             refute(p, max_chain=1)
 
+    def test_outputs_pinned(self):
+        # every formula of up to 7 nodes over p, q and falsum, recorded
+        # while the algebras still carried meet, join and rpc tables
+        lines = []
+        for f in enumerate_ip_formulas(7):
+            cm = refute(f, max_chain=3)
+            lines.append(json.dumps(None if cm is None else cm.to_json()))
+        assert len(lines) == 11451 and lines.count("null") == 2852
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "6608bf0c99063ca67e3e70885fc85c5700ade883afd73ddd6c5099ea9943537e"
+
+    def test_lattice_countermodel_pinned(self):
+        cm = refute(parse_formula("(p -> q) \\/ (q -> p)"), max_chain=2, also_lattices=True)
+        assert cm.to_json() == {"carrier_size": 5, "kind": "table",
+                                "valuation": {"p": 1, "q": 2}, "value": 3, "top": 4}
+
     def test_json_shape(self):
         cm = refute(parse_formula("p \\/ ~p"), max_chain=3)
         blob = cm.to_json()
@@ -148,9 +200,9 @@ class TestRefute:
 class TestTableAlgebras:
     def test_diamond_is_heyting(self):
         # the up-sets of two incomparable points: the product of two 2-chains
-        h = upset_algebra([0b01, 0b10])
-        assert h.meet[1][2] == 0 and h.join[1][2] == 3
-        assert h.rpc[1][2] == 2
+        t = tables(upset_algebra([0b01, 0b10]))
+        assert t.meet[1][2] == 0 and t.join[1][2] == 3
+        assert t.rpc[1][2] == 2
 
     def test_rejects_non_reflexive(self):
         with pytest.raises(AlgebraError, match="containing 1"):
@@ -165,8 +217,9 @@ class TestTableAlgebras:
         seen = 0
         for h in enumerate_heyting_algebras(4):
             seen += 1
+            leq, meet, _, rpc = tables(h)
             for w, x, y in itertools.product(range(h.size), repeat=3):
-                assert h.le(w, h.rpc[x][y]) == h.le(h.meet[w][x], y)
+                assert leq[w][rpc[x][y]] == leq[meet[w][x]][y]
         assert seen >= 4  # at least the chains and the diamond
 
     def test_enumeration_up_to_five(self):
@@ -175,8 +228,8 @@ class TestTableAlgebras:
         algebras = list(enumerate_heyting_algebras(5))
         sizes = [h.size for h in algebras]
         assert sizes == sorted(sizes) == [2, 3, 4, 4, 5, 5, 5]
-        tables = sorted(json.dumps([h.leq, h.meet, h.join, h.rpc]) for h in algebras)
-        digest = hashlib.sha256("\n".join(tables).encode()).hexdigest()
+        dumps = sorted(json.dumps(list(tables(h))) for h in algebras)
+        digest = hashlib.sha256("\n".join(dumps).encode()).hexdigest()
         # recorded from the brute-force lattice search this construction replaced
         assert digest == "e26de0a96ab796a62956e15fd0df7a9488fcdfbcc8e3c0afe93572a567059899"
 
@@ -193,7 +246,8 @@ class TestTableAlgebras:
 
 def test_rpc_chain_is_left_nested():
     h = make_chain(3)
-    assert rpc_chain(h, 1, 0, 0) == h.rpc[h.rpc[1][0]][0] == 2
+    rpc = tables(h).rpc
+    assert rpc_chain(h, 1, 0, 0) == rpc[rpc[1][0]][0] == 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,4 +267,4 @@ def test_monotone_evaluation_without_implication(f):
     names = sorted({g.name for g in subformulas(f) if isinstance(g, Atom)})
     lo = {n: 1 for n in names}
     hi = {n: 2 for n in names}
-    assert h.le(evaluate(f, lo, h), evaluate(f, hi, h))
+    assert tables(h).leq[evaluate(f, lo, h)][evaluate(f, hi, h)]

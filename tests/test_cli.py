@@ -258,6 +258,16 @@ def test_deep_formula_is_json_error(capsys):
     assert json.loads(lines[0])["error"] == "formula nested too deeply"
 
 
+def test_deep_eval_is_json_error(capsys):
+    # the mask evaluator recurses once per nesting level
+    code, out, _ = run(capsys, "eval", "--output", "json", "--chain", "3", "--assign", "p=1",
+                       "~" * 1200 + "p")
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "formula nested too deeply"
+
+
 def test_prove_deep_implication_chain(capsys):
     chain = " -> ".join(f"a{i}" for i in range(400))
     code, out, _ = run(capsys, "prove", "--logic", "ip", "--output", "json", f"|- {chain} -> a0")

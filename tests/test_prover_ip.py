@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import ip_formulas
+from conftest import ip_formulas, tables
 from epist2int import prover_ip
 from epist2int.algebra import enumerate_heyting_algebras, refute
 from epist2int.harness import (
@@ -472,7 +472,8 @@ def _unsound(instances: list[tuple]) -> list[tuple]:
     holds at it when the meet of its context is below its goal."""
     names = sorted(set().union(*(atoms_of(f) for _, ctx, goal, _, _ in instances
                                  for f in (*ctx, goal))))
-    points = [(h, dict(zip(names, vals))) for h in enumerate_heyting_algebras(4)
+    points = [(h, t, dict(zip(names, vals)))
+              for h, t in ((h, tables(h)) for h in enumerate_heyting_algebras(4))
               for vals in itertools.product(range(h.size), repeat=len(names))]
     ops = {Conj: "meet", Disj: "join", Impl: "rpc"}
     values: dict = {}  # formula -> its value at each point
@@ -482,24 +483,24 @@ def _unsound(instances: list[tuple]) -> list[tuple]:
         got = values.get(f)
         if got is None:
             if isinstance(f, Atom):
-                got = tuple(v[f.name] for _, v in points)
+                got = tuple(v[f.name] for _, _, v in points)
             elif isinstance(f, Falsum):
-                got = tuple(h.bottom for h, _ in points)
+                got = tuple(h.bottom for h, _, _ in points)
             else:
                 op = ops[type(f)]
-                got = tuple(getattr(h, op)[x][y]
-                            for (h, _), x, y in zip(points, value(f.left), value(f.right)))
+                got = tuple(getattr(t, op)[x][y]
+                            for (_, t, _), x, y in zip(points, value(f.left), value(f.right)))
             values[f] = got
         return got
 
     def holds(ctx, goal) -> int:
         got = masks.get((ctx, goal))
         if got is None:
-            meet = tuple(h.top for h, _ in points)
+            meet = tuple(h.top for h, _, _ in points)
             for f in ctx:
-                meet = tuple(h.meet[x][y] for (h, _), x, y in zip(points, meet, value(f)))
-            got = sum(1 << i for i, ((h, _), m, g) in enumerate(zip(points, meet, value(goal)))
-                      if h.leq[m][g])
+                meet = tuple(t.meet[x][y] for (_, t, _), x, y in zip(points, meet, value(f)))
+            got = sum(1 << i for i, ((_, t, _), m, g) in enumerate(zip(points, meet, value(goal)))
+                      if t.leq[m][g])
             masks[ctx, goal] = got
         return got
 
