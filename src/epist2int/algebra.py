@@ -192,7 +192,7 @@ def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:
     masks = {}
     for name, x in v.items():
         if not 0 <= x < len(elems):
-            raise ValueError(f"atom {name!r} has value {x}, not an element 0..{h.top}")
+            raise ValueError(f"atom {name!r} has value {x}, out of range 0..{h.top}")
         masks[name] = elems[x]
     try:
         return elems.index(truth(f, h.up, masks, {}, heyting=True))

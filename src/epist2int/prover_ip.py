@@ -48,15 +48,8 @@ class TraceNode(NamedTuple):
     premises: tuple
 
     def count_nodes(self) -> int:
-        """The number of distinct nodes; a loop, so depth costs no Python stack."""
-        seen: set[int] = set()
-        todo = [self]
-        while todo:
-            n = todo.pop()
-            if id(n) not in seen:
-                seen.add(id(n))
-                todo += n.premises
-        return len(seen)
+        """The number of distinct nodes."""
+        return len(_distinct_nodes(self))
 
 
 @dataclass
@@ -277,58 +270,50 @@ def equiv_ip(a: Formula, b: Formula) -> bool:
 
 
 def validate_trace(trace: Optional[TraceNode], s: Sequent) -> Optional[str]:
-    """None when the trace certifies the sequent, else an error with a node path."""
+    """None when the trace certifies the sequent, else the first fault a
+    depth-first walk meets, premises in order, with its node path.  Each
+    distinct node is checked once against _RULES; a loop over a stack of
+    items (node, the sequent it must conclude, the item that asked for
+    it, its index there), so depth costs no Python stack."""
     if trace is None:
         return "no trace"
-    if not isinstance(trace, TraceNode):
-        return "root: not a trace node"
-    if trace.context != frozenset(s.assumptions) or trace.goal != s.goal:
-        return "root conclusion does not match the queried sequent"
-    path: list[int] = []  # child indices from the root to the node at fault
-    err = _trace_error(trace, path)
-    return None if err is None else f"{'.'.join(['root', *map(str, path)])}: {err}"
-
-
-def _trace_error(trace: TraceNode, path: list[int]) -> Optional[str]:
-    """The first fault a depth-first walk meets, premises in order, or None;
-    `path` is left naming the node at fault.  A loop over an explicit
-    stack, so depth costs no Python stack."""
-    ok: set[int] = set()  # ids of nodes whose whole sub-derivation checked
-    stack: list = []  # (node, its expected premise sequents) from the root down
-    n = trace
-    while True:
-        # n is not known good yet: check it as a rule instance
-        rule, context, goal, principal, premises = n
+    checked: set[int] = set()
+    stack: list = [(trace, (frozenset(s.assumptions), s.goal), None, 0)]
+    while stack:
+        item = stack.pop()
+        n, (ctx, goal), parent, _ = item
+        if not isinstance(n, TraceNode):
+            return f"{_path(item)}: not a trace node"
+        if n.context != ctx or n.goal != goal:
+            if parent is None:
+                return "root conclusion does not match the queried sequent"
+            return f"{_path(item)}: premise sequent differs from the {parent[0].rule} instance"
+        if id(n) in checked:
+            continue
+        checked.add(id(n))
+        rule, _, _, principal, premises = n
         if not (isinstance(rule, str) and isinstance(premises, tuple)):
-            return "rule is not a string or premises not a tuple"
+            return f"{_path(item)}: rule is not a string or premises not a tuple"
         premises_of = _RULES.get(rule)
-        expected = premises_of(context, goal, principal) if premises_of is not None else None
+        expected = premises_of(ctx, goal, principal) if premises_of is not None else None
         if expected is None:
-            return f"bad {rule} instance"
-        if len(expected) != len(premises):
-            return f"{rule} wants {len(expected)} premises, has {len(premises)}"
-        stack.append((n, expected))
-        i = 0
-        while True:  # premise i of the deepest open node: check it, or walk in
-            n, expected = stack[-1]
-            if i == len(expected):
-                ok.add(id(n))
-                stack.pop()
-                if not stack:
-                    return None
-                i = path.pop() + 1
-                continue
-            prem, (ectx, egoal) = n.premises[i], expected[i]
-            path.append(i)
-            if not isinstance(prem, TraceNode):
-                return "not a trace node"
-            if prem.context != ectx or prem.goal != egoal:
-                return f"premise sequent differs from the {n.rule} instance"
-            if id(prem) not in ok:
-                n = prem
-                break
-            path.pop()
-            i += 1
+            return f"{_path(item)}: bad {rule} instance"
+        k = len(premises)
+        if len(expected) != k:
+            return f"{_path(item)}: {rule} wants {len(expected)} premises, has {k}"
+        while k:  # last premise first, so the walk takes them in order
+            k -= 1
+            stack.append((premises[k], expected[k], item, k))
+    return None
+
+
+def _path(item: tuple) -> str:
+    """The node path of a stack item, such as root.0.1, read up its parent links."""
+    path = []
+    while item[2] is not None:
+        path.append(str(item[3]))
+        item = item[2]
+    return ".".join(["root", *reversed(path)])
 
 
 def check_trace(trace: Optional[TraceNode], s: Sequent) -> bool:
@@ -336,28 +321,32 @@ def check_trace(trace: Optional[TraceNode], s: Sequent) -> bool:
     return validate_trace(trace, s) is None
 
 
-def trace_to_json(trace: TraceNode) -> dict:
-    """The trace as nested dicts; a loop, so depth costs no Python stack.
-    A sub-derivation the DAG shares is one dict, shared in the result."""
-    done: dict[int, dict] = {}
+def _distinct_nodes(trace: TraceNode) -> dict[int, TraceNode]:
+    """Each distinct node once, by id, in pre-order with premises in
+    order; a loop, so depth costs no Python stack."""
+    seen: dict[int, TraceNode] = {}
     todo = [trace]
     while todo:
-        n = todo[-1]
-        if id(n) in done:
-            todo.pop()
-            continue
-        waiting = [p for p in n.premises if id(p) not in done]
-        if waiting:
-            todo += waiting
-            continue
-        todo.pop()
-        done[id(n)] = {
-            "rule": n.rule,
-            "sequent": {
+        n = todo.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            todo += n.premises[::-1]
+    return seen
+
+
+def trace_to_json(trace: TraceNode) -> dict:
+    """The trace as nested dicts, one per distinct node, so a
+    sub-derivation the DAG shares is one dict, shared in the result."""
+    nodes = _distinct_nodes(trace)
+    docs = {i: {} for i in nodes}
+    for n in nodes.values():
+        docs[id(n)].update(
+            rule=n.rule,
+            sequent={
                 "assumptions": sorted(print_formula(f) for f in n.context),
                 "goal": print_formula(n.goal),
             },
-            "principal": print_formula(n.principal) if n.principal is not None else None,
-            "premises": [done[id(p)] for p in n.premises],
-        }
-    return done[id(trace)]
+            principal=print_formula(n.principal) if n.principal is not None else None,
+            premises=[docs[id(p)] for p in n.premises],
+        )
+    return docs[id(trace)]

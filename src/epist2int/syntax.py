@@ -121,21 +121,6 @@ def is_ip_formula(f: Formula) -> bool:
     return f._ip
 
 
-def formula_size(f: Formula) -> int:
-    """Number of AST nodes."""
-    size = 0
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        size += 1
-        kind = type(g)
-        if kind is Box:
-            todo.append(g.inner)
-        elif kind is not Atom and kind is not Falsum:
-            todo += g.left, g.right
-    return size
-
-
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Every subformula occurrence of f in pre-order, repeats included."""
     todo = [f]
@@ -147,6 +132,11 @@ def subformulas(f: Formula) -> Iterator[Formula]:
             todo.append(g.inner)
         elif kind is not Atom and kind is not Falsum:
             todo += g.right, g.left
+
+
+def formula_size(f: Formula) -> int:
+    """Number of AST nodes."""
+    return sum(1 for _ in subformulas(f))
 
 
 def atoms_of(f: Formula) -> set[str]:

@@ -226,6 +226,31 @@ class TestTraces:
         err = validate_trace(forged, s)
         assert err.startswith(f"root.0.0: {inner.rule} wants ")
 
+    def test_root_mismatch_has_no_path(self):
+        res = prove_ip(parse_sequent("p, q |- p /\\ q"), want_trace=True)
+        assert (validate_trace(res.trace, parse_sequent("p |- p /\\ p"))
+                == "root conclusion does not match the queried sequent")
+
+    def test_first_fault_in_walk_order_is_reported(self):
+        # premise 0 is a bad axiom and premise 1 concludes the wrong goal:
+        # the walk meets premise 0's fault first
+        s = parse_sequent("p, q |- p /\\ q")
+        res = prove_ip(s, want_trace=True)
+        left, right = res.trace.premises
+        forged = res.trace._replace(premises=(left._replace(principal=q),
+                                              right._replace(goal=p)))
+        assert validate_trace(forged, s) == "root.0: bad axiom instance"
+
+    def test_shared_premise_forged_once(self):
+        s = parse_sequent("p |- p /\\ p")
+        res = prove_ip(s, want_trace=True)
+        left, right = res.trace.premises
+        assert left is right
+        bad = left._replace(principal=q)
+        assert validate_trace(res.trace._replace(premises=(bad, bad)), s) == "root.0: bad axiom instance"
+        doc = trace_to_json(res.trace)
+        assert doc["premises"][0] is doc["premises"][1]
+
     def test_no_trace_when_not_requested(self):
         res = prove_ip(parse_sequent("|- p -> p"))
         assert res.provable and res.trace is None
