@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .syntax import Atom, Box, Conj, Disj, Falsum, Formula, Impl, atoms_of, is_ip_formula
+from .syntax import Atom, Box, Conj, Disj, Falsum, Formula, atoms_of, is_ip_formula
 
 
 class AlgebraError(ValueError):
@@ -229,8 +229,3 @@ def refute(f: Formula, max_chain: int = 3, also_lattices: bool = False) -> Optio
                 return got
     return None
 
-
-def rpc_chain(h: HeytingAlgebra, *xs: int) -> int:
-    """Left-nested rpc chain: rpc_chain(h, a, b, c) is (a |> b) |> c."""
-    names = [f"x{i}" for i in range(len(xs))]
-    return evaluate(functools.reduce(Impl, map(Atom, names)), dict(zip(names, xs)), h)

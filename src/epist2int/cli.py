@@ -132,8 +132,7 @@ def cmd_prove(args) -> int:
     }
     human = res.verdict
     if evidence is not None and args.output == "human":
-        human += ("\n" + json.dumps(evidence, indent=2) if args.logic == "ip"
-                  else "\ncountermodel: " + json.dumps(evidence))
+        human += f"\n{key}: " + _dumps(evidence)
     _emit(payload, args.output, human)
     return 0 if res.provable else 1
 
@@ -275,10 +274,10 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, SearchLimitError, KeyError) as exc:
         message = str(exc)
     except RecursionError:
-        # parsing, printing and both translations are iterative; the one
-        # mask evaluator (eval, refute, the Kripke check), the provers,
-        # ff_simplify and the neg[E](A) printer recurse once per nesting
-        # level (prove_ip once per proof level)
+        # parsing, printing (neg[E](A) included), both translations and
+        # the JSON writer are iterative; the one mask evaluator (eval,
+        # refute, the Kripke check), the provers and ff_simplify recurse
+        # once per nesting level (prove_ip once per proof level)
         message = "formula nested too deeply"
     if output == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, "error": message}))

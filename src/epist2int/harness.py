@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import evaluate, make_chain, refute, rpc_chain
+from .algebra import evaluate, make_chain, refute
 from .prover_ep import check_kripke, prove_ep
 from .prover_ip import check_trace, is_provable_ip, prove_ip
 from .syntax import (
@@ -245,12 +245,15 @@ def check_necessitation_counterexample() -> CheckReport:
 
 
 def check_symbolic_chain_identity(sizes=range(4, 9)) -> CheckReport:
-    """On every chain and every 0 <= b <= c < e < top, the nested
-    rpc expression ((e|>c|>c) |> (b|>c|>c) |> e |> e), read left-nested
-    as in the refuted formula, evaluates exactly to e."""
+    """On every chain and every 0 <= b <= c < e < top, the formula that
+    check_necessitation_counterexample refutes, with B = b, C = c and
+    E = e, evaluates exactly to e."""
     t0 = time.perf_counter()
     failures: list = []
     checked = 0
+    e_atom = Atom("E")
+    ctx = TranslationContext((Atom("C"), e_atom), witness_index=0)
+    cross = double_rel_neg(ff_translate(Impl(e_atom, Atom("B")), ctx), e_atom)
     for n in sizes:
         h = make_chain(n)
         top = h.top
@@ -258,9 +261,7 @@ def check_symbolic_chain_identity(sizes=range(4, 9)) -> CheckReport:
             for c in range(b, n):
                 for e in range(c + 1, top):
                     checked += 1
-                    x = rpc_chain(h, e, c, c)
-                    y = rpc_chain(h, b, c, c)
-                    got = rpc_chain(h, rpc_chain(h, x, y), e, e)
+                    got = evaluate(cross, {"B": b, "C": c, "E": e}, h)
                     if got != e:
                         failures.append({"chain": n, "b": b, "c": c, "e": e, "got": got})
     return _finish("symbolic_chain_identity", failures,

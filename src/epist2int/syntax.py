@@ -338,38 +338,59 @@ def parse_sequent(text: str, logic: str = IP) -> Sequent:
 
 
 # Printer precedence: -> 0, \/ 1, /\ 2, the prefixes ~ and [] 3, leaves
-# 4.  A node is parenthesised when its level is below the level its parent
-# needs there.  Binary connective: (symbol, level, left need, right need).
+# and neg[E](A) 4.  A node is parenthesised when its level is below the
+# level its parent needs there.  Binary connective: (symbol, left need,
+# right need).
 _LEVEL = {Atom: 4, Falsum: 4, Box: 3, Conj: 2, Disj: 1, Impl: 0}
-_BINARY = {Conj: (" /\\ ", 2, 2, 3), Disj: (" \\/ ", 1, 1, 2), Impl: (" -> ", 0, 1, 0)}
+_BINARY = {Conj: (" /\\ ", 2, 3), Disj: (" \\/ ", 1, 2), Impl: (" -> ", 1, 0)}
 
 
-def _level(f: Formula) -> int:
-    return 3 if type(f) is Impl and f.right is FALSUM else _LEVEL[type(f)]
-
-
-def _print(f: Formula, need: int, sugar: frozenset[Formula]) -> str:
-    """The printed form with relative negations in `sugar` shown as neg[E](A)."""
-    kind = type(f)
-    if kind is Atom:
-        return f.name
-    if kind is Falsum:
-        return "_|_"
-    if kind is Box:
-        return "[]" + _print(f.inner, 3, sugar)
-    if kind is Impl:
+def _level(f: Formula, sugar: frozenset) -> int:
+    if type(f) is Impl:
         if f.right is FALSUM:
-            return "~" + _print(f.left, 3, sugar)
+            return 3
         if f.right in sugar:
-            return f"neg[{_print(f.right, 0, sugar)}]({_print(f.left, 0, sugar)})"
-    symbol, level, need_left, need_right = _BINARY[kind]
-    s = _print(f.left, need_left, sugar) + symbol + _print(f.right, need_right, sugar)
-    return f"({s})" if need > level else s
+            return 4
+    return _LEVEL[type(f)]
 
 
-def _wrap(f: Formula, need: int) -> str:
-    """f's cached key, parenthesised where its parent needs `need`."""
-    return f"({f._key})" if need > _level(f) else f._key
+def _text(f: Formula, sugar: frozenset, texts: dict | None) -> str:
+    """The printed form of f, with an implication into a member of `sugar`
+    shown as neg[E](A).  Each node's text is built from its children's
+    texts over an explicit stack, so depth costs no Python stack, and is
+    kept as the node's `_key` when `texts` is None, else in `texts`."""
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        kind = type(g)
+        if kind is Atom:
+            text = g.name
+        elif kind is Falsum:
+            text = "_|_"
+        else:
+            left, right = (g.inner, g.inner) if kind is Box else (g.left, g.right)
+            if texts is None:
+                a, b = left._key, right._key
+            else:
+                a, b = texts.get(left), texts.get(right)
+            if a is None or b is None:
+                todo.append(left if a is None else right)
+                continue
+            if kind is Box or kind is Impl and right is FALSUM:
+                prefix = "[]" if kind is Box else "~"
+                text = prefix + (a if _level(left, sugar) >= 3 else f"({a})")
+            elif kind is Impl and right in sugar:
+                text = f"neg[{b}]({a})"
+            else:
+                symbol, need_left, need_right = _BINARY[kind]
+                text = ((a if _level(left, sugar) >= need_left else f"({a})") + symbol
+                        + (b if _level(right, sugar) >= need_right else f"({b})"))
+        todo.pop()
+        if texts is None:
+            object.__setattr__(g, "_key", text)
+        else:
+            texts[g] = text
+    return f._key if texts is None else texts[f]
 
 
 def formula_key(f: Formula) -> str:
@@ -378,51 +399,23 @@ def formula_key(f: Formula) -> str:
     Printed forms are distinct for distinct formulas, so it is also the
     deterministic total-order key prover_ip breaks ties by when two
     context formulas take the same rule (independent of hash
-    randomization).  A missing key is built from the children's keys,
-    over an explicit stack, so depth costs no Python stack.
+    randomization).  A missing key is built by the printer's one loop.
     """
     key = f._key
-    if key is not None:
-        return key
-    todo = [f]
-    while todo:
-        g = todo[-1]
-        if g._key is not None:
-            todo.pop()
-            continue
-        kind = type(g)
-        if kind is Atom:
-            key = g.name
-        elif kind is Falsum:
-            key = "_|_"
-        elif kind is Box or kind is Impl and g.right is FALSUM:
-            sub = g.inner if kind is Box else g.left
-            if sub._key is None:
-                todo.append(sub)
-                continue
-            key = ("[]" if kind is Box else "~") + _wrap(sub, 3)
-        else:
-            left, right = g.left, g.right
-            if left._key is None or right._key is None:
-                todo += left, right
-                continue
-            symbol, _, need_left, need_right = _BINARY[kind]
-            key = _wrap(left, need_left) + symbol + _wrap(right, need_right)
-        todo.pop()
-        object.__setattr__(g, "_key", key)
-    return f._key
+    return key if key is not None else _text(f, frozenset(), None)
 
 
 def print_formula(f: Formula, relneg: Iterable[Formula] = ()) -> str:
     """Minimal-parenthesis text; round-trips through parse_formula.
 
     `relneg` switches on the pretty mode for relative negation: any
-    implication whose consequent is listed prints as neg[E](A).  Output in
-    that mode is for display and is not part of the parse grammar, and it
-    is the only mode that recurses once per nesting level.
+    implication whose consequent is listed, and is not _|_, prints as
+    neg[E](A), never parenthesised.  Output in that mode is for display
+    and is not part of the parse grammar; its texts are built by the same
+    loop as formula_key's and kept for this call only.
     """
     sugar = frozenset(relneg)
-    return _print(f, 0, sugar) if sugar else formula_key(f)
+    return _text(f, sugar, {}) if sugar else formula_key(f)
 
 
 def print_sequent(s: Sequent) -> str:

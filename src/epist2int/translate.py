@@ -176,16 +176,13 @@ def _conj_pass(parts: list[Formula]) -> list[Formula] | None:
 
 def _step(f: Formula) -> Formula | None:
     """First applicable reduction at the root of f, or None."""
-    # (x -> e) -> e) -> e  collapses to  x -> e
+    # ((x -> e) -> e) -> r  becomes  x -> r  when r is e or (y -> e) -> e
     if isinstance(f, Impl):
         d = _match_double(f.left)
-        if d is not None and d[1] == f.right:
-            return Impl(d[0], f.right)
-    # (((x->e)->e) -> ((y->e)->e))  becomes  (x -> ((y->e)->e))
-    if isinstance(f, Impl):
-        a, b = _match_double(f.left), _match_double(f.right)
-        if a is not None and b is not None and a[1] == b[1]:
-            return Impl(a[0], f.right)
+        if d is not None:
+            b = _match_double(f.right)
+            if d[1] == f.right or b is not None and b[1] == d[1]:
+                return Impl(d[0], f.right)
     d = _match_double(f)
     if d is not None:
         body, e = d

@@ -12,7 +12,6 @@ from epist2int.algebra import (
     evaluate,
     make_chain,
     refute,
-    rpc_chain,
     upset_algebra,
 )
 from epist2int.harness import enumerate_ip_formulas
@@ -242,12 +241,6 @@ class TestTableAlgebras:
         smaller = enumerate_heyting_algebras(4)
         assert iter(smaller) is smaller  # still an iterator, one per call
         assert [h.size for h in smaller] == [2, 3, 4, 4]
-
-
-def test_rpc_chain_is_left_nested():
-    h = make_chain(3)
-    rpc = tables(h).rpc
-    assert rpc_chain(h, 1, 0, 0) == rpc[rpc[1][0]][0] == 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -273,6 +273,10 @@ def test_prove_deep_implication_chain(capsys):
     code, out, _ = run(capsys, "prove", "--logic", "ip", "--output", "json", f"|- {chain} -> a0")
     assert code == 0
     assert json.loads(out)["verdict"] == "Provable"
+    # human mode writes the trace with the same stack-based writer
+    chain = " -> ".join(f"a{i}" for i in range(600))
+    code, out, _ = run(capsys, "prove", "--logic", "ip", "--trace", f"|- {chain} -> a0")
+    assert code == 0 and out.startswith("Provable\ntrace: {")
 
 
 def test_translate_ff_deep_negation(capsys):
@@ -281,6 +285,13 @@ def test_translate_ff_deep_negation(capsys):
     assert code == 0
     # the translation of ~A is T(A) -> T(_|_), with T(_|_) = (_|_ -> q) -> q
     assert out == "(" * 1200 + "(p -> q) -> q" + ") -> (_|_ -> q) -> q" * 1200
+    # neg[q](A) is never parenthesised
+    to_falsum = " -> neg[q](neg[q](_|_))"
+    pretty = "(" * 1499 + "neg[q](neg[q](p))" + to_falsum + (")" + to_falsum) * 1499
+    for output, shown in (("human", pretty), ("json", '{"command": "translate"')):
+        code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "q", "--witness", "q",
+                           "--pretty", "--output", output, "~" * 1500 + "p")
+        assert code == 0 and out.startswith(shown)
 
 
 @pytest.mark.parametrize("argv", [

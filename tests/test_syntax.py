@@ -27,7 +27,6 @@ from epist2int.syntax import (
     Impl,
     ParseError,
     Sequent,
-    _print,
     atoms_of,
     formula_from_json,
     formula_key,
@@ -100,6 +99,28 @@ def test_print_pretty_relative_negation():
     f = Impl(Impl(p, e), e)
     assert print_formula(f, relneg=[e]) == "neg[E](neg[E](p))"
     assert print_formula(f) == "(p -> E) -> E"
+
+
+def test_print_relative_negation_is_pinned():
+    # neg[E](A) output over every IP formula of up to 5 nodes and seeded EP
+    # formulas, under sets that hold an atom, a compound, ~p and _|_ (which
+    # ~ overrides), and over FF translations under their own gamma, raw and
+    # simplified; the digest must not move
+    from epist2int.harness import DEFAULT_GAMMA_POOL, enumerate_ip_formulas, gamma_contexts
+    from epist2int.translate import ff_simplify, ff_translate
+
+    corpus = enumerate_ip_formulas(5) + [random_formula_sized(12, ["p", "q", "r"], EP, seed)
+                                         for seed in range(1000)]
+    sets = ([p], [q], [p, q], [FALSUM, p], [Impl(p, q)], [neg(p)])
+    lines = [print_formula(f, relneg=s) for f in corpus for s in sets]
+    ctxs = gamma_contexts(DEFAULT_GAMMA_POOL, 2)
+    for i, f in enumerate(corpus[-300:]):
+        ctx = ctxs[i % len(ctxs)]
+        raw = ff_translate(f, ctx)
+        lines += print_formula(raw, relneg=ctx.gamma), print_formula(ff_simplify(raw), relneg=ctx.gamma)
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert len(lines) == 9696
+    assert digest == "8168cf28f84eb1e3258f1d193d7cf0e4fa82f0f7c7ce8e64a5677c746580220a"
 
 
 def test_box_rejected_in_ip():
@@ -242,7 +263,8 @@ def test_sequent_roundtrip_hypothesis(logic, data):
 
 @given(ep_formulas())
 def test_formula_key_is_the_printed_form(f):
-    assert formula_key(f) == _print(f, 0, frozenset()) == print_formula(f)
+    # a relneg set that matches nothing takes the uncached path of the same loop
+    assert formula_key(f) == print_formula(f) == print_formula(f, relneg=[Atom("unused")])
 
 
 @given(ep_formulas())
@@ -267,6 +289,11 @@ def test_formula_key_deep():
     assert formula_key(f) == "~" * 5000 + "p"
     g = _deep(5000)
     assert parse_formula(print_formula(g), EP) is g
+    e = Atom("E")
+    h = p
+    for _ in range(5000):
+        h = Impl(h, e)
+    assert print_formula(h, relneg=[e]) == "neg[E](" * 5000 + "p" + ")" * 5000
 
 
 def test_to_json_tree_deep():
