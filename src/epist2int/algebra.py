@@ -185,7 +185,8 @@ def truth(f: Formula, up: Sequence[int], valuation: Mapping[str, int],
 def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:
     """Standard extension of the valuation v, a mapping from atom names to
     element numbers: /\\ is meet, \\/ is join, -> is rpc.  A number
-    outside 0..size-1 or an unassigned atom raises ValueError naming it."""
+    outside 0..size-1 raises ValueError naming its atom, and unassigned
+    atoms raise ValueError naming them all."""
     if not is_ip_formula(f):
         raise ValueError("modal formulas have no Heyting-algebra value")
     elems = h.upsets
@@ -196,8 +197,9 @@ def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:
         masks[name] = elems[x]
     try:
         return elems.index(truth(f, h.up, masks, {}, heyting=True))
-    except KeyError as exc:
-        raise ValueError(f"unassigned atom {exc.args[0]!r}") from None
+    except KeyError:
+        missing = ", ".join(sorted(atoms_of(f) - v.keys()))
+        raise ValueError(f"unassigned atoms: {missing}") from None
 
 
 def _search_algebra(f: Formula, names: list[str], h: HeytingAlgebra) -> Optional[Countermodel]:

@@ -1,14 +1,18 @@
 """Command-line front end: translate, prove, eval, paper.
 
-Each subcommand declares only the options it reads.  Three take their
-default from the environment, checked by argparse like a command-line
-value: `prove --node-cap` from EPIST2INT_NODE_CAP, `eval --chain` from
-EPIST2INT_MAX_CHAIN and `paper --seed` from EPIST2INT_SEED.
+Each subcommand is declared once, with its handler, and declares only
+the options it reads: `translate --mode godel` rejects the four options
+of ff mode.  Three take their default from the environment, checked by
+argparse like a command-line value: `prove --node-cap` from
+EPIST2INT_NODE_CAP, `eval --chain` from EPIST2INT_MAX_CHAIN and
+`paper --seed` from EPIST2INT_SEED.
 
 Exit codes for `prove`: 0 Provable, 1 NotProvable, 2 error.  `paper`
 exits 0 only when every selected check passes; `paper all` runs every
-check.  With --output json every code path emits a single valid JSON
-document on stdout.
+check.  The output mode is the --output that argparse reads, the last
+one given, and a usage error is reported in it too.  With --output json
+every code path emits a single valid JSON document on stdout.  Each
+command builds only the output it prints.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .syntax import (
     EP,
     IP,
     ParseError,
-    atoms_of,
     parse_formula,
     parse_sequent,
     print_formula,
@@ -74,16 +77,17 @@ def _dumps(doc) -> str:
     return "".join(out)
 
 
-def _emit(payload: dict, output: str, human: str) -> None:
-    if output == "json":
-        payload["schema_version"] = SCHEMA_VERSION
-        print(_dumps(payload))
-    else:
-        print(human)
+def _print_json(doc: dict) -> None:
+    doc["schema_version"] = SCHEMA_VERSION
+    print(_dumps(doc))
 
 
 def cmd_translate(args) -> int:
     if args.mode == "godel":
+        ff_only = [f"--{name}" for name in ("gamma", "witness", "simplify", "pretty")
+                   if getattr(args, name) not in (None, False)]
+        if ff_only:
+            raise ValueError(f"godel mode takes no {', '.join(ff_only)}")
         source = parse_formula(args.formula, IP)
         raw = godel_translate(source)
         simplified = None
@@ -99,16 +103,17 @@ def cmd_translate(args) -> int:
         raw = ff_translate(source, ctx)
         simplified = ff_simplify(raw) if args.simplify else None
     shown = simplified if simplified is not None else raw
-    relneg = gamma if (args.mode == "ff" and args.pretty) else ()
-    payload = {
-        "command": "translate",
-        "mode": args.mode,
-        "input": print_formula(source),
-        "raw": print_formula(raw),
-        "simplified": print_formula(simplified) if simplified is not None else None,
-        "tree": to_json_tree(shown),
-    }
-    _emit(payload, args.output, print_formula(shown, relneg=relneg))
+    if args.output == "json":
+        _print_json({
+            "command": "translate",
+            "mode": args.mode,
+            "input": print_formula(source),
+            "raw": print_formula(raw),
+            "simplified": print_formula(simplified) if simplified is not None else None,
+            "tree": to_json_tree(shown),
+        })
+    else:
+        print(print_formula(shown, relneg=gamma if args.pretty else ()))
     return 0
 
 
@@ -122,18 +127,19 @@ def cmd_prove(args) -> int:
         res = prove_ep(parse_sequent(args.sequent, EP), node_cap=args.node_cap)
         cost, key = "worlds_expanded", "countermodel"
         evidence = res.countermodel.to_json() if res.countermodel is not None else None
-    payload = {
-        "command": "prove",
-        "logic": args.logic,
-        "sequent": args.sequent,
-        "verdict": res.verdict,
-        cost: getattr(res, cost),
-        key: evidence,
-    }
-    human = res.verdict
-    if evidence is not None and args.output == "human":
-        human += f"\n{key}: " + _dumps(evidence)
-    _emit(payload, args.output, human)
+    if args.output == "json":
+        _print_json({
+            "command": "prove",
+            "logic": args.logic,
+            "sequent": args.sequent,
+            "verdict": res.verdict,
+            cost: getattr(res, cost),
+            key: evidence,
+        })
+    elif evidence is None:
+        print(res.verdict)
+    else:
+        print(f"{res.verdict}\n{key}: {_dumps(evidence)}")
     return 0 if res.provable else 1
 
 
@@ -146,36 +152,36 @@ def cmd_eval(args) -> int:
         if not idx:
             raise ValueError(f"bad assignment {item!r}, expected atom=index")
         assignment[name.strip()] = int(idx)
-    missing = sorted(atoms_of(f) - set(assignment))
-    if missing:
-        raise ValueError(f"unassigned atoms: {', '.join(missing)}")
     value = evaluate(f, assignment, chain)
-    payload = {
-        "command": "eval",
-        "formula": print_formula(f),
-        "chain": chain.size,
-        "value": value,
-        "top": chain.top,
-        "is_top": value == chain.top,
-    }
-    _emit(payload, args.output, f"value {value} of 0..{chain.top}"
-          + (" (top)" if value == chain.top else " (not top)"))
+    if args.output == "json":
+        _print_json({
+            "command": "eval",
+            "formula": print_formula(f),
+            "chain": chain.size,
+            "value": value,
+            "top": chain.top,
+            "is_top": value == chain.top,
+        })
+    else:
+        print(f"value {value} of 0..{chain.top}"
+              + (" (top)" if value == chain.top else " (not top)"))
     return 0
 
 
 def cmd_paper(args) -> int:
     targets = harness.ALL_CHECKS if args.target == "all" else [args.target]
     reports = harness.run_checks(targets, args.seed, args.sample)
-    payload = {
-        "command": "paper",
-        "target": args.target,
-        "reports": [r.to_json() for r in reports],
-    }
-    human = harness.summary_table(reports)
-    for r in reports:
-        if not r.passed:
-            human += f"\nfailures in {r.name}: {json.dumps(r.details.get('failures'))}"
-    _emit(payload, args.output, human)
+    if args.output == "json":
+        _print_json({
+            "command": "paper",
+            "target": args.target,
+            "reports": [r.to_json() for r in reports],
+        })
+    else:
+        print(harness.summary_table(reports))
+        for r in reports:
+            if not r.passed:
+                print(f"failures in {r.name}: {json.dumps(r.details.get('failures'))}")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -191,19 +197,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _wants_json(argv: list[str]) -> bool:
-    """Whether argv asks for --output json, as argparse reads it: with a
-    space or "=", and under any prefix of --output down to --o (the
-    shortest one no other option shares), up to a "--"."""
-    for i, arg in enumerate(argv):
-        if arg == "--":
-            return False
-        name, eq, value = arg.partition("=")
-        if not eq:
-            value = argv[i + 1] if i + 1 < len(argv) else None
-        if value == "json" and len(name) >= 3 and "--output".startswith(name):
-            return True
-    return False
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--output", choices=["human", "json"], default="human")
+
+
+def _output(argv: list[str]) -> str:
+    """The --output that argparse reads from argv: the last one given,
+    under any prefix argparse accepts, before any "--"; human when argparse
+    rejects it."""
+    reader = _ArgumentParser(add_help=False)
+    _add_output(reader)
+    try:
+        return reader.parse_known_args(argv)[0].output
+    except _UsageError:
+        return "human"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,21 +221,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--output", choices=["human", "json"], default="human")
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        _add_output(p)
+        return p
 
-    t = sub.add_parser("translate", help="apply a translation to a formula")
-    common(t)
+    t = command("translate", cmd_translate, "apply a translation to a formula")
     t.add_argument("--mode", choices=["godel", "ff"], required=True)
     t.add_argument("--gamma", help="comma-separated IP formulas (ff mode)")
     t.add_argument("--witness", help="designated member of gamma (ff mode)")
-    t.add_argument("--simplify", action="store_true")
+    t.add_argument("--simplify", action="store_true", help="(ff mode)")
     t.add_argument("--pretty", action="store_true",
-                   help="print relative negations as neg[E](A)")
+                   help="print relative negations as neg[E](A) (ff mode)")
     t.add_argument("formula")
 
-    p = sub.add_parser("prove", help="decide a sequent (A1, ..., An |- B)")
-    common(p)
+    p = command("prove", cmd_prove, "decide a sequent (A1, ..., An |- B)")
     p.add_argument("--logic", choices=["ip", "ep"], required=True)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--node-cap", type=_positive_int,
@@ -237,16 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: $EPIST2INT_NODE_CAP, else no cap)")
     p.add_argument("sequent")
 
-    e = sub.add_parser("eval", help="evaluate a formula on a finite chain")
-    common(e)
+    e = command("eval", cmd_eval, "evaluate a formula on a finite chain")
     e.add_argument("--chain", type=_positive_int,
                    default=os.environ.get("EPIST2INT_MAX_CHAIN", "3"),
                    help="chain size (default: $EPIST2INT_MAX_CHAIN, else 3)")
     e.add_argument("--assign", action="append", default=[], metavar="atom=index")
     e.add_argument("formula")
 
-    w = sub.add_parser("paper", help="run a named reproduction check, or all of them")
-    common(w)
+    w = command("paper", cmd_paper, "run a named reproduction check, or all of them")
     w.add_argument("target", choices=["all", *sorted(harness.ALL_CHECKS)])
     w.add_argument("--seed", type=int, default=os.environ.get("EPIST2INT_SEED", "0"),
                    help="seed of the randomized checks (default: $EPIST2INT_SEED, else 0)")
@@ -256,17 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    output = "json" if _wants_json(argv) else "human"
+    output = _output(argv)
     try:
         args = build_parser().parse_args(argv)
-        output = args.output
-        handler = {
-            "translate": cmd_translate,
-            "prove": cmd_prove,
-            "eval": cmd_eval,
-            "paper": cmd_paper,
-        }[args.command]
-        return handler(args)
+        return args.run(args)
     except _UsageError as exc:
         message, parser = exc.args
         if output == "human":

@@ -200,6 +200,14 @@ def check_soundness_theorem(sample: int = 500, max_size: int = 8, seed: int = 0)
     return _finish("soundness_theorem", failures, details, seed, t0)
 
 
+def _cross_witness(b: Formula) -> Formula:
+    """double_rel_neg(ff_translate(E -> b, (C, E) under witness C), E): the
+    formula that the boxed translation of E -> b proves and a 3-chain refutes."""
+    e = Atom("E")
+    ctx = TranslationContext((Atom("C"), e), witness_index=0)
+    return double_rel_neg(ff_translate(Impl(e, b), ctx), e)
+
+
 def check_necessitation_counterexample() -> CheckReport:
     """The translated box-introduction rule is not admissible: a formula
     whose translation is a theorem while its boxed form's translation is
@@ -209,8 +217,8 @@ def check_necessitation_counterexample() -> CheckReport:
     validated = 0
     b, c, e = Atom("B"), Atom("C"), Atom("E")
     details: dict = {"variants": []}
+    ctx = TranslationContext((c, e), witness_index=1)
     for b_formula in (b, FALSUM):
-        ctx = TranslationContext((c, e), witness_index=1)
         a = Impl(e, b_formula)
         label = f"B={print_formula(b_formula)}"
         translated = ff_translate(a, ctx)
@@ -221,7 +229,7 @@ def check_necessitation_counterexample() -> CheckReport:
                 f"{label}: boxed translation must not be provable", expect=False)
         # the reduction: the boxed translation proves the doubly negated
         # cross-witness translation, so refuting the latter suffices
-        cross = double_rel_neg(ff_translate(a, ctx.with_witness(0)), e)
+        cross = _cross_witness(b_formula)
         validated += _decide(Sequent((boxed,), cross, IP), failures,
                              f"{label}: reduction step") is not None
         chain = make_chain(3)
@@ -237,7 +245,6 @@ def check_necessitation_counterexample() -> CheckReport:
                  "countermodel": cm.to_json(), "chain_value": value}
             )
     # outside the claim: the other witness, recorded as information only
-    ctx = TranslationContext((c, e), witness_index=1)
     swapped = prove_ip(Sequent((), ff_translate(Box(Impl(e, b)), ctx.with_witness(0)), IP))
     details["witness_C_verdict_informational"] = swapped.verdict
     details["traces_validated"] = validated
@@ -251,9 +258,7 @@ def check_symbolic_chain_identity(sizes=range(4, 9)) -> CheckReport:
     t0 = time.perf_counter()
     failures: list = []
     checked = 0
-    e_atom = Atom("E")
-    ctx = TranslationContext((Atom("C"), e_atom), witness_index=0)
-    cross = double_rel_neg(ff_translate(Impl(e_atom, Atom("B")), ctx), e_atom)
+    cross = _cross_witness(Atom("B"))
     for n in sizes:
         h = make_chain(n)
         top = h.top

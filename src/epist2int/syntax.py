@@ -8,7 +8,6 @@ the verum constant T abbreviates _|_ -> _|_.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -458,14 +457,6 @@ def from_json_tree(d: dict) -> Formula:
         start = len(built) - len(d.get("children", ()))
         built[start:] = [kind(d["name"]) if kind is Atom else kind(*built[start:])]
     return built[0]
-
-
-def formula_to_json(f: Formula) -> str:
-    return json.dumps(to_json_tree(f))
-
-
-def formula_from_json(text: str) -> Formula:
-    return from_json_tree(json.loads(text))
 
 
 # What rng.choice picks for a node above depth 0, per logic: a constructor,

@@ -120,8 +120,12 @@ class TestEvaluate:
         assert evaluate(Impl(q, p), v, h) == 1
 
     def test_unassigned_atom_reported(self):
-        with pytest.raises(ValueError, match="'q'"):
+        with pytest.raises(ValueError, match="^unassigned atoms: q$"):
             evaluate(Conj(p, q), {"p": 0}, make_chain(2))
+
+    def test_every_unassigned_atom_reported(self):
+        with pytest.raises(ValueError, match="^unassigned atoms: q, r$"):
+            evaluate(Conj(p, Conj(q, Atom("r"))), {"p": 0}, make_chain(2))
 
     @pytest.mark.parametrize("f, value", [(p, 7), (p, 3), (Conj(p, p), -1), (Impl(q, p), -3)])
     def test_value_outside_carrier_reported(self, f, value):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from epist2int import harness
+from epist2int import cli, harness
 from epist2int.cli import main
 
 
@@ -55,6 +55,61 @@ def test_translate_pretty(capsys):
     code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "E,C",
                        "--witness", "E", "--simplify", "--pretty", "[]p")
     assert code == 0 and out == "neg[E](neg[E](p))"
+
+
+@pytest.mark.parametrize("options", [
+    ["--gamma", "q"], ["--witness", "q"], ["--simplify"], ["--pretty"],
+], ids=["gamma", "witness", "simplify", "pretty"])
+def test_translate_godel_rejects_ff_options(capsys, options):
+    code, out, _ = run(capsys, "translate", "--mode", "godel", *options, "--output", "json",
+                       "p -> q")
+    assert code == 2
+    assert one_json_document(out)["error"] == f"godel mode takes no {options[0]}"
+
+
+def test_translate_godel_names_every_ff_option(capsys):
+    code, out, err = run(capsys, "translate", "--mode", "godel", "--gamma", "q", "--witness",
+                         "q", "--simplify", "--pretty", "p -> q")
+    assert code == 2 and out == ""
+    assert err == "error: godel mode takes no --gamma, --witness, --simplify, --pretty"
+
+
+def spy(monkeypatch, owner, name) -> list:
+    """The (args, kwargs) of each call to owner.name, which still runs."""
+    calls = []
+    real = getattr(owner, name)
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    return calls
+
+
+def test_human_translate_builds_no_json_tree(capsys, monkeypatch):
+    calls = spy(monkeypatch, cli, "to_json_tree")
+    code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "E,C",
+                       "--witness", "E", "--simplify", "--pretty", "[]p")
+    assert code == 0 and out == "neg[E](neg[E](p))" and calls == []
+
+
+def test_json_translate_prints_no_relative_negation(capsys, monkeypatch):
+    calls = spy(monkeypatch, cli, "print_formula")
+    code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "E,C",
+                       "--witness", "E", "--simplify", "--pretty", "--output", "json", "[]p")
+    assert code == 0 and one_json_document(out)["simplified"] == "(p -> E) -> E"
+    assert calls and all(not kwargs.get("relneg") for _, kwargs in calls)
+
+
+@pytest.mark.parametrize("argv, owner, name", [
+    (["eval", "--assign", "p=1", "p"], cli, "print_formula"),
+    (["paper", "inoue"], harness.CheckReport, "to_json"),
+], ids=["eval", "paper"])
+def test_human_output_builds_no_json_document(capsys, monkeypatch, argv, owner, name):
+    calls = spy(monkeypatch, owner, name)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out and calls == []
 
 
 def test_prove_ip_provable_exit_zero(capsys):
@@ -301,12 +356,24 @@ def test_translate_ff_deep_negation(capsys):
     ["paper", "nosuch", "--output=json"],
     ["prove", "--logic", "ip", "--out", "json", "->p"],
     ["prove", "--logic", "ip", "--outp=json", "->p"],
+    ["prove", "--logic", "ip", "--output", "human", "--output", "json", "--bogus", "p |- p"],
 ])
 def test_usage_error_is_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err == ""
     lines = out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"]
+
+
+# argparse reads the last --output given, so a usage error is reported in
+# the mode that the same command line without the error would use
+@pytest.mark.parametrize("argv", [
+    ["prove", "--logic", "ip", "--output", "json", "--output", "human", "--bogus", "p |- p"],
+    ["prove", "--logic", "ip", "--out=json", "--o", "human", "->p"],
+], ids=["bogus", "abbreviated"])
+def test_usage_error_in_last_output(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("usage: epist2int")
 
 
 def test_json_after_double_dash_is_an_operand(capsys):

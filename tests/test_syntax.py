@@ -28,10 +28,8 @@ from epist2int.syntax import (
     ParseError,
     Sequent,
     atoms_of,
-    formula_from_json,
     formula_key,
     formula_size,
-    formula_to_json,
     from_json_tree,
     is_ip_formula,
     neg,
@@ -362,9 +360,8 @@ def test_is_ip_formula_deep_and_cached():
 
 @given(ep_formulas())
 def test_json_roundtrip(f):
-    blob = formula_to_json(f)
-    assert formula_from_json(blob) == f
-    json.loads(blob)  # well-formed
+    # through JSON text, so the tree is also well-formed JSON
+    assert from_json_tree(json.loads(json.dumps(to_json_tree(f)))) == f
 
 
 def test_random_formula_deterministic():
