@@ -1,6 +1,7 @@
 """Epistemic (S4) and intuitionistic propositional logic: translations in
-both directions, decision procedures for both logics, finite Heyting
-algebra evaluation, and the reproduction harness built on top of them."""
+both directions, decision procedures for both logics, a kernel that
+checks the certificates their verdicts carry, finite Heyting algebra
+evaluation, and the reproduction harness built on top of them."""
 
 from .algebra import (
     Countermodel,
@@ -9,8 +10,9 @@ from .algebra import (
     make_chain,
     refute,
 )
-from .prover_ep import EpProofResult, KripkeModel, check_kripke, prove_ep
-from .prover_ip import ProofResult, check_trace, equiv_ip, prove_ip
+from .kernel import KripkeModel, check_kripke, check_trace
+from .prover_ep import EpProofResult, prove_ep
+from .prover_ip import ProofResult, equiv_ip, prove_ip
 from .syntax import (
     EP,
     FALSUM,

@@ -24,8 +24,9 @@ import sys
 
 from . import harness
 from .algebra import evaluate, make_chain
+from .kernel import trace_to_json
 from .prover_ep import prove_ep
-from .prover_ip import SearchLimitError, prove_ip, trace_to_json
+from .prover_ip import SearchLimitError, prove_ip
 from .syntax import (
     EP,
     IP,

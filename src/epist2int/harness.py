@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .algebra import evaluate, make_chain, refute
-from .prover_ep import check_kripke, prove_ep
-from .prover_ip import check_trace, is_provable_ip, prove_ip
+from .kernel import check_kripke, check_trace
+from .prover_ep import prove_ep
+from .prover_ip import is_provable_ip, prove_ip
 from .syntax import (
     EP,
     IP,

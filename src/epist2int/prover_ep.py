@@ -8,11 +8,9 @@ A1,...,An entail A iff (A1 /\\ ... /\\ An) -> A is valid.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .algebra import check_preorder, truth
 from .syntax import (
     FALSUM,
     Atom,
@@ -24,34 +22,9 @@ from .syntax import (
     Sequent,
     atoms_of,
 )
+from .kernel import KripkeModel
+from .kernel import check_kripke  # noqa: F401  re-exported only for perfbench/workloads.py
 from .prover_ip import SearchLimitError
-
-
-@dataclass(frozen=True)
-class KripkeModel:
-    """Reflexive-transitive frame on the worlds 0..n-1 with a root world.
-
-    `up[w]` is the bitmask of the worlds that w sees, the preorder format
-    of `algebra.upset_algebra`, and `valuation[a]` the bitmask of the
-    worlds where atom a is true.
-    """
-
-    up: tuple[int, ...]
-    valuation: dict
-    root: int
-
-    @property
-    def worlds(self) -> range:
-        return range(len(self.up))
-
-    def to_json(self) -> dict:
-        ws = self.worlds
-        return {
-            "worlds": list(ws),
-            "relation": [[w, v] for w in ws for v in ws if self.up[w] >> v & 1],
-            "valuation": {a: [w for w in ws if m >> w & 1] for a, m in sorted(self.valuation.items())},
-            "root": self.root,
-        }
 
 
 @dataclass
@@ -215,25 +188,3 @@ def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
                  for name in sorted(atoms_of(target))}
     model = KripkeModel(_closure(len(worlds), tableau.edges), valuation, 0)
     return EpProofResult(False, model, tableau.steps)
-
-
-def check_kripke(model: KripkeModel, s: Sequent) -> bool:
-    """True iff the model refutes the sequent at its root world.
-
-    Raises ValueError when the frame is not reflexive-transitive or the
-    model is otherwise malformed.
-    """
-    if model.root not in model.worlds:
-        raise ValueError("root world missing")
-    check_preorder(model.up)
-    for name, where in model.valuation.items():
-        if not isinstance(where, int):
-            raise ValueError(f"valuation of {name!r} is {where!r}, not an int bitmask")
-        if where >> len(model.up):
-            raise ValueError(f"valuation of {name!r} mentions unknown worlds")
-    valuation = defaultdict(int, model.valuation)  # an atom it lacks holds nowhere
-    memo: dict = {}
-    refuted = ~truth(s.goal, model.up, valuation, memo)
-    for a in s.assumptions:
-        refuted &= truth(a, model.up, valuation, memo)
-    return bool(refuted >> model.root & 1)

@@ -7,9 +7,10 @@ whose antecedent is already in the context, whatever its shape; otherwise
 the rule splits three ways on the antecedent's shape (L-impl-conj,
 L-impl-disj, L-impl-impl).  As in Dyckhoff and Negri (JSL 2000),
 L-impl-mp is invertible, and an implication whose consequent is already
-in the context is never tried at a choice point.  One table, _RULES,
-gives each rule's premises to the search and to check_trace, which
-re-checks node by node the derivation tree a verdict can carry.  The
+in the context is never tried at a choice point.  The rules are the
+kernel's table, kernel._RULES: the search proves the premises it gives,
+and kernel.check_trace re-checks against it, node by node, the
+derivation tree a verdict can carry.  This module only searches.  The
 search is one recursive method, one frame per node, over the rule
 instances _choices lists.
 """
@@ -17,7 +18,7 @@ instances _choices lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .syntax import (
     FALSUM,
@@ -29,27 +30,14 @@ from .syntax import (
     Sequent,
     formula_key,
     is_ip_formula,
-    print_formula,
     print_sequent,
 )
+from .kernel import _RULES, TraceNode
+from .kernel import check_trace  # noqa: F401  re-exported only for perfbench/workloads.py
 
 
 class SearchLimitError(RuntimeError):
     """Raised when a node-count cap is exceeded."""
-
-
-class TraceNode(NamedTuple):
-    """One rule instance: premises are shared sub-derivations (a DAG)."""
-
-    rule: str
-    context: frozenset
-    goal: Formula
-    principal: Optional[Formula]
-    premises: tuple
-
-    def count_nodes(self) -> int:
-        """The number of distinct nodes."""
-        return len(_distinct_nodes(self))
 
 
 @dataclass
@@ -67,80 +55,6 @@ class ProofResult:
 # sentinel trace when the caller did not ask for one
 _PROVED = object()
 
-
-# ---------------------------------------------------------------- G4ip
-# One function per rule: (ctx, goal, principal) -> the premise sequents, as
-# (context, goal) pairs in the order the search proves them, or None when
-# the triple is not an instance.  The search and check_trace read _RULES.
-
-def _l_falsum(ctx, goal, principal):
-    if principal == FALSUM and FALSUM in ctx:
-        return []
-
-
-def _axiom(ctx, goal, principal):
-    if principal == goal and goal in ctx:
-        return []
-
-
-def _r_impl(ctx, goal, principal):
-    if principal is None and isinstance(goal, Impl):
-        return [(ctx | {goal.left}, goal.right)]
-
-
-def _r_conj(ctx, goal, principal):
-    if principal is None and isinstance(goal, Conj):
-        return [(ctx, goal.left), (ctx, goal.right)]
-
-
-def _r_disj_1(ctx, goal, principal):
-    if principal is None and isinstance(goal, Disj):
-        return [(ctx, goal.left)]
-
-
-def _r_disj_2(ctx, goal, principal):
-    if principal is None and isinstance(goal, Disj):
-        return [(ctx, goal.right)]
-
-
-def _l_conj(ctx, goal, f):
-    if isinstance(f, Conj) and f in ctx:
-        return [(ctx - {f} | {f.left, f.right}, goal)]
-
-
-def _l_disj(ctx, goal, f):
-    if isinstance(f, Disj) and f in ctx:
-        rest = ctx - {f}
-        return [(rest | {f.left}, goal), (rest | {f.right}, goal)]
-
-
-def _l_impl_mp(ctx, goal, f):
-    if isinstance(f, Impl) and f.left in ctx and f in ctx:
-        return [(ctx - {f} | {f.right}, goal)]
-
-
-def _l_impl_conj(ctx, goal, f):
-    if isinstance(f, Impl) and isinstance(f.left, Conj) and f in ctx:
-        return [(ctx - {f} | {Impl(f.left.left, Impl(f.left.right, f.right))}, goal)]
-
-
-def _l_impl_disj(ctx, goal, f):
-    if isinstance(f, Impl) and isinstance(f.left, Disj) and f in ctx:
-        return [(ctx - {f} | {Impl(f.left.left, f.right), Impl(f.left.right, f.right)}, goal)]
-
-
-def _l_impl_impl(ctx, goal, f):
-    if isinstance(f, Impl) and isinstance(f.left, Impl) and f in ctx:
-        rest = ctx - {f}
-        return [(rest | {Impl(f.left.right, f.right)}, f.left), (rest | {f.right}, goal)]
-
-
-_RULES = {
-    "L-falsum": _l_falsum, "axiom": _axiom,
-    "R-impl": _r_impl, "R-conj": _r_conj, "R-disj-1": _r_disj_1, "R-disj-2": _r_disj_2,
-    "L-conj": _l_conj, "L-disj": _l_disj, "L-impl-mp": _l_impl_mp,
-    "L-impl-conj": _l_impl_conj, "L-impl-disj": _l_impl_disj, "L-impl-impl": _l_impl_impl,
-}
 
 # the invertible rules by the type of an implication's antecedent (when the
 # antecedent is not in the context; then L-impl-mp applies), or of the goal
@@ -267,86 +181,3 @@ def is_provable_ip(assumptions: list[Formula] | tuple[Formula, ...],
 def equiv_ip(a: Formula, b: Formula) -> bool:
     """Interprovability: a proves b and b proves a."""
     return is_provable_ip((a,), b) and is_provable_ip((b,), a)
-
-
-def validate_trace(trace: Optional[TraceNode], s: Sequent) -> Optional[str]:
-    """None when the trace certifies the sequent, else the first fault a
-    depth-first walk meets, premises in order, with its node path.  Each
-    distinct node is checked once against _RULES; a loop over a stack of
-    items (node, the sequent it must conclude, the item that asked for
-    it, its index there), so depth costs no Python stack."""
-    if trace is None:
-        return "no trace"
-    checked: set[int] = set()
-    stack: list = [(trace, (frozenset(s.assumptions), s.goal), None, 0)]
-    while stack:
-        item = stack.pop()
-        n, (ctx, goal), parent, _ = item
-        if not isinstance(n, TraceNode):
-            return f"{_path(item)}: not a trace node"
-        if n.context != ctx or n.goal != goal:
-            if parent is None:
-                return "root conclusion does not match the queried sequent"
-            return f"{_path(item)}: premise sequent differs from the {parent[0].rule} instance"
-        if id(n) in checked:
-            continue
-        checked.add(id(n))
-        rule, _, _, principal, premises = n
-        if not (isinstance(rule, str) and isinstance(premises, tuple)):
-            return f"{_path(item)}: rule is not a string or premises not a tuple"
-        premises_of = _RULES.get(rule)
-        expected = premises_of(ctx, goal, principal) if premises_of is not None else None
-        if expected is None:
-            return f"{_path(item)}: bad {rule} instance"
-        k = len(premises)
-        if len(expected) != k:
-            return f"{_path(item)}: {rule} wants {len(expected)} premises, has {k}"
-        while k:  # last premise first, so the walk takes them in order
-            k -= 1
-            stack.append((premises[k], expected[k], item, k))
-    return None
-
-
-def _path(item: tuple) -> str:
-    """The node path of a stack item, such as root.0.1, read up its parent links."""
-    path = []
-    while item[2] is not None:
-        path.append(str(item[3]))
-        item = item[2]
-    return ".".join(["root", *reversed(path)])
-
-
-def check_trace(trace: Optional[TraceNode], s: Sequent) -> bool:
-    """True iff every node is a legal rule instance and the root matches s."""
-    return validate_trace(trace, s) is None
-
-
-def _distinct_nodes(trace: TraceNode) -> dict[int, TraceNode]:
-    """Each distinct node once, by id, in pre-order with premises in
-    order; a loop, so depth costs no Python stack."""
-    seen: dict[int, TraceNode] = {}
-    todo = [trace]
-    while todo:
-        n = todo.pop()
-        if id(n) not in seen:
-            seen[id(n)] = n
-            todo += n.premises[::-1]
-    return seen
-
-
-def trace_to_json(trace: TraceNode) -> dict:
-    """The trace as nested dicts, one per distinct node, so a
-    sub-derivation the DAG shares is one dict, shared in the result."""
-    nodes = _distinct_nodes(trace)
-    docs = {i: {} for i in nodes}
-    for n in nodes.values():
-        docs[id(n)].update(
-            rule=n.rule,
-            sequent={
-                "assumptions": sorted(print_formula(f) for f in n.context),
-                "goal": print_formula(n.goal),
-            },
-            principal=print_formula(n.principal) if n.principal is not None else None,
-            premises=[docs[id(p)] for p in n.premises],
-        )
-    return docs[id(trace)]

@@ -9,8 +9,9 @@ import time
 
 from epist2int import harness
 from epist2int.algebra import evaluate, make_chain, refute
-from epist2int.prover_ep import check_kripke, prove_ep
-from epist2int.prover_ip import check_trace, equiv_ip, is_provable_ip, prove_ip
+from epist2int.kernel import check_kripke, check_trace
+from epist2int.prover_ep import prove_ep
+from epist2int.prover_ip import equiv_ip, is_provable_ip, prove_ip
 from epist2int.syntax import (
     EP,
     IP,

@@ -1,0 +1,69 @@
+"""The fence around the trusted base: the certificate checkers in
+`kernel` import no search, and no other module defines one of them."""
+
+import ast
+from pathlib import Path
+
+# read as source, not imported, so that an import cycle the fence is
+# meant to catch fails an assertion here rather than the collection
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "epist2int"
+TREES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+# what kernel may reach, and the names the checkers were moved under
+TRUSTED = {"kernel", "syntax", "algebra"}
+CHECKERS = {
+    "TraceNode", "validate_trace", "_path", "check_trace", "_distinct_nodes", "trace_to_json",
+    "_l_falsum", "_axiom", "_r_impl", "_r_conj", "_r_disj_1", "_r_disj_2",
+    "_l_conj", "_l_disj", "_l_impl_mp", "_l_impl_conj", "_l_impl_disj", "_l_impl_impl",
+    "KripkeModel", "check_kripke",
+}
+
+
+def package_imports(module: str) -> set[str]:
+    """The modules of the package that a module imports, relatively or by
+    the package's name; a name taken from the package itself counts as
+    an import of __init__, which imports every module."""
+    found = set()
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "epist2int":
+                continue
+            base = (node.module or "").removeprefix("epist2int").lstrip(".")
+            if base:
+                found.add(base.split(".")[0])
+            else:
+                found.update(a.name if a.name in TREES else "__init__" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "epist2int":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+def definitions(module: str) -> set[str]:
+    return {node.name for node in ast.walk(TREES[module])
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_kernel_reaches_only_syntax_and_algebra():
+    reached, todo = set(), ["kernel"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += package_imports(module)
+    assert reached <= TRUSTED, f"kernel reaches {sorted(reached - TRUSTED)}"
+
+
+def test_checkers_are_defined_in_kernel_only():
+    kernel_names = {node.name for node in TREES["kernel"].body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert CHECKERS <= kernel_names
+    for module in set(TREES) - {"kernel"}:
+        assert not definitions(module) & kernel_names, module
+
+
+def test_searches_do_not_evaluate():
+    for prover in ("prover_ip", "prover_ep"):
+        assert "algebra" not in package_imports(prover), prover

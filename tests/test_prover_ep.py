@@ -17,11 +17,8 @@ from conftest import ep_formulas
 from epist2int import prover_ep
 from epist2int.algebra import upset_algebra
 from epist2int.harness import enumerate_ip_formulas
-from epist2int.prover_ep import (
-    KripkeModel,
-    check_kripke,
-    prove_ep,
-)
+from epist2int.kernel import KripkeModel, check_kripke
+from epist2int.prover_ep import prove_ep
 from epist2int.syntax import (
     EP,
     Atom,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import ip_formulas, tables
-from epist2int import prover_ip
+from epist2int import kernel, prover_ip
 from epist2int.algebra import enumerate_heyting_algebras, refute
 from epist2int.harness import (
     _IP_LEMMAS,
@@ -17,16 +17,8 @@ from epist2int.harness import (
     _random_ctx,
     enumerate_ip_formulas,
 )
-from epist2int.prover_ip import (
-    SearchLimitError,
-    TraceNode,
-    check_trace,
-    equiv_ip,
-    is_provable_ip,
-    prove_ip,
-    trace_to_json,
-    validate_trace,
-)
+from epist2int.kernel import TraceNode, check_trace, trace_to_json, validate_trace
+from epist2int.prover_ip import SearchLimitError, equiv_ip, is_provable_ip, prove_ip
 from epist2int.syntax import (
     EP,
     FALSUM,
@@ -347,7 +339,7 @@ def test_ties_go_to_the_least_formula_key(rule, text):
         if n.rule not in _BUCKETS:
             continue
         takers = [f for f in n.context
-                  if any(prover_ip._RULES[r](n.context, n.goal, f) is not None
+                  if any(kernel._RULES[r](n.context, n.goal, f) is not None
                          for r in _BUCKETS[n.rule])]
         if n.rule == "L-impl-impl":
             # a lesser candidate is passed over only when a premise fails,
@@ -355,7 +347,7 @@ def test_ties_go_to_the_least_formula_key(rule, text):
             lesser = [f for f in takers if formula_key(f) < formula_key(n.principal)
                       and f.right not in n.context]
             for f in lesser:
-                premises = prover_ip._RULES[n.rule](n.context, n.goal, f)
+                premises = kernel._RULES[n.rule](n.context, n.goal, f)
                 assert not all(prove_ip(Sequent(tuple(c), g)).provable for c, g in premises)
             tied |= n.rule == rule and bool(lesser)
         else:
@@ -395,7 +387,7 @@ def test_modus_ponens_on_a_conjunction_antecedent():
     ctx, f = frozenset(s.assumptions), s.assumptions[1]
     leaf = TraceNode("axiom", ctx - {f} | {r}, r, r, ())
     assert check_trace(TraceNode("L-impl-mp", ctx, r, f, (leaf,)), s)
-    assert prover_ip._RULES["L-impl-mp"](ctx - {s.assumptions[0]}, r, f) is None
+    assert kernel._RULES["L-impl-mp"](ctx - {s.assumptions[0]}, r, f) is None
 
 
 def test_choice_leaves_out_an_implication_whose_consequent_is_present():
@@ -483,7 +475,7 @@ def _rule_instances() -> list[tuple]:
     def admitted(sequents):
         return [(rule, ctx, goal, principal, premises)
                 for ctx, goal in sequents
-                for rule, premises_of in prover_ip._RULES.items()
+                for rule, premises_of in kernel._RULES.items()
                 for principal in (None, goal, *ctx)
                 if (premises := premises_of(ctx, goal, principal)) is not None]
 
@@ -542,7 +534,7 @@ def _unsound(instances: list[tuple]) -> list[tuple]:
 
 def test_rules_sound_in_small_heyting_algebras():
     instances = _rule_instances()
-    assert {rule for rule, *_ in instances} == set(prover_ip._RULES)
+    assert {rule for rule, *_ in instances} == set(kernel._RULES)
     assert {type(principal.left) for rule, _, _, principal, _ in instances
             if rule == "L-impl-mp"} >= {Atom, Conj, Disj, Impl}
     assert len(instances) > 6000
@@ -555,7 +547,7 @@ def test_semantic_check_catches_an_unsound_rule(monkeypatch):
         if isinstance(f, Impl) and f in ctx:
             return [(ctx - {f} | {f.right}, goal)]
 
-    monkeypatch.setitem(prover_ip._RULES, "L-impl-mp", without_side_condition)
+    monkeypatch.setitem(kernel._RULES, "L-impl-mp", without_side_condition)
     bad = _unsound(_rule_instances())
     assert bad and {rule for rule, *_ in bad} == {"L-impl-mp"}
     assert all(principal.left not in ctx for _, ctx, _, principal, _ in bad)
