@@ -1,7 +1,7 @@
 """Epistemic (S4) and intuitionistic propositional logic: translations in
-both directions, decision procedures for both logics, a kernel that
-checks the certificates their verdicts carry, finite Heyting algebra
-evaluation, and the reproduction harness built on top of them."""
+both directions, decision procedures for both logics, a kernel checking
+their verdicts' certificates, finite Heyting algebra evaluation, and the
+reproduction harness built on top of them."""
 
 from .algebra import (
     Countermodel,

@@ -274,10 +274,10 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, SearchLimitError, KeyError) as exc:
         message = str(exc)
     except RecursionError:
-        # parsing, printing (neg[E](A) included), both translations and
-        # the JSON writer are iterative; the one mask evaluator (eval,
-        # refute, the Kripke check), the provers and ff_simplify recurse
-        # once per nesting level (prove_ip once per proof level)
+        # parsing, printing (neg[E](A) included), both translations, the
+        # kernel's trace walks and the JSON writer are iterative; the one
+        # mask evaluator (eval, refute, the kernel's Kripke check), the provers
+        # and ff_simplify recurse once per nesting level (prove_ip per proof level)
         message = "formula nested too deeply"
     if output == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, "error": message}))

@@ -1,13 +1,10 @@
 """The trusted base: every certificate format and its checker.
 
-An IP `Provable` verdict carries a G4ip derivation of `TraceNode`s,
-which `check_trace` checks node by node against the rule table
-`_RULES`; an S4 `NotProvable` verdict carries a `KripkeModel`, which
-`check_kripke` evaluates with `algebra.truth`.  This module imports only
-`syntax` and `algebra`, never a search, and a test keeps it so.  The IP
-search reads `_RULES` too, so G4ip is written once, and an unsound entry
-would be used by the search and accepted by `check_trace` alike.
-"""
+An IP `Provable` verdict carries a G4ip derivation of `TraceNode`s, which
+`check_trace` checks against the rule table `_RULES`, the table the IP
+search reads too; an S4 `NotProvable` verdict carries a `KripkeModel`,
+which `check_kripke` evaluates.  Imports: `syntax` and `algebra`, never a
+search; a test keeps it so."""
 
 from __future__ import annotations
 
@@ -225,6 +222,8 @@ def check_kripke(model: KripkeModel, s: Sequent) -> bool:
     Raises ValueError when the frame is not reflexive-transitive or the
     model is otherwise malformed.
     """
+    if not (isinstance(model.up, tuple) and isinstance(model.valuation, dict)):
+        raise ValueError("a model is a tuple of up-set masks and a dict of valuation masks")
     if model.root not in model.worlds:
         raise ValueError("root world missing")
     check_preorder(model.up)

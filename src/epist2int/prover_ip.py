@@ -7,12 +7,11 @@ whose antecedent is already in the context, whatever its shape; otherwise
 the rule splits three ways on the antecedent's shape (L-impl-conj,
 L-impl-disj, L-impl-impl).  As in Dyckhoff and Negri (JSL 2000),
 L-impl-mp is invertible, and an implication whose consequent is already
-in the context is never tried at a choice point.  The rules are the
-kernel's table, kernel._RULES: the search proves the premises it gives,
-and kernel.check_trace re-checks against it, node by node, the
-derivation tree a verdict can carry.  This module only searches.  The
-search is one recursive method, one frame per node, over the rule
-instances _choices lists.
+in the context is never tried at a choice point.  The kernel's table,
+kernel._RULES, gives each rule's premises to the search and to
+kernel.check_trace, which re-checks node by node the derivation tree a
+verdict can carry.  The search is one recursive method, one frame per
+node, over the rule instances _choices lists.
 """
 
 from __future__ import annotations

@@ -49,8 +49,9 @@ def test_lemma_suite_small():
     assert r.details["traces_validated"] > 0
 
 
-# The first sequent of each schema at sample=1, seed=0, and the number of
-# sequents one instance of the schema proves.
+# The first sequent each schema decides at sample=1, seed=0, and the number
+# of sequents it decides: one instance of the schema, and for 2_neg_intro
+# first the filter of its premises.
 LEMMA_STREAM_HEADS = {
     "double_neg": (1, "_|_ |- ~~_|_"),
     "contraposition": (2, r"(_|_ -> r) \/ p -> _|_ /\ _|_ |- "
@@ -70,8 +71,10 @@ LEMMA_STREAM_HEADS = {
     "double_neg_elim": (2, "(((p -> r) -> r) -> r) -> r |- (p -> r) -> r"),
     "falsum_consequence": (2, r"(_|_ -> q \/ r) -> q \/ r |- q \/ r"),
     "neg_consequence": (2, "((_|_ -> r) -> r) -> (_|_ -> r) -> r |- ((_|_ -> r) -> r) -> r"),
-    "2_neg_intro": (1, r"p /\ p, ~~p |- ~~p"),
+    "2_neg_intro": (2, r"p /\ p, p |- p"),
 }
+# the one 2_neg_intro instance, after its premise filter
+LEMMA_STREAM_LAST = r"p /\ p, ~~p |- ~~p"
 
 
 def test_lemma_suite_sequent_stream(monkeypatch):
@@ -89,7 +92,18 @@ def test_lemma_suite_sequent_stream(monkeypatch):
     for name, (count, head) in LEMMA_STREAM_HEADS.items():
         assert stream[pos] == head, name
         pos += count
-    assert pos == len(stream)
+    assert pos == len(stream) and stream[-1] == LEMMA_STREAM_LAST
+
+
+def test_lemma_premise_filter_checks_traces(monkeypatch):
+    real = harness.check_trace
+    premise = r"p /\ p, p |- p"
+    monkeypatch.setattr(harness, "check_trace",
+                        lambda trace, s: print_sequent(s) != premise and real(trace, s))
+    r = harness.check_lemma_suite(sample=1, seed=0)
+    assert r.details["failures"] == [{"check": "2_neg_intro premise", "sequent": premise,
+                                      "error": "certificate rejected"}]
+    assert r.details["schemata"]["2_neg_intro"] == {"instances": 0, "failures": 1}
 
 
 @pytest.mark.parametrize("checker", ["check_trace", "check_kripke"])

@@ -142,6 +142,12 @@ class TestCheckKripke:
             with pytest.raises(ValueError, match="not an int bitmask"):
                 check_kripke(model, parse_sequent("|- p", EP))
 
+    @pytest.mark.parametrize("up, valuation", [((0b1,), None), (None, {})],
+                             ids=["no-valuation", "no-frame"])
+    def test_malformed_model_errors(self, up, valuation):
+        with pytest.raises(ValueError, match="a model is a tuple of up-set masks"):
+            check_kripke(KripkeModel(up, valuation, 0), parse_sequent("|- p", EP))
+
     def test_root_outside_frame_errors(self):
         with pytest.raises(ValueError, match="root world missing"):
             check_kripke(KripkeModel((0b1,), {}, 1), parse_sequent("|- p", EP))

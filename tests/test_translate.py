@@ -166,7 +166,7 @@ class TestFfClauses:
     def test_soundness_sweep_translations_pinned(self):
         """The translations of criterion 2's 8000 sequents, as recorded
         when ff_translate recursed once per level."""
-        text = "\n".join(print_sequent(t) for _, _, t in translated_sequents(500, 8, 0))
+        text = "\n".join(print_sequent(t) for _, _, t in translated_sequents(500, 0))
         assert hashlib.sha256(text.encode()).hexdigest() == "912e1411c43fcadca599bef4651d552e1b3f03ab33e44f912bb46c3887f5e2f9"
 
     @settings(max_examples=150, deadline=None)
