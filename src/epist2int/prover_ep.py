@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from .kernel import KripkeModel
+from .kernel import check_kripke  # noqa: F401  re-exported only for perfbench/workloads.py
+from .prover_ip import SearchLimitError
 from .syntax import (
     FALSUM,
     Atom,
@@ -22,9 +25,6 @@ from .syntax import (
     Sequent,
     atoms_of,
 )
-from .kernel import KripkeModel
-from .kernel import check_kripke  # noqa: F401  re-exported only for perfbench/workloads.py
-from .prover_ip import SearchLimitError
 
 
 @dataclass

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .kernel import _RULES, TraceNode
+from .kernel import check_trace  # noqa: F401  re-exported only for perfbench/workloads.py
 from .syntax import (
     FALSUM,
     IP,
@@ -31,8 +33,6 @@ from .syntax import (
     is_ip_formula,
     print_sequent,
 )
-from .kernel import _RULES, TraceNode
-from .kernel import check_trace  # noqa: F401  re-exported only for perfbench/workloads.py
 
 
 class SearchLimitError(RuntimeError):
