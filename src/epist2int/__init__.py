@@ -12,7 +12,7 @@ from .algebra import (
 )
 from .kernel import KripkeModel, check_kripke, check_trace
 from .prover_ep import EpProofResult, prove_ep
-from .prover_ip import ProofResult, equiv_ip, prove_ip
+from .prover_ip import ProofResult, prove_ip
 from .syntax import (
     EP,
     FALSUM,
@@ -46,7 +46,7 @@ __all__ = [
     "FALSUM", "Falsum", "Formula", "HeytingAlgebra", "IP", "Impl",
     "KripkeModel", "ParseError", "ProofResult", "Sequent",
     "TranslationContext", "VERUM", "check_kripke",
-    "check_trace", "equiv_ip", "evaluate", "ff_simplify",
+    "check_trace", "evaluate", "ff_simplify",
     "ff_translate", "godel_translate", "make_chain", "parse_formula",
     "parse_sequent", "print_formula", "print_sequent", "prove_ep",
     "prove_ip", "random_formula", "refute", "rel_neg",

@@ -7,12 +7,15 @@ argparse like a command-line value: `prove --node-cap` from
 EPIST2INT_NODE_CAP, `eval --chain` from EPIST2INT_MAX_CHAIN and
 `paper --seed` from EPIST2INT_SEED.
 
-Exit codes for `prove`: 0 Provable, 1 NotProvable, 2 error.  `paper`
-exits 0 only when every selected check passes; `paper all` runs every
-check.  The output mode is the --output that argparse reads, the last
-one given, and a usage error is reported in it too.  With --output json
-every code path emits a single valid JSON document on stdout.  Each
-command builds only the output it prints.
+`prove` decides through harness.decide, so the kernel has checked the
+evidence it prints; --trace only chooses whether an IP proof's trace is
+printed.  Exit codes for `prove`: 0 Provable, 1 NotProvable, 2 error, a
+rejected certificate included.  `paper` exits 0 only when every selected
+check passes; `paper all` runs every check.  The output mode is the
+--output that argparse reads, the last one given, and a usage error is
+reported in it too.  With --output json every code path emits a single
+valid JSON document on stdout.  Each command builds only the output it
+prints.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ import sys
 from . import harness
 from .algebra import evaluate, make_chain
 from .kernel import trace_to_json
-from .prover_ep import prove_ep
-from .prover_ip import SearchLimitError, prove_ip
+from .prover_ip import SearchLimitError
 from .syntax import (
     EP,
     IP,
@@ -119,13 +121,13 @@ def cmd_translate(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    if args.logic == "ip":
-        res = prove_ip(parse_sequent(args.sequent, IP), want_trace=args.trace,
-                       node_cap=args.node_cap)
+    if args.trace and args.logic != IP:
+        raise ValueError("--trace needs --logic ip")
+    res = harness.decide(parse_sequent(args.sequent, args.logic), args.node_cap)
+    if args.logic == IP:
         cost, key = "nodes_expanded", "trace"
-        evidence = trace_to_json(res.trace) if res.trace is not None else None
+        evidence = trace_to_json(res.trace) if args.trace and res.provable else None
     else:
-        res = prove_ep(parse_sequent(args.sequent, EP), node_cap=args.node_cap)
         cost, key = "worlds_expanded", "countermodel"
         evidence = res.countermodel.to_json() if res.countermodel is not None else None
     if args.output == "json":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .algebra import evaluate, make_chain, refute
-from .kernel import check_kripke, check_trace
+from .kernel import check_kripke, validate_trace
 from .prover_ep import prove_ep
 from .prover_ip import prove_ip
 from .syntax import (
@@ -102,24 +102,37 @@ def _ctx_label(ctx: TranslationContext) -> str:
     return f"gamma=[{gamma}] witness={print_formula(ctx.witness)}"
 
 
-def _decide(s: Sequent, failures: list, label: str, expect: Optional[bool] = True):
-    """Decide s in its own logic and check the certificate its verdict
-    carries: the trace of an IP proof, the Kripke model refuting an S4
-    sequent.  A wrong verdict (expect=None accepts either) or a rejected
-    certificate is recorded in failures and gives None; otherwise the
-    result is returned."""
+class CertificateError(ValueError):
+    """A verdict whose certificate the kernel rejects."""
+
+
+def decide(s: Sequent, node_cap: Optional[int] = None):
+    """Decide s in its own logic and have the kernel check the certificate
+    its verdict carries: an IP proof's trace, an S4 countermodel.  Returns
+    the prover's result or raises CertificateError; outside the provers,
+    the one caller of prove_ip and prove_ep."""
     if s.logic == IP:
-        res = prove_ip(s, want_trace=True)
-        rejected = res.provable and not check_trace(res.trace, s)
+        res = prove_ip(s, want_trace=True, node_cap=node_cap)
+        fault = validate_trace(res.trace, s) if res.provable else None
     else:
-        res = prove_ep(s)
-        rejected = not res.provable and not check_kripke(res.countermodel, s)
-    if expect is not None and res.provable != expect:
+        res = prove_ep(s, node_cap=node_cap)
+        fault = (None if res.provable or check_kripke(res.countermodel, s)
+                 else "the countermodel does not refute the sequent")
+    if fault is not None:
+        raise CertificateError(f"certificate rejected: {fault}")
+    return res
+
+
+def _decide(s: Sequent, failures: list, label: str, expect: Optional[bool] = True):
+    """decide(s), with a rejected certificate or a wrong verdict
+    (expect=None accepts either) recorded in failures, giving None."""
+    try:
+        res = decide(s)
+        if expect is None or res.provable == expect:
+            return res
         error = {"verdict": res.verdict, "expected": expect}
-    elif rejected:
+    except CertificateError:
         error = {"error": "certificate rejected"}
-    else:
-        return res
     failures.append({"check": label, "sequent": print_sequent(s), **error})
     return None
 
@@ -161,7 +174,7 @@ def sample_provable_ep_sequents(sample: int, max_size: int, seed: int) -> list[S
             x = random_formula_sized(2, atoms, EP, sub + 3)
             goal = rng.choice(_BOXED_GOALS)(b1, b2, x)
             s = Sequent((Box(b1), Box(b2)), goal, EP)
-        if prove_ep(s).provable:
+        if decide(s).provable:
             out.append(s)
     return out
 
@@ -462,13 +475,13 @@ def enumerate_ip_formulas(max_size: int, atom_names=("p", "q")) -> list[Formula]
     return [f for n in range(1, max_size + 1) for f in by_size[n]]
 
 
-def check_godel_faithfulness(max_size: int = 7) -> CheckReport:
-    """Exhaustively at desk scale, over p and q: the box translation of A
-    is S4-provable exactly when A is IP-provable, and every translation is
-    stable (it is interprovable with its own boxing)."""
+def check_godel_faithfulness() -> CheckReport:
+    """Exhaustively at desk scale, over p and q up to size 7: the box
+    translation of A is S4-provable exactly when A is IP-provable, and every
+    translation is stable (it is interprovable with its own boxing)."""
     t0 = time.perf_counter()
     failures: list = []
-    formulas = enumerate_ip_formulas(max_size)
+    formulas = enumerate_ip_formulas(7)
     provable = 0
     for a in formulas:
         ip = _decide(Sequent((), a, IP), failures, "IP verdict", expect=None)
@@ -480,7 +493,7 @@ def check_godel_faithfulness(max_size: int = 7) -> CheckReport:
         provable += ip.provable
         _decide(Sequent((ta,), Box(ta), EP), failures, "stability")
         _decide(Sequent((Box(ta),), ta, EP), failures, "stability")
-    details = {"formulas": len(formulas), "provable": provable, "max_size": max_size}
+    details = {"formulas": len(formulas), "provable": provable, "max_size": 7}
     return _finish("godel_faithfulness", failures, details, 0, t0)
 
 
@@ -498,12 +511,15 @@ _SEEDED = (check_lemma_suite, check_soundness_theorem)
 
 def run_checks(targets, seed: int = 0, sample: Optional[int] = None) -> list[CheckReport]:
     """Run the checks of each target in order.  seed and sample go to the
-    randomized checks only; sample=None keeps each check's default."""
+    randomized checks only; sample=None keeps each check's default, and a
+    sample is an error when no check of the targets takes one."""
+    checks = [check for target in targets for check in ALL_CHECKS[target]]
     if sample is not None and sample < 1:  # a check that checks nothing passes
         raise ValueError("sample must be positive")
+    if sample is not None and not set(checks) & set(_SEEDED):
+        raise ValueError(f"{', '.join(targets)} takes no --sample")
     kwargs = {"seed": seed} if sample is None else {"seed": seed, "sample": sample}
-    return [check(**kwargs) if check in _SEEDED else check()
-            for target in targets for check in ALL_CHECKS[target]]
+    return [check(**kwargs) if check in _SEEDED else check() for check in checks]
 
 
 def summary_table(reports: list[CheckReport]) -> str:

@@ -9,9 +9,9 @@ L-impl-disj, L-impl-impl).  As in Dyckhoff and Negri (JSL 2000),
 L-impl-mp is invertible, and an implication whose consequent is already
 in the context is never tried at a choice point.  The kernel's table,
 kernel._RULES, gives each rule's premises to the search and to
-kernel.check_trace, which re-checks node by node the derivation tree a
-verdict can carry.  The search is one recursive method, one frame per
-node, over the rule instances _choices lists.
+kernel.check_trace.  The search is one recursive method, one frame per
+node, over the rule instances _choices lists; it builds the derivation
+tree of each node it proves, which harness.decide has the kernel check.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class ProofResult:
     @property
     def verdict(self) -> str:
         return "Provable" if self.provable else "NotProvable"
-
-
-# sentinel trace when the caller did not ask for one
-_PROVED = object()
 
 
 # the invertible rules by the type of an implication's antecedent (when the
@@ -122,9 +118,8 @@ def _choices(ctx: frozenset, goal: Formula) -> tuple:
 
 
 class _Search:
-    def __init__(self, want_trace: bool, node_cap: Optional[int]):
+    def __init__(self, node_cap: Optional[int]):
         self.memo: dict = {}
-        self.want_trace = want_trace
         self.node_cap = node_cap
         self.nodes = 0
         self.max_depth = 0
@@ -152,8 +147,7 @@ class _Search:
                 subs += (sub,)
             else:
                 # tuple.__new__ skips the named tuple's own Python-level __new__
-                result = (tuple.__new__(TraceNode, (rule, ctx, goal, principal, subs))
-                          if self.want_trace else _PROVED)
+                result = tuple.__new__(TraceNode, (rule, ctx, goal, principal, subs))
                 break
         self.memo[key] = result
         return result
@@ -161,22 +155,14 @@ class _Search:
 
 def prove_ip(s: Sequent, want_trace: bool = False,
              node_cap: Optional[int] = None) -> ProofResult:
-    """Decide derivability of an IP sequent; total and deterministic."""
+    """Decide derivability of an IP sequent; total and deterministic.  The
+    search always builds the derivation; want_trace, which
+    perfbench/workloads.py passes, only says whether the result carries it."""
     if s.logic != IP:  # an IP-tagged Sequent was checked when it was built
         for f in (*s.assumptions, s.goal):
             if not is_ip_formula(f):
                 raise ValueError(f"Box not allowed in IP: {print_sequent(s)}")
-    search = _Search(want_trace, node_cap)
+    search = _Search(node_cap)
     got = search.prove(frozenset(s.assumptions), s.goal)
-    trace = got if (want_trace and got is not None) else None
-    return ProofResult(got is not None, trace, search.nodes, search.max_depth)
-
-
-def is_provable_ip(assumptions: list[Formula] | tuple[Formula, ...],
-                   goal: Formula, node_cap: Optional[int] = None) -> bool:
-    return prove_ip(Sequent(tuple(assumptions), goal, IP), node_cap=node_cap).provable
-
-
-def equiv_ip(a: Formula, b: Formula) -> bool:
-    """Interprovability: a proves b and b proves a."""
-    return is_provable_ip((a,), b) and is_provable_ip((b,), a)
+    return ProofResult(got is not None, got if want_trace else None,
+                       search.nodes, search.max_depth)

@@ -14,9 +14,8 @@ from epist2int.algebra import (
     refute,
     upset_algebra,
 )
-from epist2int.harness import enumerate_ip_formulas
-from epist2int.prover_ip import is_provable_ip
-from epist2int.syntax import Atom, Conj, Disj, FALSUM, Impl, parse_formula, subformulas
+from epist2int.harness import decide, enumerate_ip_formulas
+from epist2int.syntax import Atom, Conj, Disj, FALSUM, Impl, Sequent, parse_formula, subformulas
 
 p, q = Atom("p"), Atom("q")
 
@@ -163,7 +162,7 @@ class TestRefute:
     def test_weak_linearity_chain_valid_but_lattice_refutable(self):
         f = parse_formula("(p -> q) \\/ (q -> p)")
         assert refute(f, max_chain=6) is None
-        assert not is_provable_ip((), f)
+        assert not decide(Sequent((), f)).provable
         cm = refute(f, max_chain=2, also_lattices=True)
         assert cm is not None and cm.recheck()
         assert cm.algebra.size == 5
@@ -250,7 +249,7 @@ class TestTableAlgebras:
 @settings(max_examples=200, deadline=None)
 @given(ip_formulas(max_leaves=6))
 def test_soundness_against_prover(f):
-    if is_provable_ip((), f):
+    if decide(Sequent((), f)).provable:
         assert refute(f, max_chain=3) is None
 
 

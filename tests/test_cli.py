@@ -144,6 +144,26 @@ def test_prove_error_json_is_valid(capsys):
     assert "error" in json.loads(out)
 
 
+# a checker rejecting every certificate, and a sequent whose verdict carries one
+@pytest.mark.parametrize("logic, checker, rejection, sequent", [
+    ("ip", "validate_trace", "forged", "p |- p"),
+    ("ep", "check_kripke", False, "p |- []p"),
+], ids=["ip", "ep"])
+def test_prove_rejected_certificate_is_json_error(capsys, monkeypatch, logic, checker,
+                                                  rejection, sequent):
+    monkeypatch.setattr(harness, checker, lambda *args: rejection)
+    code, out, _ = run(capsys, "prove", "--logic", logic, "--output", "json", sequent)
+    assert code == 2
+    assert one_json_document(out)["error"].startswith("certificate rejected: ")
+
+
+def test_prove_ep_trace_is_json_error(capsys):
+    code, out, _ = run(capsys, "prove", "--logic", "ep", "--trace", "--output", "json",
+                       "p |- []p")
+    assert code == 2
+    assert one_json_document(out) == {"schema_version": 1, "error": "--trace needs --logic ip"}
+
+
 def test_eval_inadmissibility_witness(capsys):
     code, out, _ = run(capsys, "eval", "--chain", "3",
                        "--assign", "B=0", "--assign", "C=0", "--assign", "E=1",
@@ -211,6 +231,13 @@ def test_paper_soundness_sampled_with_env_seed(capsys, monkeypatch):
 def test_paper_empty_sample_is_error(capsys, sample):
     code, out, _ = run(capsys, "paper", "lemmas", "--sample", sample, "--output", "json")
     assert code == 2 and json.loads(out)["error"] == "sample must be positive"
+
+
+@pytest.mark.parametrize("target", ["thm2", "fernandez", "inoue", "godel"])
+def test_paper_sample_without_a_sampled_check_is_error(capsys, target):
+    code, out, _ = run(capsys, "paper", target, "--sample", "3", "--output", "json")
+    assert code == 2
+    assert one_json_document(out)["error"] == f"{target} takes no --sample"
 
 
 def one_json_document(out: str) -> dict:

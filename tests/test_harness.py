@@ -96,22 +96,37 @@ def test_lemma_suite_sequent_stream(monkeypatch):
 
 
 def test_lemma_premise_filter_checks_traces(monkeypatch):
-    real = harness.check_trace
+    real = harness.validate_trace
     premise = r"p /\ p, p |- p"
-    monkeypatch.setattr(harness, "check_trace",
-                        lambda trace, s: print_sequent(s) != premise and real(trace, s))
+    monkeypatch.setattr(harness, "validate_trace",
+                        lambda trace, s: "forged" if print_sequent(s) == premise else real(trace, s))
     r = harness.check_lemma_suite(sample=1, seed=0)
     assert r.details["failures"] == [{"check": "2_neg_intro premise", "sequent": premise,
                                       "error": "certificate rejected"}]
     assert r.details["schemata"]["2_neg_intro"] == {"instances": 0, "failures": 1}
 
 
-@pytest.mark.parametrize("checker", ["check_trace", "check_kripke"])
+# checkers that reject every certificate: validate_trace names a fault
+REJECT = {"validate_trace": lambda *args: "forged", "check_kripke": lambda *args: False}
+
+
+@pytest.mark.parametrize("checker", list(REJECT))
 def test_godel_checks_certificates(monkeypatch, checker):
-    monkeypatch.setattr(harness, checker, lambda *args: False)
-    r = harness.check_godel_faithfulness(max_size=3)
+    monkeypatch.setattr(harness, checker, REJECT[checker])
+    r = harness.check_godel_faithfulness()
     assert not r.passed
     assert any(f.get("error") == "certificate rejected" for f in r.details["failures"])
+
+
+def test_rejected_certificate_raises_and_is_recorded(monkeypatch):
+    monkeypatch.setattr(harness, "validate_trace", REJECT["validate_trace"])
+    s = Sequent((Atom("p"),), Atom("p"), IP)
+    with pytest.raises(harness.CertificateError, match="^certificate rejected: forged$"):
+        harness.decide(s)
+    # a wrong verdict whose certificate is rejected is recorded as the rejection
+    failures = []
+    assert harness._decide(s, failures, "x", expect=False) is None
+    assert failures == [{"check": "x", "sequent": "p |- p", "error": "certificate rejected"}]
 
 
 def test_decide_records_a_wrong_verdict():
@@ -155,14 +170,13 @@ def test_criterion_2_sequents_prove_under_node_cap():
 
 
 def test_godel_small():
-    r = harness.check_godel_faithfulness(max_size=5)
-    assert r.passed
-    assert r.details["formulas"] == 516  # 3 + 27 + 486 over {p, q, falsum}
+    assert len(harness.enumerate_ip_formulas(5)) == 516  # 3 + 27 + 486 over {p, q, falsum}
+    r = harness.check_godel_faithfulness()
+    assert r.details == {"formulas": 11451, "provable": 2850, "max_size": 7, "failures": []}
 
 
 def test_soundness_spec_instances():
     # pinned instances of the translated-derivability claim
-    from epist2int.prover_ip import is_provable_ip
     from epist2int.syntax import Atom, Box, Impl, parse_formula
     from epist2int.translate import TranslationContext, ff_translate
 
@@ -170,13 +184,14 @@ def test_soundness_spec_instances():
     p = Atom("p")
     # EP theorem []p -> p under gamma = [q], witness q
     ctx = TranslationContext((q,), 0)
-    assert is_provable_ip((), ff_translate(Impl(Box(p), p), ctx))
+    assert harness.decide(Sequent((), ff_translate(Impl(Box(p), p), ctx))).provable
     # []p |- [][]p under gamma = [q, r], witness q
     ctx = TranslationContext((q, r), 0)
-    assert is_provable_ip((ff_translate(Box(p), ctx),), ff_translate(Box(Box(p)), ctx))
+    assert harness.decide(Sequent((ff_translate(Box(p), ctx),),
+                                  ff_translate(Box(Box(p)), ctx))).provable
     # the assumption-free classical theorem p \/ ~p, gamma = [q]
     ctx = TranslationContext((q,), 0)
-    assert is_provable_ip((), ff_translate(parse_formula(r"p \/ ~p"), ctx))
+    assert harness.decide(Sequent((), ff_translate(parse_formula(r"p \/ ~p"), ctx))).provable
 
 
 def test_sampler_returns_provable_sequents():

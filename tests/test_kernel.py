@@ -67,3 +67,27 @@ def test_checkers_are_defined_in_kernel_only():
 def test_searches_do_not_evaluate():
     for prover in ("prover_ip", "prover_ep"):
         assert "algebra" not in package_imports(prover), prover
+
+
+def test_only_decide_calls_the_searches():
+    """Outside the provers, prove_ip and prove_ep are named only in the body
+    of harness.decide, so every verdict the package reports has had its
+    certificate checked.  A name counts, called or not; an import does not,
+    unless it renames a search."""
+    searches = {"prove_ip", "prove_ep"}
+    inside = {id(node) for top in TREES["harness"].body
+              if isinstance(top, ast.FunctionDef) and top.name == "decide"
+              for node in ast.walk(top)}
+    named, outside = set(), []
+    for module in sorted(set(TREES) - {"prover_ip", "prover_ep"}):
+        for node in ast.walk(TREES[module]):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) and node.asname
+                    else None)
+            if name in searches:
+                named.add(name)
+                if id(node) not in inside:
+                    outside.append(f"{module} line {node.lineno}: {name}")
+    assert outside == []
+    assert named == searches  # decide calls both

@@ -18,7 +18,7 @@ from epist2int.harness import (
     enumerate_ip_formulas,
 )
 from epist2int.kernel import TraceNode, check_trace, trace_to_json, validate_trace
-from epist2int.prover_ip import SearchLimitError, equiv_ip, is_provable_ip, prove_ip
+from epist2int.prover_ip import SearchLimitError, prove_ip
 from epist2int.syntax import (
     EP,
     FALSUM,
@@ -95,9 +95,10 @@ def test_reverse_double_negation_refuted_by_algebra():
 def test_equiv_ip():
     e = Atom("E")
     n = lambda x: Impl(x, e)
-    assert equiv_ip(n(n(n(p))), n(p))
-    assert equiv_ip(p, p)
-    assert not equiv_ip(p, q)
+    a, b = n(n(n(p))), n(p)
+    assert prove_ip(Sequent((a,), b)).provable and prove_ip(Sequent((b,), a)).provable
+    assert prove_ip(Sequent((p,), p)).provable
+    assert not prove_ip(Sequent((p,), q)).provable
 
 
 def test_rejects_modal_input():
@@ -251,7 +252,7 @@ class TestTraces:
 @settings(max_examples=200, deadline=None)
 @given(ip_formulas())
 def test_provable_formulas_never_refuted(f):
-    if is_provable_ip((), f):
+    if prove_ip(Sequent((), f)).provable:
         assert refute(f, max_chain=3) is None
 
 
@@ -259,9 +260,9 @@ def test_provable_formulas_never_refuted(f):
 @given(ip_formulas(max_leaves=5))
 def test_weakening(f):
     # adding assumptions never destroys provability
-    if is_provable_ip((), f):
-        assert is_provable_ip((q,), f)
-        assert is_provable_ip((Impl(q, r), FALSUM), f)
+    if prove_ip(Sequent((), f)).provable:
+        assert prove_ip(Sequent((q,), f)).provable
+        assert prove_ip(Sequent((Impl(q, r), FALSUM), f)).provable
 
 
 def _lemma_sequents(count: int, seed: int = 0) -> list[Sequent]:
