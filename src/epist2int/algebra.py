@@ -1,14 +1,13 @@
-"""Finite Heyting algebras as the up-sets of finite posets, one mask
-evaluator for them and for S4 Kripke models, and bounded countermodel
-search.
+"""Finite Heyting algebras as the up-sets of finite posets, evaluated with
+the kernel's mask semantics, and bounded countermodel search.
 
 Every finite Heyting algebra is the algebra of up-sets of a finite poset
 (Birkhoff), so one construction, `upset_algebra`, builds the chains and
-the other algebras alike, and `truth` evaluates a formula on the up-set
-masks of a preorder: as a Heyting value, or as the worlds of an S4 model
-where it holds.  A countermodel (a valuation giving a formula a non-top
-value) refutes intuitionistic provability; failure to find one proves
-nothing, since chains validate strictly more than IP does.
+the other algebras alike, and `kernel.truth`, the evaluator the kernel
+checks S4 countermodels with, gives a formula its Heyting value there.
+A countermodel (a valuation giving a formula a non-top value) refutes
+intuitionistic provability; failure to find one proves nothing, since
+chains validate strictly more than IP does.
 """
 
 from __future__ import annotations
@@ -18,11 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .syntax import Atom, Box, Conj, Disj, Falsum, Formula, atoms_of, is_ip_formula
-
-
-class AlgebraError(ValueError):
-    """Construction-time validation failure."""
+from .kernel import AlgebraError, check_preorder, truth
+from .syntax import Formula, atoms_of, is_ip_formula
 
 
 @dataclass(frozen=True)
@@ -45,26 +41,6 @@ class HeytingAlgebra:
     @property
     def top(self) -> int:
         return len(self.upsets) - 1
-
-
-def check_preorder(up: Sequence[int]) -> None:
-    """Raise AlgebraError unless the up-set masks `up` are a preorder on 0..n-1."""
-    n = len(up)
-    for w, u in enumerate(up):
-        if not isinstance(u, int):
-            raise AlgebraError(f"up[{w}] is {u!r}, not an int bitmask")
-    for w, u in enumerate(up):
-        if u >> n:
-            raise AlgebraError(f"up[{w}] names an unknown world: the points are 0..{n - 1}")
-        if not u >> w & 1:
-            raise AlgebraError(f"up[{w}] is not a set containing {w}: the order is not reflexive")
-        if any(u >> v & 1 and up[v] & ~u for v in range(n)):
-            raise AlgebraError(f"up[{w}] is not closed upwards: the order is not transitive")
-
-
-def interior(up: Sequence[int], a: int) -> int:
-    """The points whose up-set lies inside a: S4's box, and x |> y is interior(up, ~x | y)."""
-    return sum(1 << w for w, u in enumerate(up) if not u & ~a)
 
 
 def _upsets(up: Sequence[int]) -> list[int]:
@@ -148,38 +124,6 @@ class Countermodel:
             "value": self.value,
             "top": self.algebra.top,
         }
-
-
-def truth(f: Formula, up: Sequence[int], valuation: Mapping[str, int],
-          memo: dict, heyting: bool = False) -> int:
-    """The mask of the points of the preorder `up` where f holds, memoised
-    per compound subformula in memo.
-
-    `valuation` maps atom names to masks; an atom it lacks raises
-    KeyError.  [] is interior.  a -> b is ~a | b, S4's reading, which may be
-    negative: an infinite set whose point bits alone are read.  With
-    heyting it is interior(up, ~a | b), the up-set a |> b.
-    """
-    kind = type(f)
-    if kind is Atom:
-        return valuation[f.name]
-    got = memo.get(f)
-    if got is None:
-        if kind is Falsum:
-            got = 0
-        elif kind is Box:
-            got = interior(up, truth(f.inner, up, valuation, memo, heyting))
-        else:
-            a = truth(f.left, up, valuation, memo, heyting)
-            b = truth(f.right, up, valuation, memo, heyting)
-            if kind is Conj:
-                got = a & b
-            elif kind is Disj:
-                got = a | b
-            else:
-                got = interior(up, ~a | b) if heyting else ~a | b
-        memo[f] = got
-    return got
 
 
 def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:

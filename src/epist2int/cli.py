@@ -33,6 +33,7 @@ from .syntax import (
     EP,
     IP,
     ParseError,
+    atoms_of,
     parse_formula,
     parse_sequent,
     print_formula,
@@ -150,11 +151,17 @@ def cmd_eval(args) -> int:
     f = parse_formula(args.formula, IP)
     chain = make_chain(args.chain)
     assignment: dict[str, int] = {}
+    names = atoms_of(f)
     for item in args.assign:
         name, _, idx = item.partition("=")
         if not idx:
             raise ValueError(f"bad assignment {item!r}, expected atom=index")
-        assignment[name.strip()] = int(idx)
+        name = name.strip()
+        if name not in names:
+            raise ValueError(f"atom {name!r} does not occur in the formula")
+        if name in assignment:
+            raise ValueError(f"atom {name!r} is assigned twice")
+        assignment[name] = int(idx)
     value = evaluate(f, assignment, chain)
     if args.output == "json":
         _print_json({
@@ -277,9 +284,10 @@ def main(argv=None) -> int:
         message = str(exc)
     except RecursionError:
         # parsing, printing (neg[E](A) included), both translations, the
-        # kernel's trace walks and the JSON writer are iterative; the one
-        # mask evaluator (eval, refute, the kernel's Kripke check), the provers
-        # and ff_simplify recurse once per nesting level (prove_ip per proof level)
+        # kernel's trace walks and the JSON writer are iterative; the
+        # kernel's one mask evaluator (eval, refute, the Kripke check), the
+        # provers and ff_simplify recurse once per nesting level (prove_ip
+        # per proof level)
         message = "formula nested too deeply"
     if output == "json":
         print(json.dumps({"schema_version": SCHEMA_VERSION, "error": message}))

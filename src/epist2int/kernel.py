@@ -1,19 +1,21 @@
-"""The trusted base: every certificate format and its checker.
+"""The trusted base: every certificate format, its checker, and the one
+mask semantics, `truth`, that they and `algebra` evaluate with.
 
 An IP `Provable` verdict carries a G4ip derivation of `TraceNode`s, which
 `check_trace` checks against the rule table `_RULES`, the table the IP
 search reads too; an S4 `NotProvable` verdict carries a `KripkeModel`,
-which `check_kripke` evaluates.  Imports: `syntax` and `algebra`, never a
-search; a test keeps it so."""
+which `check_kripke` evaluates with `truth`, as `algebra` evaluates its
+Heyting algebras.  Imports: `syntax` only, never a search or an algebra;
+a test keeps it so."""
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import check_preorder, truth
-from .syntax import FALSUM, Conj, Disj, Formula, Impl, Sequent, print_formula
+from .syntax import (FALSUM, Atom, Box, Conj, Disj, Falsum, Formula, Impl, Sequent,
+                     print_formula)
 
 
 class TraceNode(NamedTuple):
@@ -188,13 +190,70 @@ def trace_to_json(trace: TraceNode) -> dict:
     return docs[id(trace)]
 
 
+# ---------------------------------------------------------------- masks
+class AlgebraError(ValueError):
+    """Construction-time validation failure."""
+
+
+def check_preorder(up: Sequence[int]) -> None:
+    """Raise AlgebraError unless the up-set masks `up` are a preorder on 0..n-1."""
+    n = len(up)
+    for w, u in enumerate(up):
+        if not isinstance(u, int):
+            raise AlgebraError(f"up[{w}] is {u!r}, not an int bitmask")
+    for w, u in enumerate(up):
+        if u >> n:
+            raise AlgebraError(f"up[{w}] names an unknown world: the points are 0..{n - 1}")
+        if not u >> w & 1:
+            raise AlgebraError(f"up[{w}] is not a set containing {w}: the order is not reflexive")
+        if any(u >> v & 1 and up[v] & ~u for v in range(n)):
+            raise AlgebraError(f"up[{w}] is not closed upwards: the order is not transitive")
+
+
+def interior(up: Sequence[int], a: int) -> int:
+    """The points whose up-set lies inside a: S4's box, and x |> y is interior(up, ~x | y)."""
+    return sum(1 << w for w, u in enumerate(up) if not u & ~a)
+
+
+def truth(f: Formula, up: Sequence[int], valuation: Mapping[str, int],
+          memo: dict, heyting: bool = False) -> int:
+    """The mask of the points of the preorder `up` where f holds, memoised
+    per compound subformula in memo.
+
+    `valuation` maps atom names to masks; an atom it lacks raises
+    KeyError.  [] is interior.  a -> b is ~a | b, S4's reading, which may be
+    negative: an infinite set whose point bits alone are read.  With
+    heyting it is interior(up, ~a | b), the up-set a |> b.
+    """
+    kind = type(f)
+    if kind is Atom:
+        return valuation[f.name]
+    got = memo.get(f)
+    if got is None:
+        if kind is Falsum:
+            got = 0
+        elif kind is Box:
+            got = interior(up, truth(f.inner, up, valuation, memo, heyting))
+        else:
+            a = truth(f.left, up, valuation, memo, heyting)
+            b = truth(f.right, up, valuation, memo, heyting)
+            if kind is Conj:
+                got = a & b
+            elif kind is Disj:
+                got = a | b
+            else:
+                got = interior(up, ~a | b) if heyting else ~a | b
+        memo[f] = got
+    return got
+
+
 # ---------------------------------------------------------------- S4
 @dataclass(frozen=True)
 class KripkeModel:
     """Reflexive-transitive frame on the worlds 0..n-1 with a root world.
 
     `up[w]` is the bitmask of the worlds that w sees, the preorder format
-    of `algebra.upset_algebra`, and `valuation[a]` the bitmask of the
+    of `check_preorder` and `truth`, and `valuation[a]` the bitmask of the
     worlds where atom a is true.
     """
 

@@ -140,18 +140,7 @@ def formula_size(f: Formula) -> int:
 
 def atoms_of(f: Formula) -> set[str]:
     """Names of the atoms that occur in f."""
-    names = set()
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        kind = type(g)
-        if kind is Atom:
-            names.add(g.name)
-        elif kind is Box:
-            todo.append(g.inner)
-        elif kind is not Falsum:
-            todo += g.left, g.right
-    return names
+    return {g.name for g in subformulas(f) if type(g) is Atom}
 
 
 @dataclass(frozen=True)
@@ -422,12 +411,12 @@ def print_sequent(s: Sequent) -> str:
     return (lhs + " |- " if lhs else "|- ") + print_formula(s.goal)
 
 
-_JSON_NODES = {"atom": Atom, "falsum": Falsum, "conj": Conj, "disj": Disj, "impl": Impl, "box": Box}
-_JSON_NAMES = {kind: name for name, kind in _JSON_NODES.items()}
+_JSON_NAMES = {Atom: "atom", Falsum: "falsum", Conj: "conj", Disj: "disj", Impl: "impl", Box: "box"}
 
 
 def to_json_tree(f: Formula) -> dict:
-    """The node tree as nested dicts; a loop, so depth costs no Python stack."""
+    """The node tree as nested dicts, an output format only: nothing reads
+    it back.  A loop, so depth costs no Python stack."""
     root: dict = {}
     todo = [(f, root)]
     while todo:
@@ -440,23 +429,6 @@ def to_json_tree(f: Formula) -> dict:
         d["children"] = [{} for _ in kids]
         todo += zip(kids, d["children"])
     return root
-
-
-def from_json_tree(d: dict) -> Formula:
-    """The formula of a to_json_tree dict; loops, like to_json_tree."""
-    nodes, todo = [], [d]
-    while todo:  # each node before its children, the last child first
-        nodes.append(todo.pop())
-        todo += nodes[-1].get("children", ())
-    built: list = []  # reversed, that is post-order: a node's children end `built`, in order
-    for d in reversed(nodes):
-        node = d["node"]
-        kind = _JSON_NODES.get(node) if type(node) is str else None
-        if kind is None:
-            raise ValueError(f"unknown node kind {node!r}")
-        start = len(built) - len(d.get("children", ()))
-        built[start:] = [kind(d["name"]) if kind is Atom else kind(*built[start:])]
-    return built[0]
 
 
 # What rng.choice picks for a node above depth 0, per logic: a constructor,

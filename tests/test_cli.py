@@ -193,6 +193,22 @@ def test_eval_bad_assignment_is_json_error(capsys):
                                "error": "bad assignment 'p', expected atom=index"}
 
 
+@pytest.mark.parametrize("assign, error", [
+    (["p=0", "zz=1"], "atom 'zz' does not occur in the formula"),
+    (["p=0", "p=2"], "atom 'p' is assigned twice"),
+    (["p=1", " p =1"], "atom 'p' is assigned twice"),
+], ids=["unknown-atom", "twice", "twice-spaced"])
+@pytest.mark.parametrize("output", ["human", "json"])
+def test_eval_rejects_ignored_assignments(capsys, assign, error, output):
+    argv = ["eval", "--output", output, *(a for x in assign for a in ("--assign", x)), "p"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    if output == "json":
+        assert one_json_document(out) == {"schema_version": 1, "error": error}
+    else:
+        assert out == "" and err == f"error: {error}"
+
+
 def test_eval_respects_env_chain(capsys, monkeypatch):
     monkeypatch.setenv("EPIST2INT_MAX_CHAIN", "2")
     code, out, _ = run(capsys, "eval", "--assign", "p=1", "p")
@@ -291,7 +307,7 @@ def test_paper_all_runs_every_check_in_order(capsys):
     checks = [c for target in harness.ALL_CHECKS.values() for c in target]
     assert code == 0 and blob["target"] == "all"
     assert [(r["name"], r["status"], r["seed"]) for r in blob["reports"]] == [
-        (c.__name__.removeprefix("check_"), "pass", 1 if c in harness._SEEDED else 0)
+        (c.__name__.removeprefix("check_"), "pass", 1 if c in harness._SEEDED else None)
         for c in checks]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from epist2int import harness
 from epist2int.prover_ep import prove_ep
-from epist2int.syntax import IP, Atom, Sequent, print_sequent
+from epist2int.syntax import IP, Atom, Impl, Sequent, print_sequent
 
 
 def test_necessitation_counterexample_report():
@@ -112,6 +112,11 @@ REJECT = {"validate_trace": lambda *args: "forged", "check_kripke": lambda *args
 
 @pytest.mark.parametrize("checker", list(REJECT))
 def test_godel_checks_certificates(monkeypatch, checker):
+    # the formulas up to size 3 hold p -> p, whose IP proof has a trace,
+    # and p, whose box translation has an S4 countermodel
+    small = harness.enumerate_ip_formulas(3)
+    assert {Impl(Atom("p"), Atom("p")), Atom("p")} <= set(small)
+    monkeypatch.setattr(harness, "enumerate_ip_formulas", lambda max_size: small)
     monkeypatch.setattr(harness, checker, REJECT[checker])
     r = harness.check_godel_faithfulness()
     assert not r.passed

@@ -1,5 +1,6 @@
-"""The fence around the trusted base: the certificate checkers in
-`kernel` import no search, and no other module defines one of them."""
+"""The fence around the trusted base: the certificate checkers and the
+mask semantics in `kernel` import no search, no other module defines one
+of them, and the searches do not evaluate."""
 
 import ast
 from pathlib import Path
@@ -9,14 +10,17 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "epist2int"
 TREES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
 
-# what kernel may reach, and the names the checkers were moved under
-TRUSTED = {"kernel", "syntax", "algebra"}
+# what kernel may reach, and the names the checkers and the evaluator were moved under
+TRUSTED = {"kernel", "syntax"}
 CHECKERS = {
     "TraceNode", "validate_trace", "_path", "check_trace", "_distinct_nodes", "trace_to_json",
     "_l_falsum", "_axiom", "_r_impl", "_r_conj", "_r_disj_1", "_r_disj_2",
     "_l_conj", "_l_disj", "_l_impl_mp", "_l_impl_conj", "_l_impl_disj", "_l_impl_impl",
     "KripkeModel", "check_kripke",
+    "AlgebraError", "check_preorder", "interior", "truth",
 }
+# the evaluator a search must not reach
+EVALUATOR = {"truth", "interior", "check_preorder"}
 
 
 def package_imports(module: str) -> set[str]:
@@ -46,7 +50,7 @@ def definitions(module: str) -> set[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
-def test_kernel_reaches_only_syntax_and_algebra():
+def test_kernel_reaches_only_syntax():
     reached, todo = set(), ["kernel"]
     while todo:
         module = todo.pop()
@@ -65,8 +69,16 @@ def test_checkers_are_defined_in_kernel_only():
 
 
 def test_searches_do_not_evaluate():
+    """Neither prover imports algebra, or names the evaluator it shares
+    with kernel, imported or as an attribute."""
     for prover in ("prover_ip", "prover_ep"):
         assert "algebra" not in package_imports(prover), prover
+        named = {node.name if isinstance(node, ast.alias)
+                 else node.id if isinstance(node, ast.Name)
+                 else node.attr
+                 for node in ast.walk(TREES[prover])
+                 if isinstance(node, (ast.alias, ast.Name, ast.Attribute))}
+        assert not named & EVALUATOR, prover
 
 
 def test_only_decide_calls_the_searches():
