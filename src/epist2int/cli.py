@@ -5,7 +5,9 @@ the options it reads: `translate --mode godel` rejects the four options
 of ff mode.  Three take their default from the environment, checked by
 argparse like a command-line value: `prove --node-cap` from
 EPIST2INT_NODE_CAP, `eval --chain` from EPIST2INT_MAX_CHAIN and
-`paper --seed` from EPIST2INT_SEED.
+`paper --seed` from EPIST2INT_SEED.  Like --sample, a --seed given on
+the command line is an error when no selected check is seeded; the
+environment's seed is a silent default.
 
 `prove` decides through harness.decide, so the kernel has checked the
 evidence it prints; --trace only chooses whether an IP proof's trace is
@@ -53,6 +55,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return value
+
+
+class _Given(argparse.Action):
+    """Stores the value and sets `<dest>_given`, so that a value given on
+    the command line can be told from the default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_given", True)
 
 
 class _Text(str):
@@ -180,6 +191,8 @@ def cmd_eval(args) -> int:
 
 def cmd_paper(args) -> int:
     targets = harness.ALL_CHECKS if args.target == "all" else [args.target]
+    if args.seed_given and not harness.takes_seed(targets):
+        raise ValueError(f"{args.target} takes no --seed")
     reports = harness.run_checks(targets, args.seed, args.sample)
     if args.output == "json":
         _print_json({
@@ -264,8 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = command("paper", cmd_paper, "run a named reproduction check, or all of them")
     w.add_argument("target", choices=["all", *sorted(harness.ALL_CHECKS)])
-    w.add_argument("--seed", type=int, default=os.environ.get("EPIST2INT_SEED", "0"),
-                   help="seed of the randomized checks (default: $EPIST2INT_SEED, else 0)")
+    w.add_argument("--seed", type=int, action=_Given, default=os.environ.get("EPIST2INT_SEED", "0"),
+                   help="seed of the randomized checks (default: $EPIST2INT_SEED, else 0); "
+                   "an error when no selected check is seeded")
+    w.set_defaults(seed_given=False)
     w.add_argument("--sample", type=int, default=None)
     return parser
 

@@ -512,6 +512,12 @@ ALL_CHECKS: dict[str, tuple[Callable[..., CheckReport], ...]] = {
 _SEEDED = (check_lemma_suite, check_soundness_theorem)
 
 
+def takes_seed(targets) -> bool:
+    """Whether a check of the targets draws at random, and so reads a seed
+    and a sample."""
+    return any(check in _SEEDED for target in targets for check in ALL_CHECKS[target])
+
+
 def run_checks(targets, seed: int = 0, sample: Optional[int] = None) -> list[CheckReport]:
     """Run the checks of each target in order.  seed and sample go to the
     randomized checks only; sample=None keeps each check's default, and a
@@ -519,7 +525,7 @@ def run_checks(targets, seed: int = 0, sample: Optional[int] = None) -> list[Che
     checks = [check for target in targets for check in ALL_CHECKS[target]]
     if sample is not None and sample < 1:  # a check that checks nothing passes
         raise ValueError("sample must be positive")
-    if sample is not None and not set(checks) & set(_SEEDED):
+    if sample is not None and not takes_seed(targets):
         raise ValueError(f"{', '.join(targets)} takes no --sample")
     kwargs = {"seed": seed} if sample is None else {"seed": seed, "sample": sample}
     return [check(**kwargs) if check in _SEEDED else check() for check in checks]

@@ -206,13 +206,22 @@ def check_preorder(up: Sequence[int]) -> None:
             raise AlgebraError(f"up[{w}] names an unknown world: the points are 0..{n - 1}")
         if not u >> w & 1:
             raise AlgebraError(f"up[{w}] is not a set containing {w}: the order is not reflexive")
-        if any(u >> v & 1 and up[v] & ~u for v in range(n)):
-            raise AlgebraError(f"up[{w}] is not closed upwards: the order is not transitive")
+        seen = u
+        while seen:  # each v that w sees, by its lowest set bit
+            bit = seen & -seen
+            if up[bit.bit_length() - 1] & ~u:
+                raise AlgebraError(f"up[{w}] is not closed upwards: the order is not transitive")
+            seen ^= bit
 
 
 def interior(up: Sequence[int], a: int) -> int:
     """The points whose up-set lies inside a: S4's box, and x |> y is interior(up, ~x | y)."""
-    return sum(1 << w for w, u in enumerate(up) if not u & ~a)
+    outside, inside, bit = ~a, 0, 1
+    for u in up:
+        if not u & outside:
+            inside |= bit
+        bit <<= 1
+    return inside
 
 
 def truth(f: Formula, up: Sequence[int], valuation: Mapping[str, int],

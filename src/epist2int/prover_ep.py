@@ -8,8 +8,9 @@ A1,...,An entail A iff (A1 /\\ ... /\\ An) -> A is valid.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .kernel import KripkeModel
 from .kernel import check_kripke  # noqa: F401  re-exported only for perfbench/workloads.py
@@ -20,7 +21,6 @@ from .syntax import (
     Box,
     Conj,
     Disj,
-    Formula,
     Impl,
     Sequent,
     atoms_of,
@@ -29,6 +29,13 @@ from .syntax import (
 
 @dataclass
 class EpProofResult:
+    """A verdict, its countermodel when NotProvable, and the search's cost.
+
+    `worlds_expanded` counts tableau steps, alpha applications plus beta
+    splits, not worlds; the name stays because the benchmark's span
+    counter reads it.
+    """
+
     provable: bool
     countermodel: Optional[KripkeModel]
     worlds_expanded: int
@@ -38,124 +45,111 @@ class EpProofResult:
         return "Provable" if self.provable else "NotProvable"
 
 
-# (sign, node type) -> (is beta, the signs of the parts).  An alpha formula
-# adds all its parts to the branch, a beta one splits it, one part each;
-# the parts are the children in order.  F[]A is a modal demand (satisfy),
-# atoms and falsum take no rule.
-_RULES = {
-    (True, Conj): (False, (True, True)),
-    (True, Box): (False, (True,)),
-    (False, Disj): (False, (False, False)),
-    (False, Impl): (False, (True, False)),
-    (False, Conj): (True, (False, False)),
-    (True, Disj): (True, (True, True)),
-    (True, Impl): (True, (False, True)),
-}
-
-
-def _parts(sign: bool, f: Formula):
-    """The signed parts a rule gives a signed formula, in order."""
-    return zip(_RULES[sign, type(f)][1], (f.inner,) if type(f) is Box else (f.left, f.right))
-
-
-def _put(parts, state: dict, alphas: list, betas: list) -> bool:
-    """Add signed formulas to a world state; False when one closes the branch."""
-    for sf in parts:
-        if sf in state:
-            continue
-        sign, f = sf
-        if (not sign, f) in state or (sign and f is FALSUM):
-            return False
-        state[sf] = None
-        rule = _RULES.get((sign, type(f)))
-        if rule is not None:
-            (betas if rule[0] else alphas).append(sf)
-    return True
+# Node type -> (is beta, the sign of each part), one table per sign.  An
+# alpha formula adds all its parts to the branch, a beta one splits it, one
+# part each; the parts are the children in order.  F[]A is a modal demand
+# (satisfy), atoms and falsum take no rule.
+_TRUE_RULES = {Conj: (False, True, True), Box: (False, True),
+               Disj: (True, True, True), Impl: (True, False, True)}
+_FALSE_RULES = {Disj: (False, False, False), Impl: (False, True, False),
+                Conj: (True, False, False)}
 
 
 class _Tableau:
-    """The search.  A world state is a dict used as an ordered set of signed
-    formulas, and every choice takes them in the order they were added, so
-    the search order depends only on the formula's structure: not on the
-    hash seed, nor on what else the process has built or printed."""
+    """The search.  A world state is two dicts used as ordered sets, the
+    formulas signed true and those signed false, and every choice takes them
+    in the order they were added, so the search order depends only on the
+    formula's structure: not on the hash seed, nor on what else the process
+    has built or printed."""
 
     def __init__(self, node_cap: Optional[int]):
-        self.node_cap = node_cap
+        self.cap = sys.maxsize if node_cap is None else node_cap
         self.steps = 0
-        self.worlds: list[set] = []  # the true atoms of each world, by number
+        self.worlds: list[list] = []  # the true atoms of each world, by number
         self.edges: list[tuple[int, int]] = []  # accessibility, before closure
+        self.ancestors: dict = {}  # the keys of the worlds being satisfied -> their numbers
 
-    def _tick(self):
-        self.steps += 1
-        if self.node_cap is not None and self.steps > self.node_cap:
-            raise SearchLimitError(f"node cap {self.node_cap} exceeded")
-
-    def saturations(self, seed: tuple) -> Iterator[dict]:
-        """The open, fully expanded world states that extend the seed.
-
-        A branch applies its alphas first; then its oldest beta splits it,
-        first part first.  A branch waits on the stack as its state, its
-        unsplit betas and the parts still to put in; at a split the first
-        part gets a copy of the state and the second the state itself.
-        """
-        stack = [({}, [], seed)]
-        while stack:
-            state, betas, parts = stack.pop()
-            alphas = []
-            if not _put(parts, state, alphas, betas):
-                continue
-            for sign, f in alphas:  # a queue: the loop sees what it appends
-                self._tick()
-                if not _put(_parts(sign, f), state, alphas, betas):
-                    break
-            else:
-                if not betas:
-                    yield state
-                    continue
-                self._tick()
-                (sign, f), rest = betas[0], betas[1:]
-                first, second = _parts(sign, f)
-                stack += (state, rest, (second,)), (dict(state), rest[:], (first,))
-
-    def satisfy(self, seed: tuple, key: frozenset, chain: dict) -> Optional[int]:
+    def satisfy(self, parts: list, key: tuple) -> Optional[int]:
         """The number of a world realizing the seed, or None.
 
-        The seed is `(F A, *the T[] formulas of the state demanding []A)`
-        in the order they arose, and key is its frozenset; chain maps the
-        ancestors' keys to their worlds, and a demand whose seed is an
+        The seed parts are `(False, A)` then `(True, []B)` for each
+        T[] formula of the state demanding []A, in the order they arose, and
+        key is `(A, frozenset of the []B)`.  A demand whose key is an
         ancestor's loops back to that world.  A world is numbered as the
         search enters it, and its true atoms and its edges go to
         `self.worlds` and `self.edges`; an attempt that fails truncates
         both back to where it began, so the worlds left are numbered in
         the order the search entered them.
+
+        Saturation is the loop over a stack of branches.  A branch puts
+        its parts in, then the parts of each alpha in the order the alphas
+        arose, a queue where None marks one alpha's step; then its oldest
+        beta splits it, first part first.  At a split the first part gets
+        copies of the state and the second the state itself.
         """
-        wid, first_edge = len(self.worlds), len(self.edges)
-        here = {**chain, key: wid}
-        for state in self.saturations(seed):
-            boxed, demands, atoms = [], [], set()
-            for sf in state:
-                sign, f = sf
-                kind = type(f)
-                if kind is Box:
-                    if sign:
-                        boxed.append(sf)
-                    else:
-                        demands.append(f.inner)
-                elif sign and kind is Atom:
-                    atoms.add(f.name)
-            self.worlds.append(atoms)
-            for inner in demands:
-                succ = ((False, inner), *boxed)
-                succ_key = frozenset(succ)
-                target = here.get(succ_key)
-                if target is None:
-                    target = self.satisfy(succ, succ_key, here)
-                    if target is None:
+        worlds, edges, ancestors, cap = self.worlds, self.edges, self.ancestors, self.cap
+        wid, first_edge = len(worlds), len(edges)
+        ancestors[key] = wid
+        stack = [({}, {}, [], parts)]
+        while stack:
+            true, false, betas, queue = stack.pop()
+            for item in queue:  # the loop sees what it appends
+                if item is None:
+                    self.steps += 1
+                    if self.steps > cap:
+                        raise SearchLimitError(f"node cap {cap} exceeded")
+                    continue
+                sign, f = item
+                if sign:
+                    if f in true:
+                        continue
+                    if f in false or f is FALSUM:
                         break
-                self.edges.append((wid, target))
+                    true[f] = None
+                    rule = _TRUE_RULES.get(type(f))
+                else:
+                    if f in false:
+                        continue
+                    if f in true:
+                        break
+                    false[f] = None
+                    rule = _FALSE_RULES.get(type(f))
+                if rule is None:
+                    continue
+                if rule[0]:
+                    betas.append((rule, f))
+                elif type(f) is Box:
+                    queue += None, (rule[1], f.inner)
+                else:
+                    queue += None, (rule[1], f.left), (rule[2], f.right)
             else:
-                return wid
-            del self.worlds[wid:], self.edges[first_edge:]
+                if betas:
+                    self.steps += 1
+                    if self.steps > cap:
+                        raise SearchLimitError(f"node cap {cap} exceeded")
+                    (_, first, second), f = betas[0]
+                    rest = betas[1:]
+                    stack += ((true, false, rest, [(second, f.right)]),
+                              (dict(true), dict(false), rest[:], [(first, f.left)]))
+                    continue
+                worlds.append([f.name for f in true if type(f) is Atom])
+                demands = [f.inner for f in false if type(f) is Box]
+                if demands:
+                    boxed = [f for f in true if type(f) is Box]
+                    seed, boxed = [(True, f) for f in boxed], frozenset(boxed)
+                for inner in demands:
+                    succ_key = (inner, boxed)
+                    target = ancestors.get(succ_key)
+                    if target is None:
+                        target = self.satisfy([(False, inner), *seed], succ_key)
+                        if target is None:
+                            break
+                    edges.append((wid, target))
+                else:
+                    del ancestors[key]
+                    return wid
+                del worlds[wid:], edges[first_edge:]
+        del ancestors[key]
         return None
 
 
@@ -180,11 +174,12 @@ def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
     else:
         target = goal
     tableau = _Tableau(node_cap)
-    seed = ((False, target),)
-    if tableau.satisfy(seed, frozenset(seed), {}) is None:
+    if tableau.satisfy([(False, target)], (target, frozenset())) is None:
         return EpProofResult(True, None, tableau.steps)
     worlds = tableau.worlds
-    valuation = {name: sum(1 << w for w, atoms in enumerate(worlds) if name in atoms)
-                 for name in sorted(atoms_of(target))}
+    valuation = dict.fromkeys(sorted(atoms_of(target)), 0)
+    for w, names in enumerate(worlds):
+        for name in names:
+            valuation[name] |= 1 << w
     model = KripkeModel(_closure(len(worlds), tableau.edges), valuation, 0)
     return EpProofResult(False, model, tableau.steps)

@@ -256,6 +256,29 @@ def test_paper_sample_without_a_sampled_check_is_error(capsys, target):
     assert one_json_document(out)["error"] == f"{target} takes no --sample"
 
 
+@pytest.mark.parametrize("target", ["thm2", "fernandez", "inoue", "godel"])
+@pytest.mark.parametrize("output", ["json", "human"])
+def test_paper_seed_without_a_seeded_check_is_error(capsys, target, output):
+    code, out, err = run(capsys, "paper", target, "--seed", "3", "--output", output)
+    assert code == 2
+    if output == "json":
+        assert one_json_document(out)["error"] == f"{target} takes no --seed"
+    else:
+        assert out == "" and err == f"error: {target} takes no --seed"
+
+
+def test_paper_env_seed_is_a_silent_default(capsys, monkeypatch):
+    monkeypatch.setenv("EPIST2INT_SEED", "3")
+    code, out, _ = run(capsys, "paper", "fernandez", "--output", "json")
+    assert code == 0 and one_json_document(out)["reports"][0]["seed"] is None
+
+
+def test_paper_malformed_env_seed_is_error(capsys, monkeypatch):
+    monkeypatch.setenv("EPIST2INT_SEED", "x")
+    code, out, _ = run(capsys, "paper", "fernandez", "--output", "json")
+    assert code == 2 and "--seed" in one_json_document(out)["error"]
+
+
 def one_json_document(out: str) -> dict:
     lines = out.splitlines()
     assert len(lines) == 1

@@ -1,9 +1,14 @@
 """The fence around the trusted base: the certificate checkers and the
 mask semantics in `kernel` import no search, no other module defines one
-of them, and the searches do not evaluate."""
+of them, and the searches do not evaluate.  The kernel's mask loops are
+compared with their definitional forms."""
 
 import ast
+import itertools
+from collections import Counter
 from pathlib import Path
+
+from epist2int.kernel import AlgebraError, check_preorder, interior
 
 # read as source, not imported, so that an import cycle the fence is
 # meant to catch fails an assertion here rather than the collection
@@ -103,3 +108,57 @@ def test_only_decide_calls_the_searches():
                     outside.append(f"{module} line {node.lineno}: {name}")
     assert outside == []
     assert named == searches  # decide calls both
+
+
+# ---------------------------------------------------------------- the mask loops
+# `interior` and `check_preorder` are loops in the kernel; here they meet
+# their definitional forms, kept as the reference.
+
+def interior_reference(up, a):
+    return sum(1 << w for w, u in enumerate(up) if not u & ~a)
+
+
+def preorder_error_reference(up):
+    n = len(up)
+    for w, u in enumerate(up):
+        if u >> n:
+            return "unknown world"
+        if not u >> w & 1:
+            return "not reflexive"
+        if any(u >> v & 1 and up[v] & ~u for v in range(n)):
+            return "not transitive"
+    return None
+
+
+def preorder_error(up):
+    try:
+        check_preorder(up)
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_preorder_matches_its_definition():
+    """Every tuple of up to 4 masks on up to 3 points, and every reflexive
+    one on 4: the kernel rejects exactly what the reference rejects, with
+    the same message."""
+    cases = [up for n in range(4) for up in itertools.product(range(1 << (n + 1)), repeat=n)]
+    cases += [up for up in itertools.product(range(16), repeat=4)
+              if all(u >> w & 1 for w, u in enumerate(up))]
+    verdicts = Counter()
+    for up in cases:
+        want, got = preorder_error_reference(up), preorder_error(up)
+        assert (want is None) == (got is None) and (want is None or want in got), up
+        verdicts[want] += 1
+    assert verdicts[None] == 1 + 1 + 4 + 29 + 355  # the preorders on 0..4 labelled points
+    assert all(verdicts[kind] for kind in ("unknown world", "not reflexive", "not transitive"))
+
+
+def test_interior_matches_its_definition():
+    """Over every preorder on up to 4 points and every mask, negative
+    masks included: `~a | b` is negative when b misses a point a misses."""
+    for n in range(5):
+        for up in itertools.product(range(1 << n), repeat=n):
+            if preorder_error(up) is None:
+                for a in range(-(1 << n), 1 << n):
+                    assert interior(up, a) == interior_reference(up, a), (up, a)

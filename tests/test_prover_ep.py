@@ -16,9 +16,10 @@ import epist2int
 from conftest import ep_formulas
 from epist2int import prover_ep
 from epist2int.algebra import upset_algebra
-from epist2int.harness import enumerate_ip_formulas
+from epist2int.harness import enumerate_ip_formulas, sample_provable_ep_sequents
 from epist2int.kernel import KripkeModel, check_kripke
 from epist2int.prover_ep import prove_ep
+from epist2int.prover_ip import SearchLimitError
 from epist2int.syntax import (
     EP,
     Atom,
@@ -29,6 +30,7 @@ from epist2int.syntax import (
     Sequent,
     neg,
     parse_sequent,
+    random_formula_sized,
     subformulas,
 )
 from epist2int.translate import godel_translate
@@ -221,6 +223,63 @@ def test_godel_search_order_is_pinned():
     assert steps == 2649
     digest = hashlib.sha256(json.dumps(models).encode()).hexdigest()
     assert digest == "c2479fe4991dc3a6ebe5c5c59295f46cb7c1a1e3ac7711512cb2c1cd3c8d2204"
+
+
+def outcome_digest(sequents) -> str:
+    outcomes = []
+    for s in sequents:
+        res = prove_ep(s)
+        outcomes.append([res.verdict, res.worlds_expanded,
+                         res.countermodel and res.countermodel.to_json()])
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("sequents, digest", [
+    (lambda: [Sequent((), random_formula_sized(10, ["p", "q", "r"], EP, seed=s), EP)
+              for s in range(600)],
+     "5f243207b908d0388a68f400e2e9acd58dcd93d2f905034f09c48929b8408eb0"),
+    (lambda: sample_provable_ep_sequents(150, 8, 0),
+     "7468168c050b57c6549b69111631d8ee4fbb2f440a20e3f3ed3a47bef7c4d3ab"),
+], ids=["random-formulas", "sampler-sequents"])
+def test_search_order_is_pinned_beyond_godel(sequents, digest):
+    """The verdict, steps and countermodel of each of 600 seeded random
+    EP formulas (542 NotProvable) and of the soundness sweep's first 150
+    sampled sequents (146 with one or two boxed assumptions), as recorded
+    before the tableau came to keep a world state as two dicts."""
+    assert outcome_digest(sequents()) == digest
+
+
+@pytest.mark.parametrize("text", [
+    "|- ([]p -> q) \\/ ([]q -> p) \\/ (p /\\ q)",
+    "|- [](p \\/ q) -> []p \\/ []q",
+    "[]p, [](p -> q) |- []q",
+    "|- []((p -> q) \\/ (q -> p)) \\/ p",
+    "|- ([]p -> []q) -> [](p -> q)",
+])
+def test_node_cap_counts_steps(text):
+    """A cap below the uncapped step count stops the search; any other
+    cap leaves the result as it is."""
+    s = parse_sequent(text, EP)
+    free = prove_ep(s)
+    assert free.worlds_expanded >= 3
+    for cap in range(1, free.worlds_expanded + 2):
+        if cap < free.worlds_expanded:
+            with pytest.raises(SearchLimitError, match=f"node cap {cap} exceeded"):
+                prove_ep(s, node_cap=cap)
+        else:
+            assert prove_ep(s, node_cap=cap) == free
+
+
+def test_modal_depth_800():
+    """satisfy recurses once per modal level: |- []...[]p, 800 boxes
+    deep, is refuted by a chain of 801 worlds."""
+    f = p
+    for _ in range(800):
+        f = Box(f)
+    s = Sequent((), f, EP)
+    res = prove_ep(s)
+    assert not res.provable and len(res.countermodel.worlds) == 801
+    assert check_kripke(res.countermodel, s)
 
 
 def test_failed_attempt_leaves_no_world(monkeypatch):
