@@ -34,16 +34,16 @@ from .prover_ip import SearchLimitError
 from .syntax import (
     EP,
     IP,
+    FormulaTable,
     ParseError,
     atoms_of,
     parse_formula,
     parse_sequent,
     print_formula,
-    to_json_tree,
 )
 from .translate import TranslationContext, ff_simplify, ff_translate, godel_translate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _positive_int(text: str) -> int:
@@ -66,35 +66,9 @@ class _Given(argparse.Action):
         setattr(namespace, f"{self.dest}_given", True)
 
 
-class _Text(str):
-    """A piece of JSON text that _dumps copies as it is."""
-
-
-def _dumps(doc) -> str:
-    """json.dumps(doc) over an explicit stack: a formula tree nested
-    deeper than the recursion limit still prints."""
-    out: list[str] = []
-    todo = [doc]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, _Text):
-            out.append(x)
-        elif isinstance(x, dict) and x:
-            todo.append(_Text("}"))
-            for i, (k, v) in reversed(list(enumerate(x.items()))):
-                todo += v, _Text(("{" if i == 0 else ", ") + json.dumps(k) + ": ")
-        elif isinstance(x, list) and x:
-            todo.append(_Text("]"))
-            for i, v in reversed(list(enumerate(x))):
-                todo += v, _Text("[" if i == 0 else ", ")
-        else:
-            out.append(json.dumps(x))
-    return "".join(out)
-
-
 def _print_json(doc: dict) -> None:
     doc["schema_version"] = SCHEMA_VERSION
-    print(_dumps(doc))
+    print(json.dumps(doc))
 
 
 def cmd_translate(args) -> int:
@@ -119,13 +93,15 @@ def cmd_translate(args) -> int:
         simplified = ff_simplify(raw) if args.simplify else None
     shown = simplified if simplified is not None else raw
     if args.output == "json":
+        tree = FormulaTable()
+        tree.add(shown)
         _print_json({
             "command": "translate",
             "mode": args.mode,
             "input": print_formula(source),
             "raw": print_formula(raw),
             "simplified": print_formula(simplified) if simplified is not None else None,
-            "tree": to_json_tree(shown),
+            "tree": tree.entries,
         })
     else:
         print(print_formula(shown, relneg=gamma if args.pretty else ()))
@@ -154,7 +130,7 @@ def cmd_prove(args) -> int:
     elif evidence is None:
         print(res.verdict)
     else:
-        print(f"{res.verdict}\n{key}: {_dumps(evidence)}")
+        print(f"{res.verdict}\n{key}: {json.dumps(evidence)}")
     return 0 if res.provable else 1
 
 
@@ -165,14 +141,16 @@ def cmd_eval(args) -> int:
     names = atoms_of(f)
     for item in args.assign:
         name, _, idx = item.partition("=")
-        if not idx:
-            raise ValueError(f"bad assignment {item!r}, expected atom=index")
+        try:
+            index = int(idx)
+        except ValueError:
+            raise ValueError(f"bad assignment {item!r}, expected atom=index") from None
         name = name.strip()
         if name not in names:
             raise ValueError(f"atom {name!r} does not occur in the formula")
         if name in assignment:
             raise ValueError(f"atom {name!r} is assigned twice")
-        assignment[name] = int(idx)
+        assignment[name] = index
     value = evaluate(f, assignment, chain)
     if args.output == "json":
         _print_json({
@@ -299,7 +277,7 @@ def main(argv=None) -> int:
         message = str(exc)
     except RecursionError:
         # parsing, printing (neg[E](A) included), both translations, the
-        # kernel's trace walks and the JSON writer are iterative; the
+        # kernel's trace walks and the formula table are iterative; the
         # kernel's one mask evaluator (eval, refute, the Kripke check), the
         # provers and ff_simplify recurse once per nesting level (prove_ip
         # per proof level)

@@ -523,10 +523,10 @@ def run_checks(targets, seed: int = 0, sample: Optional[int] = None) -> list[Che
     randomized checks only; sample=None keeps each check's default, and a
     sample is an error when no check of the targets takes one."""
     checks = [check for target in targets for check in ALL_CHECKS[target]]
-    if sample is not None and sample < 1:  # a check that checks nothing passes
-        raise ValueError("sample must be positive")
     if sample is not None and not takes_seed(targets):
         raise ValueError(f"{', '.join(targets)} takes no --sample")
+    if sample is not None and sample < 1:  # a check that checks nothing passes
+        raise ValueError("sample must be positive")
     kwargs = {"seed": seed} if sample is None else {"seed": seed, "sample": sample}
     return [check(**kwargs) if check in _SEEDED else check() for check in checks]
 

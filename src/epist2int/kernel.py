@@ -14,8 +14,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .syntax import (FALSUM, Atom, Box, Conj, Disj, Falsum, Formula, Impl, Sequent,
-                     print_formula)
+from .syntax import (FALSUM, Atom, Box, Conj, Disj, Falsum, Formula, FormulaTable, Impl,
+                     Sequent, formula_key)
 
 
 class TraceNode(NamedTuple):
@@ -159,35 +159,39 @@ def check_trace(trace: Optional[TraceNode], s: Sequent) -> bool:
     return validate_trace(trace, s) is None
 
 
-def _distinct_nodes(trace: TraceNode) -> dict[int, TraceNode]:
-    """Each distinct node once, by id, in pre-order with premises in
-    order; a loop, so depth costs no Python stack."""
-    seen: dict[int, TraceNode] = {}
-    todo = [trace]
+def _distinct_nodes(trace: TraceNode) -> list[TraceNode]:
+    """Each distinct node once, premises before conclusions and in
+    order, the root last; a loop, so depth costs no Python stack."""
+    order, seen, todo = [], set(), [(trace, False)]
     while todo:
-        n = todo.pop()
-        if id(n) not in seen:
-            seen[id(n)] = n
-            todo += n.premises[::-1]
-    return seen
+        n, done = todo.pop()
+        if done:
+            order.append(n)
+        elif id(n) not in seen:
+            seen.add(id(n))
+            todo += (n, True), *((p, False) for p in reversed(n.premises))
+    return order
 
 
 def trace_to_json(trace: TraceNode) -> dict:
-    """The trace as nested dicts, one per distinct node, so a
-    sub-derivation the DAG shares is one dict, shared in the result."""
+    """The trace as a formula table and a table of its distinct rule
+    instances, the steps of _distinct_nodes, which name formulas and
+    premises by index: a shared formula or sub-derivation is written
+    once.  Each context is added in formula_key order, so the document
+    depends neither on the hash seed nor on what the process built
+    before."""
+    table = FormulaTable()
+    add = table.add
     nodes = _distinct_nodes(trace)
-    docs = {i: {} for i in nodes}
-    for n in nodes.values():
-        docs[id(n)].update(
-            rule=n.rule,
-            sequent={
-                "assumptions": sorted(print_formula(f) for f in n.context),
-                "goal": print_formula(n.goal),
-            },
-            principal=print_formula(n.principal) if n.principal is not None else None,
-            premises=[docs[id(p)] for p in n.premises],
-        )
-    return docs[id(trace)]
+    step = {id(n): i for i, n in enumerate(nodes)}
+    steps = [{
+        "rule": n.rule,
+        "assumptions": sorted([add(f) for f in sorted(n.context, key=formula_key)]),
+        "goal": add(n.goal),
+        "principal": add(n.principal) if n.principal is not None else None,
+        "premises": [step[id(p)] for p in n.premises],
+    } for n in nodes]
+    return {"formulas": table.entries, "steps": steps}
 
 
 # ---------------------------------------------------------------- masks
@@ -292,8 +296,8 @@ def check_kripke(model: KripkeModel, s: Sequent) -> bool:
     """
     if not (isinstance(model.up, tuple) and isinstance(model.valuation, dict)):
         raise ValueError("a model is a tuple of up-set masks and a dict of valuation masks")
-    if model.root not in model.worlds:
-        raise ValueError("root world missing")
+    if not isinstance(model.root, int) or model.root not in model.worlds:
+        raise ValueError(f"root world missing: {model.root!r} is not an int in 0..{len(model.up) - 1}")
     check_preorder(model.up)
     for name, where in model.valuation.items():
         if not isinstance(where, int):

@@ -411,24 +411,40 @@ def print_sequent(s: Sequent) -> str:
     return (lhs + " |- " if lhs else "|- ") + print_formula(s.goal)
 
 
-_JSON_NAMES = {Atom: "atom", Falsum: "falsum", Conj: "conj", Disj: "disj", Impl: "impl", Box: "box"}
+class FormulaTable:
+    """The JSON form of formulas, an output format only: nothing reads it
+    back.  `entries` holds each distinct subformula once, as {"node": the
+    lower-case class name} plus "name" for an atom or "children", indices
+    of earlier entries, for a compound.  `add(f)` returns f's index,
+    appending first what is missing, children first and left before
+    right, so a formula not yet in the table becomes its last entry.  A
+    loop, so depth costs no Python stack."""
 
+    def __init__(self):
+        self.entries: list[dict] = []
+        self._index: dict[Formula, int] = {}
 
-def to_json_tree(f: Formula) -> dict:
-    """The node tree as nested dicts, an output format only: nothing reads
-    it back.  A loop, so depth costs no Python stack."""
-    root: dict = {}
-    todo = [(f, root)]
-    while todo:
-        g, d = todo.pop()
-        kind = type(g)
-        d["node"] = _JSON_NAMES[kind]
-        if kind is Atom:
-            d["name"] = g.name
-        kids = (g.inner,) if kind is Box else () if kind is Atom or kind is Falsum else (g.left, g.right)
-        d["children"] = [{} for _ in kids]
-        todo += zip(kids, d["children"])
-    return root
+    def add(self, f: Formula) -> int:
+        index, entries = self._index, self.entries
+        todo = [f]
+        while todo:
+            g = todo.pop()
+            if g in index:
+                continue
+            kind = type(g)
+            kids = () if kind is Atom or kind is Falsum else (g.inner,) if kind is Box else (g.left, g.right)
+            missing = [k for k in kids if k not in index]
+            if missing:
+                todo += g, *reversed(missing)
+                continue
+            entry = {"node": kind.__name__.lower()}
+            if kind is Atom:
+                entry["name"] = g.name
+            elif kids:
+                entry["children"] = [index[k] for k in kids]
+            index[g] = len(entries)
+            entries.append(entry)
+        return index[f]
 
 
 # What rng.choice picks for a node above depth 0, per logic: a constructor,

@@ -1,12 +1,16 @@
+import hashlib
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import epist2int
 from epist2int import cli, harness
 from epist2int.cli import main
 
@@ -37,7 +41,7 @@ def test_translate_witness_not_in_gamma(capsys):
 def test_translate_ff_without_context_is_json_error(capsys):
     code, out, _ = run(capsys, "translate", "--mode", "ff", "--output", "json", "p")
     assert code == 2
-    assert json.loads(out) == {"schema_version": 1,
+    assert json.loads(out) == {"schema_version": 2,
                                "error": "ff mode requires --gamma and --witness"}
 
 
@@ -46,7 +50,7 @@ def test_translate_json_has_raw_and_simplified(capsys):
                        "--witness", "E", "--simplify", "--output", "json", "[]p")
     blob = json.loads(out)
     assert code == 0
-    assert blob["schema_version"] == 1
+    assert blob["schema_version"] == 2
     assert blob["raw"] == "(((p -> E) -> E) -> E) -> E"
     assert blob["simplified"] == "(p -> E) -> E"
 
@@ -88,7 +92,7 @@ def spy(monkeypatch, owner, name) -> list:
 
 
 def test_human_translate_builds_no_json_tree(capsys, monkeypatch):
-    calls = spy(monkeypatch, cli, "to_json_tree")
+    calls = spy(monkeypatch, cli, "FormulaTable")
     code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "E,C",
                        "--witness", "E", "--simplify", "--pretty", "[]p")
     assert code == 0 and out == "neg[E](neg[E](p))" and calls == []
@@ -122,7 +126,7 @@ def test_prove_ip_trace_json(capsys):
                        "--output", "json", "|- p -> p")
     blob = json.loads(out)
     assert code == 0 and blob["verdict"] == "Provable"
-    assert blob["trace"]["rule"] == "R-impl"
+    assert [step["rule"] for step in blob["trace"]["steps"]] == ["axiom", "R-impl"]
 
 
 def test_prove_ep_countermodel_exit_one(capsys):
@@ -161,7 +165,7 @@ def test_prove_ep_trace_is_json_error(capsys):
     code, out, _ = run(capsys, "prove", "--logic", "ep", "--trace", "--output", "json",
                        "p |- []p")
     assert code == 2
-    assert one_json_document(out) == {"schema_version": 1, "error": "--trace needs --logic ip"}
+    assert one_json_document(out) == {"schema_version": 2, "error": "--trace needs --logic ip"}
 
 
 def test_eval_inadmissibility_witness(capsys):
@@ -189,8 +193,18 @@ def test_eval_out_of_range(capsys):
 def test_eval_bad_assignment_is_json_error(capsys):
     code, out, _ = run(capsys, "eval", "--output", "json", "--assign", "p", "p")
     assert code == 2
-    assert json.loads(out) == {"schema_version": 1,
+    assert json.loads(out) == {"schema_version": 2,
                                "error": "bad assignment 'p', expected atom=index"}
+
+
+@pytest.mark.parametrize("assign, error", [
+    ("p=x", "bad assignment 'p=x', expected atom=index"),
+    ("p=1.0", "bad assignment 'p=1.0', expected atom=index"),
+    ("p=-1", "atom 'p' has value -1, out of range 0..2"),
+], ids=["letter", "decimal", "negative"])
+def test_eval_index_is_an_int_in_range(capsys, assign, error):
+    code, out, _ = run(capsys, "eval", "--output", "json", "--assign", assign, "p")
+    assert code == 2 and one_json_document(out) == {"schema_version": 2, "error": error}
 
 
 @pytest.mark.parametrize("assign, error", [
@@ -204,7 +218,7 @@ def test_eval_rejects_ignored_assignments(capsys, assign, error, output):
     code, out, err = run(capsys, *argv)
     assert code == 2
     if output == "json":
-        assert one_json_document(out) == {"schema_version": 1, "error": error}
+        assert one_json_document(out) == {"schema_version": 2, "error": error}
     else:
         assert out == "" and err == f"error: {error}"
 
@@ -254,6 +268,13 @@ def test_paper_sample_without_a_sampled_check_is_error(capsys, target):
     code, out, _ = run(capsys, "paper", target, "--sample", "3", "--output", "json")
     assert code == 2
     assert one_json_document(out)["error"] == f"{target} takes no --sample"
+
+
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_paper_sample_is_rejected_before_its_value(capsys, sample):
+    # fernandez takes no sample at all, so its value is beside the point
+    code, out, _ = run(capsys, "paper", "fernandez", "--sample", sample, "--output", "json")
+    assert code == 2 and one_json_document(out)["error"] == "fernandez takes no --sample"
 
 
 @pytest.mark.parametrize("target", ["thm2", "fernandez", "inoue", "godel"])
@@ -352,22 +373,65 @@ def test_deep_godel_translation_is_one_json_document(capsys):
     code, out, _ = run(capsys, "translate", "--mode", "godel", "--output", "json",
                        "~" * 1000 + "p")
     assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 1
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(20000)  # json.loads recurses once per level
-    try:
-        blob = json.loads(lines[0])
-    finally:
-        sys.setrecursionlimit(limit)
+    # the tree is flat, so json.loads reads it at the default recursion limit
+    blob = one_json_document(out)
     assert blob["raw"] == "[]~" * 1000 + "[]p"
-    assert blob["tree"]["node"] == "box"
+    # p, []p and _|_, then an implication and its box for each ~
+    assert len(blob["tree"]) == 3 + 2 * 1000 and blob["tree"][-1]["node"] == "box"
+
+
+def test_translate_tree_has_each_distinct_node_once(capsys):
+    # ff_translate copies a box's body once per member of gamma, so the
+    # printed raw text grows as 3^9 here while the interned nodes do not
+    code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "q,r,q->r", "--witness",
+                       "q", "--output", "json", "[]" * 9 + "p")
+    assert code == 0 and len(one_json_document(out)["tree"]) == 78
 
 
 def test_json_output_is_formatted_as_json_dumps(capsys):
-    code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "E,C", "--witness",
-                       "E", "--simplify", "--output", "json", "[]p \\/ q")
-    assert code == 0 and out == json.dumps(json.loads(out))
+    for argv in (["translate", "--mode", "ff", "--gamma", "E,C", "--witness", "E", "--simplify",
+                  "--output", "json", "[]p \\/ q"],
+                 ["prove", "--logic", "ip", "--trace", "--output", "json", "p \\/ q |- q \\/ p"],
+                 ["paper", "fernandez", "--output", "json"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == json.dumps(json.loads(out)), argv
+    # the trace line of human mode too
+    code, out, _ = run(capsys, "prove", "--logic", "ip", "--trace", "p \\/ q |- q \\/ p")
+    verdict, trace = out.split("\ntrace: ")
+    assert code == 0 and verdict == "Provable" and trace == json.dumps(json.loads(trace))
+
+
+# n disjunctions pi \/ pi in the context: the trace has 3n distinct nodes,
+# but 102 399 as a tree at n = 12, and schema 1 wrote the tree
+WIDE = ", ".join(f"p{i} \\/ p{i}" for i in range(14)) + " |- q \\/ (" + " /\\ ".join(
+    f"p{i}" for i in range(14)) + ")"
+WIDE_ARGV = ["prove", "--logic", "ip", "--trace", "--output", "json", WIDE]
+WIDE_SHA256 = "d1414aa65a659abc3a034a9acbebcabdebeea89c646024df76cfbe2e20f4d3cd"
+
+
+def test_wide_trace_document_is_linear(capsys):
+    code = main(WIDE_ARGV)
+    out = capsys.readouterr().out
+    doc = one_json_document(out)
+    assert code == 0 and len(doc["trace"]["steps"]) == 42 and len(doc["trace"]["formulas"]) == 43
+    assert len(out.encode()) == 7576
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_SHA256
+
+
+@pytest.mark.parametrize("seed, interned", [
+    ("0", ""), ("1", ""), ("0", "q \\/ (p13 /\\ p12), " + ", ".join(
+        f"p{i} \\/ p{i} -> p{i}" for i in reversed(range(14))) + " |- q"),
+], ids=["seed-0", "seed-1", "interned-first"])
+def test_trace_document_bytes_are_deterministic(seed, interned):
+    """A fresh process prints the bytes pinned above, whatever its hash
+    seed and whatever formulas it built before."""
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(epist2int.__file__).resolve().parent.parent))
+    code = ("import sys; from epist2int.cli import main; from epist2int.syntax import parse_sequent; "
+            "sys.argv[1] and parse_sequent(sys.argv[1]); sys.exit(main(sys.argv[2:]))")
+    out = subprocess.run([sys.executable, "-c", code, interned, *WIDE_ARGV], env=env,
+                         capture_output=True, check=True, timeout=60).stdout
+    assert hashlib.sha256(out).hexdigest() == WIDE_SHA256
 
 
 def test_deep_formula_is_json_error(capsys):
@@ -394,7 +458,7 @@ def test_prove_deep_implication_chain(capsys):
     code, out, _ = run(capsys, "prove", "--logic", "ip", "--output", "json", f"|- {chain} -> a0")
     assert code == 0
     assert json.loads(out)["verdict"] == "Provable"
-    # human mode writes the trace with the same stack-based writer
+    # human mode writes the same flat trace document
     chain = " -> ".join(f"a{i}" for i in range(600))
     code, out, _ = run(capsys, "prove", "--logic", "ip", "--trace", f"|- {chain} -> a0")
     assert code == 0 and out.startswith("Provable\ntrace: {")

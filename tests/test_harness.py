@@ -175,9 +175,8 @@ def test_criterion_2_sequents_prove_under_node_cap():
 
 
 def test_godel_small():
+    # the full check's details are pinned by acceptance criterion 6
     assert len(harness.enumerate_ip_formulas(5)) == 516  # 3 + 27 + 486 over {p, q, falsum}
-    r = harness.check_godel_faithfulness()
-    assert r.details == {"formulas": 11451, "provable": 2850, "max_size": 7, "failures": []}
 
 
 def test_soundness_spec_instances():

@@ -65,6 +65,13 @@ def test_kernel_reaches_only_syntax():
     assert reached <= TRUSTED, f"kernel reaches {sorted(reached - TRUSTED)}"
 
 
+def test_kernel_prints_no_formula():
+    """Certificates name formulas by index in a formula table, so the
+    kernel needs no printer beyond formula_key, its order."""
+    named = {node.name for node in ast.walk(TREES["kernel"]) if isinstance(node, ast.alias)}
+    assert "formula_key" in named and not named & {"print_formula", "print_sequent"}
+
+
 def test_checkers_are_defined_in_kernel_only():
     kernel_names = {node.name for node in TREES["kernel"].body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}

@@ -154,6 +154,12 @@ class TestCheckKripke:
         with pytest.raises(ValueError, match="root world missing"):
             check_kripke(KripkeModel((0b1,), {}, 1), parse_sequent("|- p", EP))
 
+    @pytest.mark.parametrize("root", [0.0, "0", None], ids=["float", "str", "none"])
+    def test_root_not_an_int_errors(self, root):
+        # 0.0 == 0, so it is in range(1); a JSON document may well hold it
+        with pytest.raises(ValueError, match="root world missing"):
+            check_kripke(KripkeModel((0b1,), {}, root), parse_sequent("|- p", EP))
+
     def test_one_world_model_cannot_refute_reflexivity_axiom(self):
         s = parse_sequent("|- []p -> p", EP)
         for labeling in (0b0, 0b1):

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import ip_formulas, tables
+from conftest import expand_trace, ip_formulas, table_formulas, tables
 from epist2int import kernel, prover_ip
 from epist2int.algebra import enumerate_heyting_algebras, refute
 from epist2int.harness import (
@@ -241,8 +241,10 @@ class TestTraces:
         assert left is right
         bad = left._replace(principal=q)
         assert validate_trace(res.trace._replace(premises=(bad, bad)), s) == "root.0: bad axiom instance"
+        # one step, referenced twice
         doc = trace_to_json(res.trace)
-        assert doc["premises"][0] is doc["premises"][1]
+        assert [step["rule"] for step in doc["steps"]] == ["axiom", "R-conj"]
+        assert doc["steps"][-1]["premises"] == [0, 0]
 
     def test_no_trace_when_not_requested(self):
         res = prove_ip(parse_sequent("|- p -> p"))
@@ -288,16 +290,47 @@ def _lemma_sequents(count: int, seed: int = 0) -> list[Sequent]:
 def test_ip_search_order_is_pinned():
     """The G4ip search order, pinned on 300 lemma sequents and 200
     criterion-6 formulas: verdicts, the summed nodes_expanded and
-    max_depth, and the digest of every trace_to_json."""
+    max_depth, and the digests of every trace_to_json, as written and
+    expanded into the nested schema-1 document the order was first
+    pinned on."""
     pool = enumerate_ip_formulas(7, ("p", "q"))
     sequents = _lemma_sequents(300) + [Sequent((), a, IP) for a in random.Random(0).sample(pool, 200)]
     results = [prove_ip(s, want_trace=True) for s in sequents]
     assert sum(r.provable for r in results) == 344
     assert sum(r.nodes_expanded for r in results) == 3244
     assert sum(r.max_depth for r in results) == 1802
-    traces = [trace_to_json(r.trace) if r.provable else None for r in results]
-    digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
+    docs = [trace_to_json(r.trace) if r.provable else None for r in results]
+    nested = [expand_trace(d) if d is not None else None for d in docs]
+    digest = hashlib.sha256(json.dumps(nested).encode()).hexdigest()
     assert digest == "317b594f9661bc384b5c52129237125a1cd977d8776d326cf265b744ea9e5aa0"
+    digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+    assert digest == "523039273c5b52be1dbe965ef8f97c2924e6c4cb7f4056eb0c7a3cd5a464b06e"
+
+
+def test_trace_document_reads_back_to_the_trace():
+    """Each trace document, read back by a test-only reader, is a trace
+    that check_trace accepts, with one step per distinct node, each
+    premise an earlier step and the root last."""
+    for s in _lemma_sequents(60):
+        res = prove_ip(s, want_trace=True)
+        if not res.provable:
+            continue
+        doc = json.loads(json.dumps(trace_to_json(res.trace)))
+        formulas, nodes = table_formulas(doc["formulas"]), []
+        for i, step in enumerate(doc["steps"]):
+            assert all(k < i for k in step["premises"])
+            assert step["assumptions"] == sorted(set(step["assumptions"]))
+            principal = step["principal"]
+            nodes.append(TraceNode(step["rule"], frozenset(formulas[k] for k in step["assumptions"]),
+                                   formulas[step["goal"]],
+                                   formulas[principal] if principal is not None else None,
+                                   tuple(nodes[k] for k in step["premises"])))
+        original = kernel._distinct_nodes(res.trace)
+        step = {id(n): i for i, n in enumerate(original)}
+        assert [n[:4] for n in nodes] == [n[:4] for n in original]
+        assert [[step[id(m)] for m in n.premises] for n in original] == [
+            step["premises"] for step in doc["steps"]]
+        assert check_trace(nodes[-1], s)
 
 
 # ---------------------------------------------------------------- principal order
@@ -319,24 +352,13 @@ TIES = {
 }
 
 
-def _distinct_nodes(trace: TraceNode) -> list[TraceNode]:
-    seen: dict[int, TraceNode] = {}
-    todo = [trace]
-    while todo:
-        n = todo.pop()
-        if id(n) not in seen:
-            seen[id(n)] = n
-            todo += n.premises
-    return list(seen.values())
-
-
 @pytest.mark.parametrize("rule, text", TIES.items(), ids=list(TIES))
 def test_ties_go_to_the_least_formula_key(rule, text):
     s = parse_sequent(text)
     res = prove_ip(s, want_trace=True)
     assert res.provable and check_trace(res.trace, s)
     tied = False
-    for n in _distinct_nodes(res.trace):
+    for n in kernel._distinct_nodes(res.trace):
         if n.rule not in _BUCKETS:
             continue
         takers = [f for f in n.context
@@ -405,11 +427,14 @@ def test_trace_to_json_deep_chain():
     n = TraceNode("axiom", frozenset({p}), p, p, ())
     for _ in range(4999):
         n = TraceNode("R-impl", frozenset(), Impl(p, p), None, (n,))
-    doc, depth = trace_to_json(n), 1
-    while doc["premises"]:
-        assert doc["rule"] == "R-impl" and doc["sequent"]["goal"] == "p -> p"
-        doc, depth = doc["premises"][0], depth + 1
-    assert depth == 5000 and doc["principal"] == "p"
+    # flat, so json.dumps writes it at the default recursion limit
+    doc = json.loads(json.dumps(trace_to_json(n)))
+    assert doc["formulas"] == [{"node": "atom", "name": "p"}, {"node": "impl", "children": [0, 0]}]
+    axiom, *steps = doc["steps"]
+    assert axiom == {"rule": "axiom", "assumptions": [0], "goal": 0, "principal": 0, "premises": []}
+    assert len(steps) == 4999
+    assert all(step == {"rule": "R-impl", "assumptions": [], "goal": 1, "principal": None,
+                        "premises": [k]} for k, step in enumerate(steps))
 
 
 def test_validate_trace_deep_chain():

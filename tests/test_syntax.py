@@ -12,7 +12,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
-from conftest import ep_formulas, ip_formulas
+from conftest import ep_formulas, expand_tree, ip_formulas, table_formulas
 import epist2int
 from epist2int import syntax
 from epist2int.syntax import (
@@ -25,6 +25,7 @@ from epist2int.syntax import (
     Conj,
     Disj,
     Falsum,
+    FormulaTable,
     Impl,
     ParseError,
     Sequent,
@@ -40,7 +41,6 @@ from epist2int.syntax import (
     random_formula,
     random_formula_sized,
     subformulas,
-    to_json_tree,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -292,13 +292,15 @@ def test_formula_key_deep():
     assert print_formula(h, relneg=[e]) == "neg[E](" * 5000 + "p" + ")" * 5000
 
 
-def test_to_json_tree_deep():
-    tree = to_json_tree(_deep(5000))
-    depth = 0
-    while tree["children"]:
-        tree = next(c for c in tree["children"] if c["children"] or c.get("name") == "p")
-        depth += 1
-    assert depth == 5000 and tree == {"node": "atom", "name": "p", "children": []}
+def test_formula_table_deep():
+    f = _deep(5000)
+    table = FormulaTable()
+    assert table.add(f) == len(table.entries) - 1
+    # flat, so json.dumps writes it at the default recursion limit
+    entries = json.loads(json.dumps(table.entries))
+    # one entry per level, and p, q and _|_
+    assert len(entries) == 5003
+    assert table_formulas(entries)[-1] is f
 
 
 def test_subformulas_pre_order_with_repeats():
@@ -352,8 +354,32 @@ def _reference_tree(f):
 
 @given(ep_formulas())
 def test_json_roundtrip(f):
-    # through JSON text, so the tree is also well-formed JSON
-    assert json.loads(json.dumps(to_json_tree(f))) == _reference_tree(f)
+    # through JSON text, so the table is also well-formed JSON
+    table = FormulaTable()
+    table.add(f)
+    entries = json.loads(json.dumps(table.entries))
+    assert expand_tree(entries) == _reference_tree(f)
+    # each distinct subformula once, children first
+    formulas = table_formulas(entries)
+    assert formulas[-1] is f and len(formulas) == len(set(formulas)) == len(set(subformulas(f)))
+
+
+def test_formula_table_is_shared_and_ordered():
+    """One table serves many formulas: a subformula already in it is not
+    written again, and a new one is added children first, left before
+    right."""
+    table = FormulaTable()
+    assert table.add(Impl(q, p)) == 2
+    assert table.add(Box(Conj(p, Impl(q, p)))) == 4
+    assert table.add(p) == 1 and table.add(FALSUM) == 5
+    assert table.entries == [
+        {"node": "atom", "name": "q"},
+        {"node": "atom", "name": "p"},
+        {"node": "impl", "children": [0, 1]},
+        {"node": "conj", "children": [1, 2]},
+        {"node": "box", "children": [3]},
+        {"node": "falsum"},
+    ]
 
 
 def test_random_formula_deterministic():
