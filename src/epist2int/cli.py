@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import harness
@@ -43,7 +44,7 @@ from .syntax import (
 )
 from .translate import TranslationContext, ff_simplify, ff_translate, godel_translate
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _positive_int(text: str) -> int:
@@ -71,6 +72,14 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc))
 
 
+def _option_formula(option: str, text: str, start: int = 0):
+    """The IP formula `text` at offset `start` of an option's value; an error names the option."""
+    try:
+        return parse_formula(text, IP)
+    except ParseError as exc:
+        raise ParseError(f"{option}: {exc.message}", start + exc.position) from None
+
+
 def cmd_translate(args) -> int:
     if args.mode == "godel":
         ff_only = [f"--{name}" for name in ("gamma", "witness", "simplify", "pretty")
@@ -78,33 +87,30 @@ def cmd_translate(args) -> int:
         if ff_only:
             raise ValueError(f"godel mode takes no {', '.join(ff_only)}")
         source = parse_formula(args.formula, IP)
-        raw = godel_translate(source)
-        simplified = None
+        raw, simplified = godel_translate(source), None
     else:
         if not args.gamma or not args.witness:
             raise ValueError("ff mode requires --gamma and --witness")
         source = parse_formula(args.formula, EP)
-        gamma = tuple(parse_formula(g.strip(), IP) for g in args.gamma.split(","))
-        witness = parse_formula(args.witness, IP)
+        gamma = tuple(_option_formula("--gamma", m[1], m.start(1))
+                      for m in re.finditer(r"(?:^|,)([^,]*)", args.gamma))
+        witness = _option_formula("--witness", args.witness)
         if witness not in gamma:
             raise ValueError("witness not in gamma")
-        ctx = TranslationContext(gamma, gamma.index(witness))
-        raw = ff_translate(source, ctx)
+        raw = ff_translate(source, TranslationContext(gamma, gamma.index(witness)))
         simplified = ff_simplify(raw) if args.simplify else None
-    shown = simplified if simplified is not None else raw
     if args.output == "json":
         tree = FormulaTable()
-        tree.add(shown)
         _print_json({
             "command": "translate",
             "mode": args.mode,
-            "input": print_formula(source),
-            "raw": print_formula(raw),
-            "simplified": print_formula(simplified) if simplified is not None else None,
+            "input": tree.add(source),
+            "raw": tree.add(raw),
+            "simplified": tree.add(simplified) if simplified is not None else None,
             "tree": tree.entries,
         })
     else:
-        print(print_formula(shown, relneg=gamma if args.pretty else ()))
+        print(print_formula(simplified or raw, relneg=gamma if args.pretty else ()))
     return 0
 
 

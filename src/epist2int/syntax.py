@@ -169,11 +169,11 @@ class Sequent:
 
 
 class ParseError(ValueError):
-    """Syntax error, carrying the offset where it was detected."""
+    """Syntax error, carrying its message and the offset where it was found."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 # One capture group, so findall returns the token strings.  The final \S

@@ -91,37 +91,31 @@ class TranslationContext:
 def ff_translate(a: Formula, ctx: TranslationContext) -> Formula:
     """Epistemic-to-intuitionistic translation relative to ctx.
 
-    A loop over an explicit stack, like godel_translate: a compound node
-    stacks its class, then its parts, each with the index in gamma of the
-    witness it is translated under (a box's part once per member of
-    gamma, in stored order); the class combines their translations.
+    The definition as one table from (subformula, index in gamma of its
+    witness) to its translation, filled children first in a loop over an
+    explicit stack, so depth costs no Python stack.  A box's body is a
+    child under every witness; each pair is translated once.
     """
     gamma = ctx.gamma
-    done: list[Formula] = []
-    todo: list = [(a, ctx.witness_index)]
+    done: dict[tuple[Formula, int], Formula] = {}
+    todo = [(a, ctx.witness_index)]
     while todo:
-        f, w = todo.pop()
-        if f is Conj or f is Impl:
-            right = done.pop()
-            done[-1] = f(done[-1], right)
-        elif f is Disj:
-            right = done.pop()
-            done[-1] = double_rel_neg(Disj(done[-1], right), gamma[w])
-        elif f is Box:
-            # conjunction over all witnesses, right-nested in stored order
-            parts = done[-len(gamma):]
-            del done[-len(gamma):]
-            done.append(double_rel_neg(_nest(parts, Conj), gamma[w]))
+        f, w = todo[-1]
+        kind = type(f)
+        parts = ([] if kind is Atom or kind is Falsum else [(f.inner, i) for i in range(len(gamma))]
+                 if kind is Box else [(f.left, w), (f.right, w)])
+        missing = [p for p in parts if p not in done]
+        if missing:
+            todo += missing
+            continue
+        parts = [done[p] for p in parts]
+        if kind is Conj or kind is Impl:
+            done[todo.pop()] = kind(*parts)
         else:
-            kind = type(f)
-            if kind is Atom or kind is Falsum:
-                done.append(double_rel_neg(f, gamma[w]))
-            elif kind is Box:
-                todo.append((Box, w))
-                todo += ((f.inner, i) for i in reversed(range(len(gamma))))
-            else:
-                todo += (kind, w), (f.right, w), (f.left, w)
-    return done[0]
+            # a box's conjunction over all witnesses is right-nested in stored order
+            body = _nest(parts, Conj) if kind is Box else Disj(*parts) if parts else f
+            done[todo.pop()] = double_rel_neg(body, gamma[w])
+    return done[a, ctx.witness_index]
 
 
 def _match_double(f: Formula):

@@ -11,14 +11,24 @@ from pathlib import Path
 import pytest
 
 import epist2int
+from conftest import table_formulas
 from epist2int import cli, harness
 from epist2int.cli import main
+from epist2int.syntax import print_formula
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out.strip(), out.err.strip()
+
+
+def printed_fields(doc: dict) -> dict:
+    """A translate document's input, raw and simplified, indices into its
+    tree, read back and printed; a null stays None."""
+    formulas = table_formulas(doc["tree"])
+    return {key: None if doc[key] is None else print_formula(formulas[doc[key]])
+            for key in ("input", "raw", "simplified")}
 
 
 def test_translate_ff_simplified(capsys):
@@ -41,7 +51,7 @@ def test_translate_witness_not_in_gamma(capsys):
 def test_translate_ff_without_context_is_json_error(capsys):
     code, out, _ = run(capsys, "translate", "--mode", "ff", "--output", "json", "p")
     assert code == 2
-    assert json.loads(out) == {"schema_version": 2,
+    assert json.loads(out) == {"schema_version": 3,
                                "error": "ff mode requires --gamma and --witness"}
 
 
@@ -50,9 +60,9 @@ def test_translate_json_has_raw_and_simplified(capsys):
                        "--witness", "E", "--simplify", "--output", "json", "[]p")
     blob = json.loads(out)
     assert code == 0
-    assert blob["schema_version"] == 2
-    assert blob["raw"] == "(((p -> E) -> E) -> E) -> E"
-    assert blob["simplified"] == "(p -> E) -> E"
+    assert blob["schema_version"] == 3
+    assert printed_fields(blob) == {"input": "[]p", "raw": "(((p -> E) -> E) -> E) -> E",
+                                    "simplified": "(p -> E) -> E"}
 
 
 def test_translate_pretty(capsys):
@@ -99,11 +109,12 @@ def test_human_translate_builds_no_json_tree(capsys, monkeypatch):
 
 
 def test_json_translate_prints_no_relative_negation(capsys, monkeypatch):
+    # --pretty only changes the human text; the document holds indices
     calls = spy(monkeypatch, cli, "print_formula")
     code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "E,C",
                        "--witness", "E", "--simplify", "--pretty", "--output", "json", "[]p")
-    assert code == 0 and one_json_document(out)["simplified"] == "(p -> E) -> E"
-    assert calls and all(not kwargs.get("relneg") for _, kwargs in calls)
+    assert code == 0 and calls == []
+    assert printed_fields(one_json_document(out))["simplified"] == "(p -> E) -> E"
 
 
 @pytest.mark.parametrize("argv, owner, name", [
@@ -165,7 +176,7 @@ def test_prove_ep_trace_is_json_error(capsys):
     code, out, _ = run(capsys, "prove", "--logic", "ep", "--trace", "--output", "json",
                        "p |- []p")
     assert code == 2
-    assert one_json_document(out) == {"schema_version": 2, "error": "--trace needs --logic ip"}
+    assert one_json_document(out) == {"schema_version": 3, "error": "--trace needs --logic ip"}
 
 
 def test_eval_inadmissibility_witness(capsys):
@@ -193,7 +204,7 @@ def test_eval_out_of_range(capsys):
 def test_eval_bad_assignment_is_json_error(capsys):
     code, out, _ = run(capsys, "eval", "--output", "json", "--assign", "p", "p")
     assert code == 2
-    assert json.loads(out) == {"schema_version": 2,
+    assert json.loads(out) == {"schema_version": 3,
                                "error": "bad assignment 'p', expected atom=index"}
 
 
@@ -204,7 +215,7 @@ def test_eval_bad_assignment_is_json_error(capsys):
 ], ids=["letter", "decimal", "negative"])
 def test_eval_index_is_an_int_in_range(capsys, assign, error):
     code, out, _ = run(capsys, "eval", "--output", "json", "--assign", assign, "p")
-    assert code == 2 and one_json_document(out) == {"schema_version": 2, "error": error}
+    assert code == 2 and one_json_document(out) == {"schema_version": 3, "error": error}
 
 
 @pytest.mark.parametrize("assign, error", [
@@ -218,7 +229,7 @@ def test_eval_rejects_ignored_assignments(capsys, assign, error, output):
     code, out, err = run(capsys, *argv)
     assert code == 2
     if output == "json":
-        assert one_json_document(out) == {"schema_version": 2, "error": error}
+        assert one_json_document(out) == {"schema_version": 3, "error": error}
     else:
         assert out == "" and err == f"error: {error}"
 
@@ -344,7 +355,11 @@ def test_bad_count_is_usage_error(capsys, monkeypatch, env, argv):
     assert code == 2 and "not a positive integer" in one_json_document(out)["error"]
 
 
-def test_paper_all_runs_every_check_in_order(capsys):
+def test_paper_all_runs_every_check_in_order(capsys, monkeypatch):
+    # the full Goedel check is acceptance criterion 6; order and status
+    # need only the formulas up to size 3
+    small = harness.enumerate_ip_formulas(3)
+    monkeypatch.setattr(harness, "enumerate_ip_formulas", lambda max_size: small)
     code, out, _ = run(capsys, "paper", "all", "--sample", "2", "--seed", "1",
                        "--output", "json")
     blob = one_json_document(out)
@@ -375,17 +390,54 @@ def test_deep_godel_translation_is_one_json_document(capsys):
     assert code == 0
     # the tree is flat, so json.loads reads it at the default recursion limit
     blob = one_json_document(out)
-    assert blob["raw"] == "[]~" * 1000 + "[]p"
-    # p, []p and _|_, then an implication and its box for each ~
-    assert len(blob["tree"]) == 3 + 2 * 1000 and blob["tree"][-1]["node"] == "box"
+    assert printed_fields(blob) == {"input": "~" * 1000 + "p", "raw": "[]~" * 1000 + "[]p",
+                                    "simplified": None}
+    # p, _|_ and []p, then for each ~ the input's implication, and the
+    # translation's implication and its box
+    assert len(blob["tree"]) == 3 + 3 * 1000 and blob["raw"] == len(blob["tree"]) - 1
 
 
 def test_translate_tree_has_each_distinct_node_once(capsys):
     # ff_translate copies a box's body once per member of gamma, so the
-    # printed raw text grows as 3^9 here while the interned nodes do not
+    # printed raw text grows as 3^9 here while the interned nodes do not:
+    # the translation's 78, and the input's nine boxes over its p
     code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "q,r,q->r", "--witness",
                        "q", "--output", "json", "[]" * 9 + "p")
-    assert code == 0 and len(one_json_document(out)["tree"]) == 78
+    assert code == 0 and len(one_json_document(out)["tree"]) == 78 + 9
+
+
+# the translation of []^13 p under three witnesses prints 3^13 copies of
+# the body as text, and 52.6 MB of JSON when the document carried that text
+DEEP_ARGV = ["translate", "--mode", "ff", "--gamma", "q,r,q->r", "--witness", "q", "--output",
+             "json", "[]" * 13 + "p"]
+DEEP_SHA256 = "d60a272cf199bb51d514f8f755abbb05fe32c459f4217c1f2f709a874fb60c50"
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_deep_translate_document_is_small_and_deterministic(seed):
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(epist2int.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-m", "epist2int.cli", *DEEP_ARGV], env=env,
+                         capture_output=True, check=True, timeout=60).stdout
+    assert len(out) == 4956 and hashlib.sha256(out).hexdigest() == DEEP_SHA256
+    doc = one_json_document(out.decode())
+    assert (doc["input"], doc["raw"], doc["simplified"]) == (13, len(doc["tree"]) - 1, None)
+    # no formula text: the only strings are keys, node kinds and atom names
+    assert not re.search(rb"->|\\/|/\\|\[\]", out)
+
+
+@pytest.mark.parametrize("option, value, error", [
+    ("--gamma", "q, []r", "--gamma: Box not allowed in IP (at position 3)"),
+    ("--gamma", "q,,r", "--gamma: unexpected end of input (at position 2)"),
+    ("--gamma", "q, r s", "--gamma: trailing input 's' (at position 5)"),
+    ("--witness", "q )", "--witness: trailing input ')' (at position 2)"),
+    ("--witness", "[]q", "--witness: Box not allowed in IP (at position 0)"),
+], ids=["gamma-box", "gamma-empty-member", "gamma-trailing", "witness-trailing", "witness-box"])
+def test_translate_option_parse_error_names_option_and_offset(capsys, option, value, error):
+    options = {"--gamma": "q", "--witness": "q", option: value}
+    code, out, _ = run(capsys, "translate", "--mode", "ff", *(x for kv in options.items() for x in kv),
+                       "--output", "json", "p")
+    assert code == 2 and one_json_document(out) == {"schema_version": 3, "error": error}
 
 
 def test_json_output_is_formatted_as_json_dumps(capsys):
@@ -406,7 +458,7 @@ def test_json_output_is_formatted_as_json_dumps(capsys):
 WIDE = ", ".join(f"p{i} \\/ p{i}" for i in range(14)) + " |- q \\/ (" + " /\\ ".join(
     f"p{i}" for i in range(14)) + ")"
 WIDE_ARGV = ["prove", "--logic", "ip", "--trace", "--output", "json", WIDE]
-WIDE_SHA256 = "d1414aa65a659abc3a034a9acbebcabdebeea89c646024df76cfbe2e20f4d3cd"
+WIDE_SHA256 = "b77e5f29f81ec7681e3f92a82935e3ab7a2a83b74fd30db7f4f880587c89ec5b"
 
 
 def test_wide_trace_document_is_linear(capsys):

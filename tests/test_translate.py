@@ -17,6 +17,7 @@ from epist2int.syntax import (
     Box,
     Conj,
     Disj,
+    FormulaTable,
     Impl,
     Sequent,
     is_ip_formula,
@@ -162,6 +163,19 @@ class TestFfClauses:
             else:
                 f, want = neg(f), Impl(want, double_rel_neg(FALSUM, E))
         assert ff_translate(f, TranslationContext((E,), 0)) == want
+
+    def test_deep_box_under_three_witnesses_is_translated_as_a_dag(self):
+        # the text of []^40 p holds 3^40 copies of p, which a walk of the
+        # tree would visit one by one; the (subformula, witness) pairs are 41 * 3
+        gamma = (q, r, Impl(q, r))
+        level = [double_rel_neg(p, e) for e in gamma]
+        for _ in range(40):
+            body = Conj(level[0], Conj(level[1], level[2]))
+            level = [double_rel_neg(body, e) for e in gamma]
+        got = ff_translate(parse_formula("[]" * 40 + "p", EP), TranslationContext(gamma, 0))
+        assert got is level[0]
+        table = FormulaTable()
+        assert table.add(got) + 1 == len(table.entries) == 326
 
     def test_soundness_sweep_translations_pinned(self):
         """The translations of criterion 2's 8000 sequents, as recorded
