@@ -74,6 +74,8 @@ def _print_json(doc: dict) -> None:
 
 def _option_formula(option: str, text: str, start: int = 0):
     """The IP formula `text` at offset `start` of an option's value; an error names the option."""
+    if not text.strip():
+        raise ParseError(f"{option}: empty formula", start)
     try:
         return parse_formula(text, IP)
     except ParseError as exc:

@@ -69,12 +69,13 @@ class _Tableau:
         self.edges: list[tuple[int, int]] = []  # accessibility, before closure
         self.ancestors: dict = {}  # the keys of the worlds being satisfied -> their numbers
 
-    def satisfy(self, parts: list, key: tuple) -> Optional[int]:
+    def satisfy(self, parts: list, key: Optional[tuple]) -> Optional[int]:
         """The number of a world realizing the seed, or None.
 
-        The seed parts are `(False, A)` then `(True, []B)` for each
-        T[] formula of the state demanding []A, in the order they arose, and
-        key is `(A, frozenset of the []B)`.  A demand whose key is an
+        The root's seed is prove_ep's and its key None.  A successor's seed
+        parts are `(False, A)` then `(True, []B)` for each T[] formula of
+        the state demanding []A, in the order they arose, and its key is
+        `(A, frozenset of the []B)`.  A demand whose key is an
         ancestor's loops back to that world.  A world is numbered as the
         search enters it, and its true atoms and its edges go to
         `self.worlds` and `self.edges`; an attempt that fails truncates
@@ -132,10 +133,15 @@ class _Tableau:
                     stack += ((true, false, rest, [(second, f.right)]),
                               (dict(true), dict(false), rest[:], [(first, f.left)]))
                     continue
-                worlds.append([f.name for f in true if type(f) is Atom])
+                names, boxed = [], []
+                for f in true:
+                    if type(f) is Atom:
+                        names.append(f.name)
+                    elif type(f) is Box:
+                        boxed.append(f)
+                worlds.append(names)
                 demands = [f.inner for f in false if type(f) is Box]
                 if demands:
-                    boxed = [f for f in true if type(f) is Box]
                     seed, boxed = [(True, f) for f in boxed], frozenset(boxed)
                 for inner in demands:
                     succ_key = (inner, boxed)
@@ -164,20 +170,22 @@ def _closure(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
 
 
 def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
-    """Decide S4 derivability; NotProvable verdicts carry a countermodel."""
-    goal = s.goal
-    if s.assumptions:
-        lhs = s.assumptions[0]
-        for a in s.assumptions[1:]:
+    """Decide S4 derivability; NotProvable verdicts carry a countermodel.
+    The root is seeded with the parts of F(lhs -> goal), lhs the conjunction
+    of the assumptions, so 0 or 1 assumption interns no node."""
+    goal, assumptions = s.goal, s.assumptions
+    if assumptions:
+        lhs = assumptions[0]
+        for a in assumptions[1:]:
             lhs = Conj(lhs, a)
-        target = Impl(lhs, goal)
+        parts = [None, (True, lhs), (False, goal)]
     else:
-        target = goal
+        parts = [(False, goal)]
     tableau = _Tableau(node_cap)
-    if tableau.satisfy([(False, target)], (target, frozenset())) is None:
+    if tableau.satisfy(parts, None) is None:
         return EpProofResult(True, None, tableau.steps)
     worlds = tableau.worlds
-    valuation = dict.fromkeys(sorted(atoms_of(target)), 0)
+    valuation = dict.fromkeys(sorted(atoms_of(goal).union(*map(atoms_of, assumptions))), 0)
     for w, names in enumerate(worlds):
         for name in names:
             valuation[name] |= 1 << w

@@ -139,8 +139,18 @@ def formula_size(f: Formula) -> int:
 
 
 def atoms_of(f: Formula) -> set[str]:
-    """Names of the atoms that occur in f."""
-    return {g.name for g in subformulas(f) if type(g) is Atom}
+    """Names of the atoms that occur in f: one visit per distinct node, so
+    linear in the DAG, where `subformulas` yields every occurrence."""
+    names, seen, todo = set(), set(), [f]
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is Atom:
+            names.add(g.name)
+        elif kind is not Falsum and g not in seen:
+            seen.add(g)
+            todo += (g.inner,) if kind is Box else (g.left, g.right)
+    return names
 
 
 @dataclass(frozen=True)

@@ -39,20 +39,20 @@ def godel_translate(a: Formula) -> Formula:
 
     A loop over an explicit stack, so depth costs no Python stack: a
     binary node stacks its class, then its children; the class, popped
-    after both children's translations, combines them.
+    after both children's translations, combines them.  A node is looked
+    up in its class's intern table first, as the parser does.
     """
+    boxes = Box._table
     done: list[Formula] = []
     todo: list = [a]
     while todo:
         f = todo.pop()
-        if f is Impl:
+        if f is Conj or f is Disj or f is Impl:
             right = done.pop()
-            done[-1] = Box(Impl(done[-1], right))
-        elif f is Conj or f is Disj:
-            right = done.pop()
-            done[-1] = f(done[-1], right)
+            g = f._table.get((done[-1], right)) or f(done[-1], right)
+            done[-1] = (boxes.get((g,)) or Box(g)) if f is Impl else g
         elif type(f) is Atom:
-            done.append(Box(f))
+            done.append(boxes.get((f,)) or Box(f))
         elif type(f) is Falsum:
             done.append(f)
         elif type(f) is Box:
@@ -94,7 +94,8 @@ def ff_translate(a: Formula, ctx: TranslationContext) -> Formula:
     The definition as one table from (subformula, index in gamma of its
     witness) to its translation, filled children first in a loop over an
     explicit stack, so depth costs no Python stack.  A box's body is a
-    child under every witness; each pair is translated once.
+    child under every witness; each pair is translated once, and a leaf
+    pair is answered on its first visit.
     """
     gamma = ctx.gamma
     done: dict[tuple[Formula, int], Formula] = {}
@@ -102,8 +103,10 @@ def ff_translate(a: Formula, ctx: TranslationContext) -> Formula:
     while todo:
         f, w = todo[-1]
         kind = type(f)
-        parts = ([] if kind is Atom or kind is Falsum else [(f.inner, i) for i in range(len(gamma))]
-                 if kind is Box else [(f.left, w), (f.right, w)])
+        if kind is Atom or kind is Falsum:
+            done[todo.pop()] = double_rel_neg(f, gamma[w])
+            continue
+        parts = [(f.inner, i) for i in range(len(gamma))] if kind is Box else [(f.left, w), (f.right, w)]
         missing = [p for p in parts if p not in done]
         if missing:
             todo += missing
@@ -113,7 +116,7 @@ def ff_translate(a: Formula, ctx: TranslationContext) -> Formula:
             done[todo.pop()] = kind(*parts)
         else:
             # a box's conjunction over all witnesses is right-nested in stored order
-            body = _nest(parts, Conj) if kind is Box else Disj(*parts) if parts else f
+            body = _nest(parts, Conj) if kind is Box else Disj(*parts)
             done[todo.pop()] = double_rel_neg(body, gamma[w])
     return done[a, ctx.witness_index]
 

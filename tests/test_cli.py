@@ -428,11 +428,16 @@ def test_deep_translate_document_is_small_and_deterministic(seed):
 
 @pytest.mark.parametrize("option, value, error", [
     ("--gamma", "q, []r", "--gamma: Box not allowed in IP (at position 3)"),
-    ("--gamma", "q,,r", "--gamma: unexpected end of input (at position 2)"),
+    ("--gamma", "q,,r", "--gamma: empty formula (at position 2)"),
+    ("--gamma", "q,r,", "--gamma: empty formula (at position 4)"),
+    ("--gamma", ",q", "--gamma: empty formula (at position 0)"),
+    ("--gamma", "q, ,r", "--gamma: empty formula (at position 2)"),
     ("--gamma", "q, r s", "--gamma: trailing input 's' (at position 5)"),
     ("--witness", "q )", "--witness: trailing input ')' (at position 2)"),
     ("--witness", "[]q", "--witness: Box not allowed in IP (at position 0)"),
-], ids=["gamma-box", "gamma-empty-member", "gamma-trailing", "witness-trailing", "witness-box"])
+    ("--witness", " ", "--witness: empty formula (at position 0)"),
+], ids=["gamma-box", "gamma-empty-member", "gamma-empty-last", "gamma-empty-first",
+        "gamma-blank-member", "gamma-trailing", "witness-trailing", "witness-box", "witness-blank"])
 def test_translate_option_parse_error_names_option_and_offset(capsys, option, value, error):
     options = {"--gamma": "q", "--witness": "q", option: value}
     code, out, _ = run(capsys, "translate", "--mode", "ff", *(x for kv in options.items() for x in kv),

@@ -26,6 +26,7 @@ from epist2int.syntax import (
     Box,
     Conj,
     Disj,
+    Falsum,
     Impl,
     Sequent,
     neg,
@@ -253,6 +254,36 @@ def test_search_order_is_pinned_beyond_godel(sequents, digest):
     sampled sequents (146 with one or two boxed assumptions), as recorded
     before the tableau came to keep a world state as two dicts."""
     assert outcome_digest(sequents()) == digest
+
+
+def _as_one_implication(s):
+    lhs = s.assumptions[0]
+    for a in s.assumptions[1:]:
+        lhs = Conj(lhs, a)
+    return Sequent((), Impl(lhs, s.goal), EP)
+
+
+def test_assumptions_seed_the_root_as_the_implication_would():
+    """A1, ..., An |- B and |- (A1 /\\ ... /\\ An) -> B reach the same
+    verdict, steps and countermodel, though the first builds no implication."""
+    pool = enumerate_ip_formulas(7, ("p", "q"))
+    sequents = [s for s in sample_provable_ep_sequents(150, 8, 0) if s.assumptions]
+    for a in random.Random(0).sample(pool, 200):
+        ta = godel_translate(a)
+        sequents += [Sequent((ta,), Box(ta), EP), Sequent((Box(ta),), ta, EP)]
+    assert sum(len(s.assumptions) > 1 for s in sequents) > 0
+    for s in sequents:
+        assert outcome_digest([s]) == outcome_digest([_as_one_implication(s)]), s
+
+
+def test_one_assumption_interns_no_node():
+    nodes = (Atom, Falsum, Conj, Disj, Impl, Box)
+    a, b = Atom("interned_a"), Atom("interned_b")
+    sequents = [Sequent((Box(Impl(a, b)),), Impl(Box(a), Box(b)), EP),
+                Sequent((Disj(a, b),), Box(Conj(b, a)), EP)]
+    sizes = [len(cls._table) for cls in nodes]
+    assert [prove_ep(s).provable for s in sequents] == [True, False]
+    assert [len(cls._table) for cls in nodes] == sizes
 
 
 @pytest.mark.parametrize("text", [

@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,28 @@ def test_formula_key_is_the_printed_form(f):
 @given(ep_formulas())
 def test_atoms_of(f):
     assert atoms_of(f) == {g.name for g in subformulas(f) if isinstance(g, Atom)}
+
+
+def test_atoms_of_seeded_formulas():
+    for seed in range(2000):
+        f = random_formula(5, ["p", "q", "r", "s"], EP, seed)
+        assert atoms_of(f) == {g.name for g in subformulas(f) if type(g) is Atom}, seed
+
+
+def test_atoms_of_visits_each_distinct_node_once():
+    """ff_translate([]^13 p) under q, r, q -> r as a DAG of 110 distinct
+    nodes, whose tree holds 3^13 copies of p: a walk over every occurrence
+    takes seconds."""
+    gamma = (q, r, Impl(q, r))
+    level = [Impl(Impl(p, e), e) for e in gamma]
+    for _ in range(13):
+        body = Conj(level[0], Conj(level[1], level[2]))
+        level = [Impl(Impl(body, e), e) for e in gamma]
+    table = FormulaTable()
+    assert table.add(level[0]) + 1 == 110
+    start = time.perf_counter()
+    assert atoms_of(level[0]) == {"p", "q", "r"}
+    assert time.perf_counter() - start < 1.0
 
 
 def _deep(n):
