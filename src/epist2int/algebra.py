@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .kernel import AlgebraError, check_preorder, truth
 from .syntax import Formula, atoms_of, is_ip_formula
@@ -31,7 +31,6 @@ class HeytingAlgebra:
 
     up: tuple[int, ...]
     upsets: tuple[int, ...]
-    kind: str = "table"
     bottom = 0
 
     @property
@@ -41,6 +40,12 @@ class HeytingAlgebra:
     @property
     def top(self) -> int:
         return len(self.upsets) - 1
+
+    @property
+    def kind(self) -> str:
+        """"chain" when the up-sets are totally ordered, else "table"."""
+        sets = self.upsets
+        return "chain" if all(a & ~b == 0 for a, b in zip(sets, sets[1:])) else "table"
 
 
 def _upsets(up: Sequence[int]) -> list[int]:
@@ -52,7 +57,7 @@ def _upsets(up: Sequence[int]) -> list[int]:
     return sorted(sets, key=lambda s: (s.bit_count(), s))
 
 
-def upset_algebra(up: Sequence[int], kind: str = "table") -> HeytingAlgebra:
+def upset_algebra(up: Sequence[int]) -> HeytingAlgebra:
     """The Heyting algebra of the up-sets of a finite preorder.
 
     `up[w]` is the bitmask of the points that point w sees.  The elements
@@ -61,46 +66,45 @@ def upset_algebra(up: Sequence[int], kind: str = "table") -> HeytingAlgebra:
     is inclusion, meet and join are intersection and union, and x |> y is
     interior(up, ~x | y), the points whose up-set meets x only inside y.
     """
-    return HeytingAlgebra(tuple(up), tuple(_upsets(up)), kind)
+    return HeytingAlgebra(tuple(up), tuple(_upsets(up)))
+
+
+MAX_CHAIN = 256  # make_chain's bound: the time to build a chain grows faster than n**2
 
 
 @functools.lru_cache(maxsize=None)
 def make_chain(n: int) -> HeytingAlgebra:
-    """The n-element chain 0 < 1 < ... < n-1: the up-sets of n-1 points in
-    a line, where point w sees w and every later point.
+    """The n-element chain 0 < 1 < ... < n-1, for 1 <= n <= MAX_CHAIN: the
+    up-sets of n-1 points in a line, where point w sees w and every later
+    point.
 
     Memoised per size (the algebra is frozen), so each size is built once
     per process.
     """
-    if n < 1:
-        raise AlgebraError("chain needs at least one element")
+    if not 1 <= n <= MAX_CHAIN:
+        raise AlgebraError(f"a chain has 1 to {MAX_CHAIN} elements, not {n}")
     points = (1 << (n - 1)) - 1
-    return upset_algebra([points >> w << w for w in range(n - 1)], kind="chain")
-
-
-def enumerate_heyting_algebras(max_size: int) -> Iterator[HeytingAlgebra]:
-    """The Heyting algebras with at most max_size elements, in order of size:
-    the up-set algebras of the strict orders on 1..max_size-1 points in
-    which a point sees only later ones.  Isomorphic posets give isomorphic
-    algebras, so a size above 5 can yield one algebra more than once."""
-    yield from _heyting_algebras(max_size)
+    return upset_algebra([points >> w << w for w in range(n - 1)])
 
 
 @functools.lru_cache(maxsize=None)
-def _heyting_algebras(max_size: int) -> tuple[HeytingAlgebra, ...]:
-    """enumerate_heyting_algebras, memoised per max_size like make_chain, so
-    each algebra is built once per process."""
+def enumerate_heyting_algebras(max_size: int) -> tuple[HeytingAlgebra, ...]:
+    """The Heyting algebras with at most max_size elements, in order of size:
+    the up-set algebras of the strict orders on 1..max_size-1 points in
+    which a point sees only later ones.  Isomorphic posets give isomorphic
+    algebras, so a size above 5 can list one algebra more than once.
+    Memoised per max_size like make_chain."""
     found = []
     for n in range(1, max_size):
         # up[w] is w plus any subset of the later points
         choices = [[1 << w | k << (w + 1) for k in range(1 << (n - 1 - w))] for w in range(n)]
         for up in itertools.product(*choices):
             try:
-                count = len(_upsets(up))
+                sets = _upsets(up)
             except AlgebraError:
                 continue  # not transitive
-            if count <= max_size:
-                found.append(upset_algebra(up))
+            if len(sets) <= max_size:
+                found.append(HeytingAlgebra(up, tuple(sets)))
     found.sort(key=lambda h: h.size)
     return tuple(found)
 

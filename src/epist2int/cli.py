@@ -29,7 +29,7 @@ import re
 import sys
 
 from . import harness
-from .algebra import evaluate, make_chain
+from .algebra import MAX_CHAIN, evaluate, make_chain
 from .kernel import trace_to_json
 from .prover_ip import SearchLimitError
 from .syntax import (
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = command("eval", cmd_eval, "evaluate a formula on a finite chain")
     e.add_argument("--chain", type=_positive_int,
                    default=os.environ.get("EPIST2INT_MAX_CHAIN", "3"),
-                   help="chain size (default: $EPIST2INT_MAX_CHAIN, else 3)")
+                   help=f"chain size, at most {MAX_CHAIN} (default: $EPIST2INT_MAX_CHAIN, else 3)")
     e.add_argument("--assign", action="append", default=[], metavar="atom=index")
     e.add_argument("formula")
 

@@ -110,10 +110,10 @@ def test_criterion_5_unfaithfulness():
     ok &= not prove_ep(Sequent((), p, EP)).provable
 
     inoue = Impl(p, Box(p))
-    for gamma in harness.INOUE_GAMMA_POOLS:
-        for wi in range(len(gamma)):
-            ctx = TranslationContext(gamma, wi)
-            ok &= harness.decide(Sequent((), ff_translate(inoue, ctx), IP)).provable
+    contexts = harness.gamma_contexts(harness.DEFAULT_GAMMA_POOL, 3)
+    ok &= len(contexts) == 28
+    for ctx in contexts:
+        ok &= harness.decide(Sequent((), ff_translate(inoue, ctx), IP)).provable
     s = Sequent((), inoue, EP)
     res = prove_ep(s)
     ok &= not res.provable

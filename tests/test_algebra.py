@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from conftest import ip_formulas, tables
 from epist2int.algebra import (
+    MAX_CHAIN,
     AlgebraError,
     enumerate_heyting_algebras,
     evaluate,
@@ -42,6 +43,11 @@ class TestChains:
         with pytest.raises(AlgebraError):
             make_chain(0)
 
+    def test_bounded(self):
+        assert make_chain(MAX_CHAIN).size == MAX_CHAIN
+        with pytest.raises(AlgebraError, match=f"1 to {MAX_CHAIN} elements, not {MAX_CHAIN + 1}"):
+            make_chain(MAX_CHAIN + 1)
+
     def test_memoised_per_size(self):
         assert make_chain(3) is make_chain(3)
         assert make_chain(4) is not make_chain(3)
@@ -73,10 +79,15 @@ def test_chain_residuation_law_exhaustive():
             assert leq[w][rpc[x][y]] == leq[meet[w][x]][y]
 
 
-LAW_ALGEBRAS = [make_chain(n) for n in range(1, 11)] + list(enumerate_heyting_algebras(5))
+LAW_CHAINS = [make_chain(n) for n in range(1, 11)]
+LAW_ENUMERATED = list(enumerate_heyting_algebras(5))
 
 
-@pytest.mark.parametrize("h", LAW_ALGEBRAS, ids=lambda h: f"{h.kind}-{h.up}")
+# an id names the algebra's source, make_chain or the enumeration, and its
+# poset: both sources give the 2- to 5-chains, with the same posets
+@pytest.mark.parametrize("h", LAW_CHAINS + LAW_ENUMERATED,
+                         ids=[f"chain-{h.up}" for h in LAW_CHAINS]
+                         + [f"table-{h.up}" for h in LAW_ENUMERATED])
 def test_heyting_laws(h):
     # the order, the lattice bounds and residuation, over every element
     leq, meet, join, rpc = tables(h)
@@ -235,6 +246,16 @@ class TestTableAlgebras:
         # recorded from the brute-force lattice search this construction replaced
         assert digest == "e26de0a96ab796a62956e15fd0df7a9488fcdfbcc8e3c0afe93572a567059899"
 
+    def test_kind_read_off_the_order(self):
+        assert make_chain(4).kind == "chain"
+        assert upset_algebra([0b01, 0b10]).kind == "table"  # the diamond
+        kinds = []
+        for h in enumerate_heyting_algebras(5):
+            linear = all(a & b in (a, b) for a, b in itertools.combinations(h.upsets, 2))
+            assert h.kind == ("chain" if linear else "table")
+            kinds.append(h.kind)
+        assert kinds.count("chain") == 4  # the 2-, 3-, 4- and 5-chains
+
     def test_enumeration_memoised_per_size(self):
         # refute(..., also_lattices=True) walks these on every call
         first = list(enumerate_heyting_algebras(5))
@@ -242,7 +263,7 @@ class TestTableAlgebras:
         assert len(first) == 7
         assert all(a is b for a, b in zip(first, second, strict=True))
         smaller = enumerate_heyting_algebras(4)
-        assert iter(smaller) is smaller  # still an iterator, one per call
+        assert smaller is enumerate_heyting_algebras(4)  # one tuple per size
         assert [h.size for h in smaller] == [2, 3, 4, 4]
 
 

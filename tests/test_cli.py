@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import epist2int
 from conftest import table_formulas
 from epist2int import cli, harness
+from epist2int.algebra import MAX_CHAIN
 from epist2int.cli import main
 from epist2int.syntax import print_formula
 
@@ -353,6 +355,22 @@ def test_bad_count_is_usage_error(capsys, monkeypatch, env, argv):
         monkeypatch.setenv(name, value)
     code, out, _ = run(capsys, *argv, "--output", "json")
     assert code == 2 and "not a positive integer" in one_json_document(out)["error"]
+
+
+# a chain above make_chain's bound is an error found before any chain is
+# built, from the command line or from the environment
+@pytest.mark.parametrize("env, argv", [
+    ({}, ["--chain", "100000"]),
+    ({"EPIST2INT_MAX_CHAIN": "100000"}, []),
+], ids=["chain", "env-chain"])
+def test_chain_above_bound_is_error(capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "eval", *argv, "--assign", "p=3", "p", "--output", "json")
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and one_json_document(out) == {
+        "schema_version": 3, "error": f"a chain has 1 to {MAX_CHAIN} elements, not 100000"}
 
 
 def test_paper_all_runs_every_check_in_order(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from epist2int import harness
 from epist2int.prover_ep import prove_ep
-from epist2int.syntax import IP, Atom, Impl, Sequent, print_sequent
+from epist2int.syntax import IP, VERUM, Atom, Impl, Sequent, print_sequent
 
 
 def test_necessitation_counterexample_report():
@@ -34,8 +34,21 @@ def test_fernandez_report():
 def test_inoue_report():
     r = harness.check_weak_unfaithfulness_inoue()
     assert r.passed
-    assert r.details["contexts_checked"] == sum(len(g) for g in harness.INOUE_GAMMA_POOLS)
+    assert r.details["contexts_checked"] == 28
     assert sorted(r.details["ep_countermodel"]) == ["relation", "root", "valuation", "worlds"]
+
+
+def test_inoue_contexts_include_the_former_pools():
+    # the 13 contexts of the seven hand-written pools Inoue's check swept before
+    q, r = Atom("q"), Atom("r")
+    qr = Impl(q, r)
+    former = {((q,), q), ((r,), r), ((VERUM,), VERUM),
+              ((q, r), q), ((q, r), r), ((q, qr), q), ((q, qr), qr),
+              ((q, r, VERUM), q), ((q, r, VERUM), r), ((q, r, VERUM), VERUM),
+              ((q, r, qr), q), ((q, r, qr), r), ((q, r, qr), qr)}
+    swept = {(ctx.gamma, ctx.witness)
+             for ctx in harness.gamma_contexts(harness.DEFAULT_GAMMA_POOL, 3)}
+    assert len(former) == 13 and former <= swept and len(swept) == 28
 
 
 def test_lemma_suite_small():

@@ -5,6 +5,7 @@ compared with their definitional forms."""
 
 import ast
 import itertools
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -169,3 +170,14 @@ def test_interior_matches_its_definition():
             if preorder_error(up) is None:
                 for a in range(-(1 << n), 1 << n):
                     assert interior(up, a) == interior_reference(up, a), (up, a)
+
+
+def test_readme_states_the_trusted_base_size():
+    """README's count of the trusted base, the lines `wc -l` gives for
+    kernel.py and syntax.py, matches the files."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    stated = re.search(r"`wc -l` counts (\d+) lines \((\d+) and (\d+)\)", readme)
+    assert stated, "README no longer states the trusted base's size"
+    kernel, syntax = ((PACKAGE / f"{name}.py").read_bytes().count(b"\n")
+                      for name in ("kernel", "syntax"))
+    assert tuple(map(int, stated.groups())) == (kernel + syntax, kernel, syntax)

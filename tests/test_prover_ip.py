@@ -102,8 +102,14 @@ def test_equiv_ip():
 
 
 def test_rejects_modal_input():
-    with pytest.raises(ValueError, match="Box not allowed"):
+    with pytest.raises(ValueError, match="prove_ip takes an IP sequent, not one tagged 'ep'"):
         prove_ip(Sequent((), Box(p), "ep"))
+
+
+def test_rejects_ep_tagged_input():
+    # even a box-free one: decide sends an EP-tagged sequent to prove_ep
+    with pytest.raises(ValueError, match="not one tagged 'ep'"):
+        prove_ip(Sequent((), p, EP))
 
 
 def test_duplicate_assumptions_collapse():
