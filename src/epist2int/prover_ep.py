@@ -47,12 +47,13 @@ class EpProofResult:
 
 # Node type -> (is beta, the sign of each part), one table per sign.  An
 # alpha formula adds all its parts to the branch, a beta one splits it, one
-# part each; the parts are the children in order.  F[]A is a modal demand
-# (satisfy), atoms and falsum take no rule.
+# part each; the parts are the children in order.  F[]A is a modal demand:
+# its part, F A, goes to a successor world (satisfy).  Atoms and falsum take
+# no rule.
 _TRUE_RULES = {Conj: (False, True, True), Box: (False, True),
                Disj: (True, True, True), Impl: (True, False, True)}
 _FALSE_RULES = {Disj: (False, False, False), Impl: (False, True, False),
-                Conj: (True, False, False)}
+                Conj: (True, False, False), Box: (False, False)}
 
 
 class _Tableau:
@@ -87,13 +88,27 @@ class _Tableau:
         arose, a queue where None marks one alpha's step; then its oldest
         beta splits it, first part first.  At a split the first part gets
         copies of the state and the second the state itself.
+
+        A branch closes on a formula signed both ways, on a true _|_, and,
+        once its queue is done, on a demand F[]A that its T[] formulas
+        prove (`_boxes_prove`): A is built by /\\ and \\/ from boxes []Bi
+        signed true, and []B1, ..., []Bn => []A is a derived S4 rule (axiom
+        4 gives [][]Bi, K the conjunctions, monotony the disjunctions).
+        The check comes before the oldest beta splits the branch, whose
+        true formulas only grow below it, so that every sub-branch would
+        fail that demand; and before any successor is entered, whose seed
+        F A, T[]B1, ..., T[]Bn closes.  No ancestor loop rescues the
+        demand: a world with its key has that seed, so every branch of it
+        closes in saturation, before it reaches its demands, and it is
+        never the ancestor of a world.  Like a clash, this closure counts
+        no step, so only the step count differs from a search without it.
         """
         worlds, edges, ancestors, cap = self.worlds, self.edges, self.ancestors, self.cap
         wid, first_edge = len(worlds), len(edges)
         ancestors[key] = wid
-        stack = [({}, {}, [], parts)]
+        stack = [({}, {}, [], [], parts)]
         while stack:
-            true, false, betas, queue = stack.pop()
+            true, false, betas, demands, queue = stack.pop()
             for item in queue:  # the loop sees what it appends
                 if item is None:
                     self.steps += 1
@@ -120,18 +135,23 @@ class _Tableau:
                 if rule[0]:
                     betas.append((rule, f))
                 elif type(f) is Box:
-                    queue += None, (rule[1], f.inner)
+                    if sign:
+                        queue += None, (True, f.inner)
+                    else:
+                        demands.append(f.inner)
                 else:
                     queue += None, (rule[1], f.left), (rule[2], f.right)
             else:
+                if demands and any(_boxes_prove(a, true) for a in demands):
+                    continue
                 if betas:
                     self.steps += 1
                     if self.steps > cap:
                         raise SearchLimitError(f"node cap {cap} exceeded")
                     (_, first, second), f = betas[0]
                     rest = betas[1:]
-                    stack += ((true, false, rest, [(second, f.right)]),
-                              (dict(true), dict(false), rest[:], [(first, f.left)]))
+                    stack += ((true, false, rest, demands, [(second, f.right)]),
+                              (dict(true), dict(false), rest[:], demands[:], [(first, f.left)]))
                     continue
                 names, boxed = [], []
                 for f in true:
@@ -140,7 +160,6 @@ class _Tableau:
                     elif type(f) is Box:
                         boxed.append(f)
                 worlds.append(names)
-                demands = [f.inner for f in false if type(f) is Box]
                 if demands:
                     seed, boxed = [(True, f) for f in boxed], frozenset(boxed)
                 for inner in demands:
@@ -157,6 +176,33 @@ class _Tableau:
                 del worlds[wid:], edges[first_edge:]
         del ancestors[key]
         return None
+
+
+def _boxes_prove(a, true: dict) -> bool:
+    """Whether the T[] formulas of a world state, `true` its formulas signed
+    true, derive []a by axiom 4 and K: a is a box signed true, a conjunction
+    of two such parts or a disjunction with one.  A loop over a stack of
+    subformulas; a node is decided once its parts are."""
+    kind = type(a)
+    if kind is not Conj and kind is not Disj:
+        return kind is Box and a in true
+    holds: dict = {}
+    stack = [a]
+    while stack:
+        f = stack.pop()
+        if f in holds:
+            continue
+        kind = type(f)
+        if kind is Conj or kind is Disj:
+            left, right = f.left, f.right
+            if left in holds and right in holds:
+                holds[f] = (holds[left] and holds[right] if kind is Conj
+                            else holds[left] or holds[right])
+            else:
+                stack += f, left, right
+        else:
+            holds[f] = kind is Box and f in true
+    return holds[a]
 
 
 def _closure(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:

@@ -118,6 +118,29 @@ def test_only_decide_calls_the_searches():
     assert named == searches  # decide calls both
 
 
+def self_callers(module: str) -> set[str]:
+    """The qualified names of the functions of a module whose bodies call,
+    by name or as an attribute, a function of their own name."""
+    found, todo = set(), [("", node) for node in TREES[module].body]
+    while todo:
+        prefix, node = todo.pop()
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            prefix = f"{prefix}{node.name}."
+            if not isinstance(node, ast.ClassDef) and any(
+                    isinstance(call, ast.Call)
+                    and getattr(call.func, "id", getattr(call.func, "attr", None)) == node.name
+                    for call in ast.walk(node)):
+                found.add(prefix[:-1])
+        todo += [(prefix, child) for child in ast.iter_child_nodes(node)]
+    return found
+
+
+def test_satisfy_is_the_one_recursive_walker_of_the_s4_prover():
+    """The S4 search recurses once per modal level and nowhere else: every
+    other walk over a formula or a world state is a loop."""
+    assert self_callers("prover_ep") == {"_Tableau.satisfy"}
+
+
 # ---------------------------------------------------------------- the mask loops
 # `interior` and `check_preorder` are loops in the kernel; here they meet
 # their definitional forms, kept as the reference.

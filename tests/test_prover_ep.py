@@ -17,7 +17,7 @@ from conftest import ep_formulas
 from epist2int import prover_ep
 from epist2int.algebra import upset_algebra
 from epist2int.harness import enumerate_ip_formulas, sample_provable_ep_sequents
-from epist2int.kernel import KripkeModel, check_kripke
+from epist2int.kernel import AlgebraError, KripkeModel, check_kripke, check_preorder, truth
 from epist2int.prover_ep import prove_ep
 from epist2int.prover_ip import SearchLimitError
 from epist2int.syntax import (
@@ -115,6 +115,75 @@ def test_saturation_takes_any_depth():
     assert res.worlds_expanded == 6002
 
 
+def test_boxed_demand_takes_any_depth():
+    """[]p |- []A, A a 3000-level /\\ and \\/ chain over []p and []q, closes
+    at the root on the demand F[]A, within the default recursion limit."""
+    a = Box(p)
+    for i in range(3000):
+        a = Conj(a, Box(p)) if i % 2 else Disj(Box(q), a)
+    res = prove_ep(Sequent((Box(p),), Box(a), EP))
+    assert res.provable
+    assert res.worlds_expanded == 2
+
+
+def _random_preorder(rng, n: int) -> list[int]:
+    while True:
+        up = [rng.randrange(1 << n) | 1 << w for w in range(n)]
+        try:
+            check_preorder(up)
+            return up
+        except AlgebraError:
+            pass
+
+
+def _box_combination(rng, leaves: list, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)
+    return rng.choice((Conj, Disj))(_box_combination(rng, leaves, depth - 1),
+                                    _box_combination(rng, leaves, depth - 1))
+
+
+def test_boxes_prove_only_what_holds():
+    """Wherever _boxes_prove says that the boxes signed true derive []A,
+    []A holds at every world where they all hold: over random preorders on
+    up to 4 worlds, random valuations, and A built by /\\ and \\/ from
+    random boxes, some of them signed true, atoms and an implication."""
+    rng = random.Random(0)
+    said = Counter()
+    for _ in range(3000):
+        boxes = [Box(random_formula_sized(4, ["p", "q"], EP, seed=rng.randrange(10**6)))
+                 for _ in range(4)]
+        true = dict.fromkeys([b for b in boxes if rng.random() < 0.6] + [p])
+        a = _box_combination(rng, boxes + [p, q, Impl(p, q)], 3)
+        n = rng.randint(1, 4)
+        up = _random_preorder(rng, n)
+        valuation = {"p": rng.randrange(1 << n), "q": rng.randrange(1 << n)}
+        memo: dict = {}
+        where_all_hold = (1 << n) - 1
+        for f in true:
+            if type(f) is Box:
+                where_all_hold &= truth(f, up, valuation, memo)
+        proves = prover_ep._boxes_prove(a, true)
+        said[proves] += 1
+        if proves:
+            assert where_all_hold & ~truth(Box(a), up, valuation, memo) == 0, (a, up, valuation)
+    assert said[True] > 500 and said[False] > 500
+
+
+@pytest.mark.parametrize("a, true", [
+    (p, [p, Box(p)]),
+    (Impl(Box(p), Box(p)), [Box(p)]),
+    (Box(q), [Box(p), q]),
+    (Conj(Box(p), Box(q)), [Box(p), q]),
+    (Disj(q, Box(q)), [Box(p), q]),
+], ids=["atom", "implication", "box-not-true", "conj-one-part", "disj-no-part"])
+def test_boxes_prove_says_no(a, true):
+    """An atom, even signed true; an implication, though []([]p -> []p) is
+    a theorem; a box not signed true; a conjunction with one such part and
+    a disjunction with none."""
+    assert not prover_ep._boxes_prove(a, dict.fromkeys(true))
+
+
 def test_equiv_ep():
     assert interprovable(Box(p), Box(Box(p)))
     assert interprovable(Box(Conj(p, q)), Conj(Box(p), Box(q)))
@@ -208,9 +277,10 @@ def test_stability_shape(f):
 
 def test_godel_search_order_is_pinned():
     """The tableau's search order, pinned on 200 criterion-6 formulas: the
-    verdicts, the summed worlds_expanded and the countermodels of each
-    Goedel translation and its two stability sequents, as recorded when
-    the search came to take formulas in the order they arise."""
+    verdicts and the countermodels of each Goedel translation and its two
+    stability sequents, as recorded when the search came to take formulas
+    in the order they arise, and their summed worlds_expanded, as counted
+    since a branch closes on a demand its boxes prove."""
     pool = enumerate_ip_formulas(7, ("p", "q"))
     counts = Counter()
     steps = 0
@@ -227,7 +297,7 @@ def test_godel_search_order_is_pinned():
                 models.append(res.countermodel.to_json())
     assert counts == {("translation", "Provable"): 44, ("translation", "NotProvable"): 156,
                       ("stability", "Provable"): 400}
-    assert steps == 2649
+    assert steps == 1754
     digest = hashlib.sha256(json.dumps(models).encode()).hexdigest()
     assert digest == "c2479fe4991dc3a6ebe5c5c59295f46cb7c1a1e3ac7711512cb2c1cd3c8d2204"
 
@@ -241,19 +311,34 @@ def outcome_digest(sequents) -> str:
     return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("sequents, digest", [
+def verdicts_and_steps(sequents) -> tuple[str, int]:
+    """A digest of each sequent's verdict and countermodel, and the steps
+    of all of them."""
+    outcomes, steps = [], 0
+    for s in sequents:
+        res = prove_ep(s)
+        outcomes.append([res.verdict, res.countermodel and res.countermodel.to_json()])
+        steps += res.worlds_expanded
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest(), steps
+
+
+@pytest.mark.parametrize("sequents, digest, steps", [
     (lambda: [Sequent((), random_formula_sized(10, ["p", "q", "r"], EP, seed=s), EP)
               for s in range(600)],
-     "5f243207b908d0388a68f400e2e9acd58dcd93d2f905034f09c48929b8408eb0"),
+     "a92a782542340cb9aff49d032b01700811cee5cff16b723d496b5cee17d60168", 682),
     (lambda: sample_provable_ep_sequents(150, 8, 0),
-     "7468168c050b57c6549b69111631d8ee4fbb2f440a20e3f3ed3a47bef7c4d3ab"),
+     "2cb30552d009f13b46d3c61c9bceea525ed0494a7f433c1761e113a1e6820a9c", 784),
 ], ids=["random-formulas", "sampler-sequents"])
-def test_search_order_is_pinned_beyond_godel(sequents, digest):
-    """The verdict, steps and countermodel of each of 600 seeded random
-    EP formulas (542 NotProvable) and of the soundness sweep's first 150
+def test_search_order_is_pinned_beyond_godel(sequents, digest, steps):
+    """The verdict and countermodel of each of 600 seeded random EP
+    formulas (542 NotProvable) and of the soundness sweep's first 150
     sampled sequents (146 with one or two boxed assumptions), as recorded
-    before the tableau came to keep a world state as two dicts."""
-    assert outcome_digest(sequents()) == digest
+    before the tableau came to keep a world state as two dicts; and the
+    steps of all of them, as counted since a branch closes on a demand
+    its boxes prove."""
+    got_digest, got_steps = verdicts_and_steps(sequents())
+    assert got_digest == digest
+    assert got_steps == steps
 
 
 def _as_one_implication(s):
