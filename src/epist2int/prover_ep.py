@@ -16,6 +16,7 @@ from .kernel import KripkeModel
 from .kernel import check_kripke  # noqa: F401  re-exported only for perfbench/workloads.py
 from .prover_ip import SearchLimitError
 from .syntax import (
+    EP,
     FALSUM,
     Atom,
     Box,
@@ -45,23 +46,24 @@ class EpProofResult:
         return "Provable" if self.provable else "NotProvable"
 
 
-# Node type -> (is beta, the sign of each part), one table per sign.  An
+# Sign -> node type -> (is beta, the sign of each part), one table.  An
 # alpha formula adds all its parts to the branch, a beta one splits it, one
 # part each; the parts are the children in order.  F[]A is a modal demand:
 # its part, F A, goes to a successor world (satisfy).  Atoms and falsum take
 # no rule.
-_TRUE_RULES = {Conj: (False, True, True), Box: (False, True),
-               Disj: (True, True, True), Impl: (True, False, True)}
-_FALSE_RULES = {Disj: (False, False, False), Impl: (False, True, False),
-                Conj: (True, False, False), Box: (False, False)}
+_RULES = {True: {Conj: (False, True, True), Box: (False, True),
+                 Disj: (True, True, True), Impl: (True, False, True)},
+          False: {Disj: (False, False, False), Impl: (False, True, False),
+                  Conj: (True, False, False), Box: (False, False)}}
 
 
 class _Tableau:
-    """The search.  A world state is two dicts used as ordered sets, the
-    formulas signed true and those signed false, and every choice takes them
-    in the order they were added, so the search order depends only on the
-    formula's structure: not on the hash seed, nor on what else the process
-    has built or printed."""
+    """The search.  A world state is one dict from each formula on the
+    branch to its sign, and every choice takes the formulas in the order
+    they were added, so the search order depends only on the formula's
+    structure: not on the hash seed, nor on what else the process has built
+    or printed.  A None in a branch's queue marks one step, an alpha's or a
+    split's, and is the one place a step is counted against the cap."""
 
     def __init__(self, node_cap: Optional[int]):
         self.cap = sys.maxsize if node_cap is None else node_cap
@@ -85,30 +87,32 @@ class _Tableau:
 
         Saturation is the loop over a stack of branches.  A branch puts
         its parts in, then the parts of each alpha in the order the alphas
-        arose, a queue where None marks one alpha's step; then its oldest
-        beta splits it, first part first.  At a split the first part gets
-        copies of the state and the second the state itself.
+        arose, a queue where None marks one step; then its oldest beta
+        splits it, first part first.  The split's step heads the first
+        part's queue, which gets copies of the state; the second part gets
+        the state itself.
 
-        A branch closes on a formula signed both ways, on a true _|_, and,
-        once its queue is done, on a demand F[]A that its T[] formulas
-        prove (`_boxes_prove`): A is built by /\\ and \\/ from boxes []Bi
-        signed true, and []B1, ..., []Bn => []A is a derived S4 rule (axiom
-        4 gives [][]Bi, K the conjunctions, monotony the disjunctions).
-        The check comes before the oldest beta splits the branch, whose
-        true formulas only grow below it, so that every sub-branch would
-        fail that demand; and before any successor is entered, whose seed
-        F A, T[]B1, ..., T[]Bn closes.  No ancestor loop rescues the
-        demand: a world with its key has that seed, so every branch of it
-        closes in saturation, before it reaches its demands, and it is
-        never the ancestor of a world.  Like a clash, this closure counts
+        A formula already held with its sign is skipped.  A branch closes
+        on one held with the other sign, on a true _|_, and, once its
+        queue is done, on a demand F[]A that its T[] formulas prove
+        (`_boxes_prove`): A is built by /\\ and \\/ from boxes []Bi signed
+        true, and []B1, ..., []Bn => []A is a derived S4 rule (axiom 4
+        gives [][]Bi, K the conjunctions, monotony the disjunctions).  The
+        check comes before the oldest beta splits the branch, whose state
+        only grows below it, so that every sub-branch would fail that
+        demand; and before any successor is entered, whose seed F A,
+        T[]B1, ..., T[]Bn closes.  No ancestor loop rescues the demand: a
+        world with its key has that seed, so every branch of it closes in
+        saturation, before it reaches its demands, and it is never the
+        ancestor of a world.  Like a clash, this closure counts
         no step, so only the step count differs from a search without it.
         """
         worlds, edges, ancestors, cap = self.worlds, self.edges, self.ancestors, self.cap
         wid, first_edge = len(worlds), len(edges)
         ancestors[key] = wid
-        stack = [({}, {}, [], [], parts)]
+        stack = [({}, [], [], parts)]
         while stack:
-            true, false, betas, demands, queue = stack.pop()
+            signs, betas, demands, queue = stack.pop()
             for item in queue:  # the loop sees what it appends
                 if item is None:
                     self.steps += 1
@@ -116,20 +120,13 @@ class _Tableau:
                         raise SearchLimitError(f"node cap {cap} exceeded")
                     continue
                 sign, f = item
-                if sign:
-                    if f in true:
-                        continue
-                    if f in false or f is FALSUM:
-                        break
-                    true[f] = None
-                    rule = _TRUE_RULES.get(type(f))
-                else:
-                    if f in false:
-                        continue
-                    if f in true:
-                        break
-                    false[f] = None
-                    rule = _FALSE_RULES.get(type(f))
+                held = signs.get(f)
+                if held is sign:
+                    continue
+                if held is not None or sign and f is FALSUM:
+                    break
+                signs[f] = sign
+                rule = _RULES[sign].get(type(f))
                 if rule is None:
                     continue
                 if rule[0]:
@@ -142,22 +139,19 @@ class _Tableau:
                 else:
                     queue += None, (rule[1], f.left), (rule[2], f.right)
             else:
-                if demands and any(_boxes_prove(a, true) for a in demands):
+                if demands and any(_boxes_prove(a, signs) for a in demands):
                     continue
                 if betas:
-                    self.steps += 1
-                    if self.steps > cap:
-                        raise SearchLimitError(f"node cap {cap} exceeded")
                     (_, first, second), f = betas[0]
                     rest = betas[1:]
-                    stack += ((true, false, rest, demands, [(second, f.right)]),
-                              (dict(true), dict(false), rest[:], demands[:], [(first, f.left)]))
+                    stack += ((signs, rest, demands, [(second, f.right)]),
+                              (dict(signs), rest[:], demands[:], [None, (first, f.left)]))
                     continue
                 names, boxed = [], []
-                for f in true:
-                    if type(f) is Atom:
+                for f, sign in signs.items():
+                    if sign and type(f) is Atom:
                         names.append(f.name)
-                    elif type(f) is Box:
+                    elif sign and type(f) is Box:
                         boxed.append(f)
                 worlds.append(names)
                 if demands:
@@ -178,14 +172,14 @@ class _Tableau:
         return None
 
 
-def _boxes_prove(a, true: dict) -> bool:
-    """Whether the T[] formulas of a world state, `true` its formulas signed
-    true, derive []a by axiom 4 and K: a is a box signed true, a conjunction
-    of two such parts or a disjunction with one.  A loop over a stack of
-    subformulas; a node is decided once its parts are."""
+def _boxes_prove(a, signs: dict) -> bool:
+    """Whether the T[] formulas of the world state `signs` derive []a by
+    axiom 4 and K: a is a box signed true, a conjunction of two such parts
+    or a disjunction with one.  A loop over a stack of subformulas; a node
+    is decided once its parts are."""
     kind = type(a)
     if kind is not Conj and kind is not Disj:
-        return kind is Box and a in true
+        return kind is Box and signs.get(a) is True
     holds: dict = {}
     stack = [a]
     while stack:
@@ -201,7 +195,7 @@ def _boxes_prove(a, true: dict) -> bool:
             else:
                 stack += f, left, right
         else:
-            holds[f] = kind is Box and f in true
+            holds[f] = kind is Box and signs.get(f) is True
     return holds[a]
 
 
@@ -218,7 +212,10 @@ def _closure(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
 def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
     """Decide S4 derivability; NotProvable verdicts carry a countermodel.
     The root is seeded with the parts of F(lhs -> goal), lhs the conjunction
-    of the assumptions, so 0 or 1 assumption interns no node."""
+    of the assumptions, so 0 or 1 assumption interns no node.  Only an
+    EP-tagged sequent is taken."""
+    if s.logic != EP:
+        raise ValueError(f"prove_ep takes an EP sequent, not one tagged {s.logic!r}")
     goal, assumptions = s.goal, s.assumptions
     if assumptions:
         lhs = assumptions[0]

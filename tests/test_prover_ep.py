@@ -22,6 +22,7 @@ from epist2int.prover_ep import prove_ep
 from epist2int.prover_ip import SearchLimitError
 from epist2int.syntax import (
     EP,
+    IP,
     Atom,
     Box,
     Conj,
@@ -147,41 +148,44 @@ def test_boxes_prove_only_what_holds():
     """Wherever _boxes_prove says that the boxes signed true derive []A,
     []A holds at every world where they all hold: over random preorders on
     up to 4 worlds, random valuations, and A built by /\\ and \\/ from
-    random boxes, some of them signed true, atoms and an implication."""
+    random boxes, each signed true or false, atoms and an implication."""
     rng = random.Random(0)
     said = Counter()
     for _ in range(3000):
         boxes = [Box(random_formula_sized(4, ["p", "q"], EP, seed=rng.randrange(10**6)))
                  for _ in range(4)]
-        true = dict.fromkeys([b for b in boxes if rng.random() < 0.6] + [p])
+        signs = {b: rng.random() < 0.6 for b in boxes}
+        signs[p] = True
         a = _box_combination(rng, boxes + [p, q, Impl(p, q)], 3)
         n = rng.randint(1, 4)
         up = _random_preorder(rng, n)
         valuation = {"p": rng.randrange(1 << n), "q": rng.randrange(1 << n)}
         memo: dict = {}
         where_all_hold = (1 << n) - 1
-        for f in true:
-            if type(f) is Box:
+        for f, sign in signs.items():
+            if sign and type(f) is Box:
                 where_all_hold &= truth(f, up, valuation, memo)
-        proves = prover_ep._boxes_prove(a, true)
+        proves = prover_ep._boxes_prove(a, signs)
         said[proves] += 1
         if proves:
             assert where_all_hold & ~truth(Box(a), up, valuation, memo) == 0, (a, up, valuation)
     assert said[True] > 500 and said[False] > 500
 
 
-@pytest.mark.parametrize("a, true", [
-    (p, [p, Box(p)]),
-    (Impl(Box(p), Box(p)), [Box(p)]),
-    (Box(q), [Box(p), q]),
-    (Conj(Box(p), Box(q)), [Box(p), q]),
-    (Disj(q, Box(q)), [Box(p), q]),
-], ids=["atom", "implication", "box-not-true", "conj-one-part", "disj-no-part"])
-def test_boxes_prove_says_no(a, true):
+@pytest.mark.parametrize("a, signs", [
+    (p, {p: True, Box(p): True}),
+    (Impl(Box(p), Box(p)), {Box(p): True}),
+    (Box(q), {Box(p): True, q: True}),
+    (Box(q), {Box(p): True, Box(q): False}),
+    (Conj(Box(p), Box(q)), {Box(p): True, q: True}),
+    (Disj(q, Box(q)), {Box(p): True, q: True, Box(q): False}),
+], ids=["atom", "implication", "box-not-true", "box-signed-false", "conj-one-part",
+        "disj-no-part"])
+def test_boxes_prove_says_no(a, signs):
     """An atom, even signed true; an implication, though []([]p -> []p) is
-    a theorem; a box not signed true; a conjunction with one such part and
-    a disjunction with none."""
-    assert not prover_ep._boxes_prove(a, dict.fromkeys(true))
+    a theorem; a box not held, or held signed false; a conjunction with
+    one box signed true and a disjunction with none."""
+    assert not prover_ep._boxes_prove(a, signs)
 
 
 def test_equiv_ep():
@@ -377,6 +381,7 @@ def test_one_assumption_interns_no_node():
     "[]p, [](p -> q) |- []q",
     "|- []((p -> q) \\/ (q -> p)) \\/ p",
     "|- ([]p -> []q) -> [](p -> q)",
+    "|- ([]p -> p) /\\ ([](p -> q) -> []p -> []q)",
 ])
 def test_node_cap_counts_steps(text):
     """A cap below the uncapped step count stops the search; any other
@@ -390,6 +395,12 @@ def test_node_cap_counts_steps(text):
                 prove_ep(s, node_cap=cap)
         else:
             assert prove_ep(s, node_cap=cap) == free
+
+
+def test_rejects_ip_tagged_input():
+    # IP refutes p \/ ~p and S4 proves it, so an IP tag is not answered in S4
+    with pytest.raises(ValueError, match="prove_ep takes an EP sequent, not one tagged 'ip'"):
+        prove_ep(parse_sequent("|- p \\/ ~p", IP))
 
 
 def test_modal_depth_800():
