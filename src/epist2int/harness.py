@@ -100,16 +100,20 @@ class CertificateError(ValueError):
 
 def decide(s: Sequent, node_cap: Optional[int] = None):
     """Decide s in its own logic and have the kernel check the certificate
-    its verdict carries: an IP proof's trace, an S4 countermodel.  Returns
-    the prover's result or raises CertificateError; outside the provers,
-    the one caller of prove_ip and prove_ep."""
+    its verdict carries: an IP proof's trace, an S4 countermodel (one the
+    kernel cannot read is rejected too).  Returns the prover's result or
+    raises CertificateError; outside the provers, the one caller of
+    prove_ip and prove_ep."""
     if s.logic == IP:
         res = prove_ip(s, want_trace=True, node_cap=node_cap)
         fault = validate_trace(res.trace, s) if res.provable else None
     else:
         res = prove_ep(s, node_cap=node_cap)
-        fault = (None if res.provable or check_kripke(res.countermodel, s)
-                 else "the countermodel does not refute the sequent")
+        try:
+            fault = (None if res.provable or check_kripke(res.countermodel, s)
+                     else "the countermodel does not refute the sequent")
+        except ValueError as malformed:
+            fault = str(malformed)
     if fault is not None:
         raise CertificateError(f"certificate rejected: {fault}")
     return res

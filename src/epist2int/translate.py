@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
+    FALSUM,
     Atom,
     Box,
     Conj,
@@ -37,29 +38,28 @@ def double_rel_neg(a: Formula, e: Formula) -> Formula:
 def godel_translate(a: Formula) -> Formula:
     """Box atoms and implications; falsum and /\\, \\/ pass through.
 
-    A loop over an explicit stack, so depth costs no Python stack: a
-    binary node stacks its class, then its children; the class, popped
-    after both children's translations, combines them.  A node is looked
-    up in its class's intern table first, as the parser does.
+    One table from each distinct input node to its translation, filled
+    children first in a loop over an explicit stack, as in ff_translate,
+    so depth costs no Python stack; intern tables are read first.
     """
+    if not is_ip_formula(a):
+        raise ValueError("input already contains Box")
     boxes = Box._table
-    done: list[Formula] = []
-    todo: list = [a]
+    done: dict[Formula, Formula] = {FALSUM: FALSUM}
+    todo = [a]
     while todo:
         f = todo.pop()
-        if f is Conj or f is Disj or f is Impl:
-            right = done.pop()
-            g = f._table.get((done[-1], right)) or f(done[-1], right)
-            done[-1] = (boxes.get((g,)) or Box(g)) if f is Impl else g
-        elif type(f) is Atom:
-            done.append(boxes.get((f,)) or Box(f))
-        elif type(f) is Falsum:
-            done.append(f)
-        elif type(f) is Box:
-            raise ValueError("input already contains Box")
+        if f in done:
+            continue
+        if type(f) is Atom:
+            done[f] = boxes.get((f,)) or Box(f)
+        elif f.left in done and f.right in done:
+            kind, left, right = type(f), done[f.left], done[f.right]
+            g = kind._table.get((left, right)) or kind(left, right)
+            done[f] = (boxes.get((g,)) or Box(g)) if kind is Impl else g
         else:
-            todo += type(f), f.right, f.left
-    return done[0]
+            todo += f, f.right, f.left
+    return done[a]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ import json
 import pytest
 
 from epist2int import harness
-from epist2int.prover_ep import prove_ep
-from epist2int.syntax import IP, VERUM, Atom, Impl, Sequent, print_sequent
+from epist2int.kernel import KripkeModel
+from epist2int.prover_ep import EpProofResult, prove_ep
+from epist2int.syntax import EP, IP, VERUM, Atom, Impl, Sequent, print_sequent
 
 
 def test_necessitation_counterexample_report():
@@ -145,6 +146,19 @@ def test_rejected_certificate_raises_and_is_recorded(monkeypatch):
     failures = []
     assert harness._decide(s, failures, "x", expect=False) is None
     assert failures == [{"check": "x", "sequent": "p |- p", "error": "certificate rejected"}]
+
+
+def test_malformed_countermodel_is_a_rejected_certificate(monkeypatch):
+    # a frame that is not reflexive: check_kripke cannot read it
+    model = KripkeModel((0b10, 0b10), {"p": 0}, 0)
+    monkeypatch.setattr(harness, "prove_ep", lambda s, node_cap=None: EpProofResult(False, model, 0))
+    s = Sequent((), Atom("p"), EP)
+    with pytest.raises(harness.CertificateError,
+                       match=r"^certificate rejected: up\[0\] is not a set containing 0"):
+        harness.decide(s)
+    failures = []
+    assert harness._decide(s, failures, "x", expect=False) is None
+    assert failures == [{"check": "x", "sequent": "|- p", "error": "certificate rejected"}]
 
 
 def test_decide_records_a_wrong_verdict():

@@ -141,6 +141,12 @@ def test_satisfy_is_the_one_recursive_walker_of_the_s4_prover():
     assert self_callers("prover_ep") == {"_Tableau.satisfy"}
 
 
+def test_both_translations_are_loops():
+    """godel_translate and ff_translate are loops over an explicit stack;
+    only the simplifier's walks recurse."""
+    assert self_callers("translate") == {"ff_simplify.norm", "_flatten"}
+
+
 # ---------------------------------------------------------------- the mask loops
 # `interior` and `check_preorder` are loops in the kernel; here they meet
 # their definitional forms, kept as the reference.

@@ -1,13 +1,20 @@
 """Both translations, their defining clauses, and the simplifier."""
 
 import hashlib
+import time
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import ep_formulas, ip_formulas
 from epist2int import translate
-from epist2int.harness import DEFAULT_GAMMA_POOL, decide, gamma_contexts, translated_sequents
+from epist2int.harness import (
+    DEFAULT_GAMMA_POOL,
+    decide,
+    enumerate_ip_formulas,
+    gamma_contexts,
+    translated_sequents,
+)
 from epist2int.prover_ep import prove_ep
 from epist2int.syntax import (
     EP,
@@ -77,6 +84,22 @@ class TestGodel:
         for _ in range(5000):
             f = neg(f)
         assert print_formula(godel_translate(f)) == "[]~" * 5000 + "[]p"
+
+    def test_shared_nodes_are_translated_once(self):
+        # x(k) = x(k-1) -> x(k-1): 21 distinct nodes, 2^21 occurrences,
+        # which a walk of the tree would visit one by one
+        f, want = p, Box(p)
+        for _ in range(20):
+            f, want = Impl(f, f), Box(Impl(want, want))
+        start = time.perf_counter()
+        assert godel_translate(f) is want
+        assert time.perf_counter() - start < 0.1
+
+    def test_enumerated_translations_pinned(self):
+        """The translations of the 11451 formulas of enumerate_ip_formulas(7),
+        as recorded when godel_translate walked every occurrence."""
+        text = "\n".join(print_formula(godel_translate(f)) for f in enumerate_ip_formulas(7))
+        assert hashlib.sha256(text.encode()).hexdigest() == "84b2cb2a84e6a38816c4e2e742bed2221d3d67b2d66350bd86054ccda77c5c55"
 
     @settings(max_examples=100, deadline=None)
     @given(ip_formulas(max_leaves=5))
