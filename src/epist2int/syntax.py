@@ -22,13 +22,18 @@ EP = "ep"
 class _Node:
     """Base of the formula nodes: hash-consed, immutable, slotted.
 
-    The constructor returns the one node per class and argument tuple, so
-    structurally equal formulas are the same object and == and hash are
+    Each shape's constructor returns the one node per class and children,
+    so structurally equal formulas are the same object and == and hash are
     the inherited identity ones.  The intern table is a plain dict per
-    class that lives, and grows, for the whole process.  Interning sets
-    `_ip`, the box-free flag is_ip_formula returns, from the children's
-    flags.  `_key`, the printed form formula_key returns, which prover_ip
-    also breaks ties by, starts as None and is built the first time it is
+    class that lives, and grows, for the whole process: a binary node is
+    interned under its pair of children, a box under a 1-tuple of its
+    body, an atom under its name.  A constructor checks its arguments on a
+    miss only, so a lookup that hits stays cheap, and a rejected argument
+    interns nothing.  It publishes a new node with setdefault, so threads
+    racing on one node all get the same one.  Interning sets `_ip`, the
+    box-free flag is_ip_formula returns, from the children's flags.
+    `_key`, the printed form formula_key returns, which prover_ip also
+    breaks ties by, starts as None and is built the first time it is
     asked for: most nodes are never printed.
     """
 
@@ -37,23 +42,6 @@ class _Node:
     def __init_subclass__(cls):
         cls._table = {}
 
-    def __new__(cls, *args):
-        node = cls._table.get(args)
-        if node is None:
-            if len(args) != len(cls.__slots__):
-                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} arguments")
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, args):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "_key", None)
-            # box-free: not a box and, for a binary node (the only kind with
-            # two arguments), both children box-free
-            ip = cls is not Box and (len(args) != 2 or args[0]._ip and args[1]._ip)
-            object.__setattr__(node, "_ip", ip)
-            # setdefault publishes one node even if two threads race here
-            node = cls._table.setdefault(args, node)
-        return node
-
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
@@ -61,47 +49,108 @@ class _Node:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+# The slots' own setters, which bypass the __setattr__ that refuses
+# every assignment once a node is published.
+_set_key, _set_ip = _Node._key.__set__, _Node._ip.__set__
+
+
+def _not_formula(cls, arg) -> TypeError:
+    return TypeError(f"{cls.__name__} argument is not a formula: {arg!r}")
 
 
 _ATOM_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
 class Atom(_Node):
-    __slots__ = ("name",)
+    __slots__ = _fields = ("name",)
 
     def __new__(cls, name):
-        node = cls._table.get((name,))
+        node = cls._table.get(name)
         if node is None:
-            # checked on a miss only, so the parser's lookups stay cheap
             if not isinstance(name, str) or name == "T" or not _ATOM_RE.fullmatch(name):
                 raise ValueError(f"bad atom name {name!r}: not an identifier, or the verum T")
-            node = super().__new__(cls, name)
+            node = object.__new__(cls)
+            _set_name(node, name)
+            _set_key(node, None)
+            _set_ip(node, True)
+            node = cls._table.setdefault(name, node)
         return node
 
 
 class Falsum(_Node):
+    __slots__ = _fields = ()
+
+    def __new__(cls):
+        node = cls._table.get(())
+        if node is None:
+            node = object.__new__(cls)
+            _set_key(node, None)
+            _set_ip(node, True)
+            node = cls._table.setdefault((), node)
+        return node
+
+
+class _Binary(_Node):
+    """Base of the binary connectives, which share its slots and
+    constructor and each keep their own intern table."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left, right):
+        key = (left, right)
+        node = cls._table.get(key)
+        if node is None:
+            if not isinstance(left, _Node):
+                raise _not_formula(cls, left)
+            if not isinstance(right, _Node):
+                raise _not_formula(cls, right)
+            node = object.__new__(cls)
+            _set_left(node, left)
+            _set_right(node, right)
+            _set_key(node, None)
+            _set_ip(node, left._ip and right._ip)
+            node = cls._table.setdefault(key, node)
+        return node
+
+
+class Conj(_Binary):
     __slots__ = ()
 
 
-class Conj(_Node):
-    __slots__ = ("left", "right")
+class Disj(_Binary):
+    __slots__ = ()
 
 
-class Disj(_Node):
-    __slots__ = ("left", "right")
-
-
-class Impl(_Node):
-    __slots__ = ("left", "right")
+class Impl(_Binary):
+    __slots__ = ()
 
 
 class Box(_Node):
-    __slots__ = ("inner",)
+    __slots__ = _fields = ("inner",)
+
+    def __new__(cls, inner):
+        key = (inner,)
+        node = cls._table.get(key)
+        if node is None:
+            if not isinstance(inner, _Node):
+                raise _not_formula(cls, inner)
+            node = object.__new__(cls)
+            _set_inner(node, inner)
+            _set_key(node, None)
+            _set_ip(node, False)
+            node = cls._table.setdefault(key, node)
+        return node
+
+
+_set_name, _set_inner = Atom.name.__set__, Box.inner.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
 Formula = Union[Atom, Falsum, Conj, Disj, Impl, Box]
@@ -153,29 +202,39 @@ def atoms_of(f: Formula) -> set[str]:
     return names
 
 
-@dataclass(frozen=True)
+def _check_logic(logic: str) -> None:
+    if logic != IP and logic != EP:
+        raise ValueError(f"unknown logic tag {logic!r}")
+
+
+@dataclass(frozen=True, init=False)
 class Sequent:
-    """Assumptions plus a goal, tagged with the logic they live in."""
+    """Assumptions plus a goal, tagged with the logic they live in.
+
+    Checked and built in one pass: the logic tag first, then each
+    assumption in order, then the goal; equality, hashing, repr and
+    immutability are the dataclass's own.
+    """
 
     assumptions: tuple[Formula, ...]
     goal: Formula
     logic: str = IP
 
-    def __post_init__(self):
-        logic = self.logic
-        if logic != IP and logic != EP:
-            raise ValueError(f"unknown logic tag {logic!r}")
+    def __init__(self, assumptions: tuple[Formula, ...], goal: Formula, logic: str = IP):
+        _check_logic(logic)
         ip = logic == IP
-        for i, f in enumerate(self.assumptions):
+        for i, f in enumerate(assumptions):
             if not isinstance(f, _Node):
                 raise TypeError(f"sequent assumption {i} is not a formula: {f!r}")
             if ip and not f._ip:
                 raise ValueError("Box not allowed in IP sequent")
-        f = self.goal
-        if not isinstance(f, _Node):
-            raise TypeError(f"sequent goal is not a formula: {f!r}")
-        if ip and not f._ip:
+        if not isinstance(goal, _Node):
+            raise TypeError(f"sequent goal is not a formula: {goal!r}")
+        if ip and not goal._ip:
             raise ValueError("Box not allowed in IP sequent")
+        object.__setattr__(self, "assumptions", assumptions)
+        object.__setattr__(self, "goal", goal)
+        object.__setattr__(self, "logic", logic)
 
 
 class ParseError(ValueError):
@@ -214,6 +273,7 @@ class _Parser:
     """
 
     def __init__(self, text: str, logic: str):
+        _check_logic(logic)
         self.text = text
         self.logic = logic
         self.tokens = _TOKEN_RE.findall(text)
@@ -251,7 +311,7 @@ class _Parser:
         while True:
             # operand: stack "(" and prefixes up to a leaf
             tok = tokens[i]
-            f = atoms.get((tok,))
+            f = atoms.get(tok)
             if f is None:
                 ctor = _OPEN.get(tok)
                 if ctor is not None:
@@ -385,7 +445,7 @@ def _text(f: Formula, sugar: frozenset, texts: dict | None) -> str:
                         + (b if _level(right, sugar) >= need_right else f"({b})"))
         todo.pop()
         if texts is None:
-            object.__setattr__(g, "_key", text)
+            _set_key(g, text)
         else:
             texts[g] = text
     return f._key if texts is None else texts[f]
@@ -475,6 +535,7 @@ def _sampler(max_depth: int, atoms: list[str], logic: str):
         raise ValueError("max_depth must be >= 0")
     if not atoms:
         raise ValueError("atoms must be nonempty")
+    _check_logic(logic)
     leaves = [Atom(a) for a in atoms]  # raises on a bad name such as "T"
     kinds = _DRAW_EP if logic == EP else _DRAW_IP
     rand = choice = None  # the current draw's random.Random methods

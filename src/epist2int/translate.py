@@ -35,17 +35,26 @@ def double_rel_neg(a: Formula, e: Formula) -> Formula:
     return Impl(Impl(a, e), e)
 
 
+# What godel_translate maps each distinct box-free node to, for every node
+# translated so far in the process.  Interned nodes live as long, so the
+# table grows no further than the intern tables and is never cleared.  An
+# entry is only ever added, as the one interned node, so threads racing on
+# a node write the same value.
+_GODEL: dict[Formula, Formula] = {FALSUM: FALSUM}
+
+
 def godel_translate(a: Formula) -> Formula:
     """Box atoms and implications; falsum and /\\, \\/ pass through.
 
-    One table from each distinct input node to its translation, filled
-    children first in a loop over an explicit stack, as in ff_translate,
-    so depth costs no Python stack; intern tables are read first.
+    One process-wide table from each distinct input node to its
+    translation, filled children first in a loop over an explicit stack,
+    as in ff_translate, so depth costs no Python stack and a call walks
+    only the nodes no earlier call translated; intern tables are read
+    first.
     """
     if not is_ip_formula(a):
         raise ValueError("input already contains Box")
-    boxes = Box._table
-    done: dict[Formula, Formula] = {FALSUM: FALSUM}
+    boxes, done = Box._table, _GODEL
     todo = [a]
     while todo:
         f = todo.pop()

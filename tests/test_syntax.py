@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -239,6 +240,34 @@ def test_sequent_rejects_non_formula_members(logic):
         Sequent((p, "q"), p, logic)
 
 
+def test_sequent_is_a_frozen_value():
+    s = Sequent(goal=Impl(p, Box(q)), assumptions=(p,), logic=EP)
+    assert s == Sequent((p,), Impl(p, Box(q)), EP)
+    assert hash(s) == hash(Sequent((p,), Impl(p, Box(q)), EP))
+    assert Sequent((p,), q) == Sequent((p,), q, IP) != Sequent((p,), q, EP)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'goal'"):
+        s.goal = p
+    assert dataclasses.replace(s, goal=q) == Sequent((p,), q, EP)
+    with pytest.raises(ValueError, match="^Box not allowed in IP sequent$"):
+        dataclasses.replace(s, logic=IP)
+    assert repr(s) == ("Sequent(assumptions=(Atom(name='p'),), goal=Impl(left=Atom(name='p'), "
+                       "right=Box(inner=Atom(name='q'))), logic='ep')")
+
+
+@pytest.mark.parametrize("call,tag", [
+    (lambda: parse_formula("[]p", "IP"), "IP"),
+    (lambda: parse_formula("[]p", "s4"), "s4"),
+    (lambda: parse_formula("p", "s4"), "s4"),
+    (lambda: parse_sequent("p |- p", "s4"), "s4"),
+    (lambda: random_formula(3, ["p"], "s4"), "s4"),
+    (lambda: random_formula_sized(5, ["p"], "s4"), "s4"),
+])
+def test_unknown_logic_tag_is_rejected(call, tag):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"unknown logic tag {tag!r}"
+
+
 def test_roundtrip_bulk():
     for seed in range(10000):
         f = random_formula(3, ["p", "q", "r"], EP, seed)
@@ -450,19 +479,21 @@ def test_random_formula_stream_is_pinned():
 
 def test_rejected_draw_stops_at_its_size_bound(monkeypatch):
     attempts = []  # node constructions per attempt, one entry per seeding
-    new = syntax._Node.__new__
 
-    def spy_new(cls, *args):
-        if attempts:
-            attempts[-1] += 1
-        return new(cls, *args)
+    def spy(new):
+        def spy_new(cls, *args):
+            if attempts:
+                attempts[-1] += 1
+            return new(cls, *args)
+        return staticmethod(spy_new)
 
     class SpyRandom(random.Random):
         def seed(self, *args, **kwargs):
             attempts.append(0)
             super().seed(*args, **kwargs)
 
-    monkeypatch.setattr(syntax._Node, "__new__", staticmethod(spy_new))
+    for shape in (syntax._Binary, syntax.Box):
+        monkeypatch.setattr(shape, "__new__", spy(shape.__new__))
     monkeypatch.setattr(syntax.random, "Random", SpyRandom)
     rejected = []
     for max_size, max_depth in ((1, 4), (3, 6), (5, 4), (8, 6)):
@@ -504,6 +535,25 @@ def test_nodes_are_immutable():
     with pytest.raises(AttributeError):
         del f.right
     assert f is Impl(p, q)
+
+
+@pytest.mark.parametrize("shape,args,bad", [
+    (Box, (None,), None), (Box, ("p",), "p"),
+    (Conj, ("p", q), "p"), (Disj, (p, 1), 1), (Impl, (p, "q"), "q"), (Impl, (None, "q"), None),
+])
+def test_constructors_reject_non_formula_children(shape, args, bad):
+    sizes = [len(cls._table) for cls in (Box, Conj, Disj, Impl)]
+    with pytest.raises(TypeError) as exc:
+        shape(*args)
+    assert str(exc.value) == f"{shape.__name__} argument is not a formula: {bad!r}"
+    assert [len(cls._table) for cls in (Box, Conj, Disj, Impl)] == sizes
+    with pytest.raises(TypeError):
+        shape(*args)
+
+
+def test_leaf_shapes_are_interned():
+    assert Falsum() is FALSUM and pickle.loads(pickle.dumps(FALSUM)) is FALSUM
+    assert Atom._table["p"] is p and repr(Box(p)) == "Box(inner=Atom(name='p'))"
 
 
 def test_pickle_across_processes():

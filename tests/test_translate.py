@@ -1,7 +1,12 @@
 """Both translations, their defining clauses, and the simplifier."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +105,65 @@ class TestGodel:
         as recorded when godel_translate walked every occurrence."""
         text = "\n".join(print_formula(godel_translate(f)) for f in enumerate_ip_formulas(7))
         assert hashlib.sha256(text.encode()).hexdigest() == "84b2cb2a84e6a38816c4e2e742bed2221d3d67b2d66350bd86054ccda77c5c55"
+
+    def test_process_wide_table_changes_no_translation(self):
+        """In a fresh interpreter, translating the formulas of
+        enumerate_ip_formulas(7) last to first gives the pinned texts, and
+        an input with a box is still refused once its box-free parts have
+        been translated."""
+        code = """if True:
+            import hashlib
+            from epist2int.harness import enumerate_ip_formulas
+            from epist2int.syntax import parse_formula, print_formula
+            from epist2int.translate import godel_translate
+            formulas = enumerate_ip_formulas(7)
+            texts = [print_formula(godel_translate(f)) for f in reversed(formulas)]
+            print(hashlib.sha256("\\n".join(reversed(texts)).encode()).hexdigest())
+            godel_translate(parse_formula("p -> q"))
+            for text in ("[](p -> q)", "p /\\\\ [](p -> q)"):
+                try:
+                    godel_translate(parse_formula(text, "ep"))
+                except ValueError as exc:
+                    print(exc)
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(translate.__file__).resolve().parent.parent))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=120).stdout.splitlines()
+        assert out == ["84b2cb2a84e6a38816c4e2e742bed2221d3d67b2d66350bd86054ccda77c5c55",
+                       "input already contains Box", "input already contains Box"]
+
+    def test_threads_share_the_table(self):
+        """Threads translating formulas no earlier call translated, each in
+        its own order, with frequent switches, all get the translation a
+        plain recursion builds."""
+        formulas = enumerate_ip_formulas(7, ("race_a", "race_b"))
+        results = [None] * 4
+
+        def work(k):
+            order = formulas[k % 2::2] + formulas[1 - k % 2::2]
+            results[k] = {f: godel_translate(f) for f in (order if k < 2 else order[::-1])}
+
+        def plain(f):
+            if type(f) is Atom:
+                return Box(f)
+            if f is FALSUM:
+                return f
+            g = type(f)(plain(f.left), plain(f.right))
+            return Box(g) if type(f) is Impl else g
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert got is not None and all(got[f] is plain(f) for f in formulas)
 
     @settings(max_examples=100, deadline=None)
     @given(ip_formulas(max_leaves=5))
