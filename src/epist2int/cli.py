@@ -2,12 +2,9 @@
 
 Each subcommand is declared once, with its handler, and declares only
 the options it reads: `translate --mode godel` rejects the four options
-of ff mode.  Three take their default from the environment, checked by
-argparse like a command-line value: `prove --node-cap` from
-EPIST2INT_NODE_CAP, `eval --chain` from EPIST2INT_MAX_CHAIN and
-`paper --seed` from EPIST2INT_SEED.  Like --sample, a --seed given on
-the command line is an error when no selected check is seeded; the
-environment's seed is a silent default.
+of ff mode.  Every setting is an option: nothing is read from the
+environment.  `paper` passes --seed and --sample to harness.run_checks,
+which rejects either when no selected check is seeded.
 
 `prove` decides through harness.decide, so the kernel has checked the
 evidence it prints; --trace only chooses whether an IP proof's trace is
@@ -24,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -56,15 +52,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
     return value
-
-
-class _Given(argparse.Action):
-    """Stores the value and sets `<dest>_given`, so that a value given on
-    the command line can be told from the default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_given", True)
 
 
 def _print_json(doc: dict) -> None:
@@ -177,8 +164,6 @@ def cmd_eval(args) -> int:
 
 def cmd_paper(args) -> int:
     targets = harness.ALL_CHECKS if args.target == "all" else [args.target]
-    if args.seed_given and not harness.takes_seed(targets):
-        raise ValueError(f"{args.target} takes no --seed")
     reports = harness.run_checks(targets, args.seed, args.sample)
     if args.output == "json":
         _print_json({
@@ -249,24 +234,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logic", choices=["ip", "ep"], required=True)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--node-cap", type=_positive_int,
-                   default=os.environ.get("EPIST2INT_NODE_CAP"),
-                   help="abort proof search after this many nodes "
-                   "(default: $EPIST2INT_NODE_CAP, else no cap)")
+                   help="abort proof search after this many nodes (default: no cap)")
     p.add_argument("sequent")
 
     e = command("eval", cmd_eval, "evaluate a formula on a finite chain")
-    e.add_argument("--chain", type=_positive_int,
-                   default=os.environ.get("EPIST2INT_MAX_CHAIN", "3"),
-                   help=f"chain size, at most {MAX_CHAIN} (default: $EPIST2INT_MAX_CHAIN, else 3)")
+    e.add_argument("--chain", type=_positive_int, default=3,
+                   help=f"chain size, at most {MAX_CHAIN} (default: 3)")
     e.add_argument("--assign", action="append", default=[], metavar="atom=index")
     e.add_argument("formula")
 
     w = command("paper", cmd_paper, "run a named reproduction check, or all of them")
     w.add_argument("target", choices=["all", *sorted(harness.ALL_CHECKS)])
-    w.add_argument("--seed", type=int, action=_Given, default=os.environ.get("EPIST2INT_SEED", "0"),
-                   help="seed of the randomized checks (default: $EPIST2INT_SEED, else 0); "
+    w.add_argument("--seed", type=int,
+                   help="seed of the randomized checks (default: 0); "
                    "an error when no selected check is seeded")
-    w.set_defaults(seed_given=False)
     w.add_argument("--sample", type=int, default=None)
     return parser
 

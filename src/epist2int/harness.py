@@ -510,23 +510,19 @@ ALL_CHECKS: dict[str, tuple[Callable[..., CheckReport], ...]] = {
 _SEEDED = (check_lemma_suite, check_soundness_theorem)
 
 
-def takes_seed(targets) -> bool:
-    """Whether a check of the targets draws at random, and so reads a seed
-    and a sample."""
-    return any(check in _SEEDED for target in targets for check in ALL_CHECKS[target])
-
-
-def run_checks(targets, seed: int = 0, sample: Optional[int] = None) -> list[CheckReport]:
+def run_checks(targets, seed: Optional[int] = None,
+               sample: Optional[int] = None) -> list[CheckReport]:
     """Run the checks of each target in order.  seed and sample go to the
-    randomized checks only; sample=None keeps each check's default, and a
-    sample is an error when no check of the targets takes one."""
+    randomized checks only, None keeping each check's default (seed 0);
+    either given is an error when no check of the targets draws at random."""
     checks = [check for target in targets for check in ALL_CHECKS[target]]
-    if sample is not None and not takes_seed(targets):
-        raise ValueError(f"{', '.join(targets)} takes no --sample")
+    given = {name: value for name, value in (("seed", seed), ("sample", sample))
+             if value is not None}
+    if given and not any(check in _SEEDED for check in checks):
+        raise ValueError(f"{', '.join(targets)} takes no --{next(iter(given))}")
     if sample is not None and sample < 1:  # a check that checks nothing passes
         raise ValueError("sample must be positive")
-    kwargs = {"seed": seed} if sample is None else {"seed": seed, "sample": sample}
-    return [check(**kwargs) if check in _SEEDED else check() for check in checks]
+    return [check(**given) if check in _SEEDED else check() for check in checks]
 
 
 def summary_table(reports: list[CheckReport]) -> str:

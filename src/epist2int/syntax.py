@@ -61,8 +61,16 @@ class _Node:
 _set_key, _set_ip = _Node._key.__set__, _Node._ip.__set__
 
 
-def _not_formula(cls, arg) -> TypeError:
-    return TypeError(f"{cls.__name__} argument is not a formula: {arg!r}")
+def _not_formula(where, arg) -> TypeError:
+    """The error for `arg`, given to the class or function `where` as a formula."""
+    return TypeError(f"{where.__name__} argument is not a formula: {arg!r}")
+
+
+def check_formula(where, f) -> None:
+    """Raise _not_formula(where, f) unless f is a formula: the one check
+    of an entry point's argument, never repeated per node."""
+    if not isinstance(f, _Node):
+        raise _not_formula(where, f)
 
 
 _ATOM_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -166,6 +174,7 @@ def neg(f: Formula) -> Formula:
 
 def is_ip_formula(f: Formula) -> bool:
     """True iff the formula contains no box node; the flag interning set."""
+    check_formula(is_ip_formula, f)
     return f._ip
 
 
@@ -190,6 +199,7 @@ def formula_size(f: Formula) -> int:
 def atoms_of(f: Formula) -> set[str]:
     """Names of the atoms that occur in f: one visit per distinct node, so
     linear in the DAG, where `subformulas` yields every occurrence."""
+    check_formula(atoms_of, f)
     names, seen, todo = set(), set(), [f]
     while todo:
         g = todo.pop()
@@ -458,8 +468,12 @@ def formula_key(f: Formula) -> str:
     deterministic total-order key prover_ip breaks ties by when two
     context formulas take the same rule (independent of hash
     randomization).  A missing key is built by the printer's one loop.
+    A non-formula has no `_key`, so the cached path makes no check.
     """
-    key = f._key
+    try:
+        key = f._key
+    except AttributeError:
+        raise _not_formula(formula_key, f) from None
     return key if key is not None else _text(f, frozenset(), None)
 
 
@@ -472,6 +486,7 @@ def print_formula(f: Formula, relneg: Iterable[Formula] = ()) -> str:
     and is not part of the parse grammar; its texts are built by the same
     loop as formula_key's and kept for this call only.
     """
+    check_formula(print_formula, f)
     sugar = frozenset(relneg)
     return _text(f, sugar, {}) if sugar else formula_key(f)
 

@@ -22,6 +22,7 @@ from .syntax import (
     Falsum,
     Formula,
     Impl,
+    check_formula,
     is_ip_formula,
 )
 
@@ -52,6 +53,7 @@ def godel_translate(a: Formula) -> Formula:
     only the nodes no earlier call translated; intern tables are read
     first.
     """
+    check_formula(godel_translate, a)
     if not is_ip_formula(a):
         raise ValueError("input already contains Box")
     boxes, done = Box._table, _GODEL
@@ -86,6 +88,7 @@ class TranslationContext:
         if not 0 <= self.witness_index < len(self.gamma):
             raise ValueError("witness_index out of range")
         for f in self.gamma:
+            check_formula(TranslationContext, f)
             if not is_ip_formula(f):
                 raise ValueError("gamma must consist of IP formulas")
 
@@ -106,6 +109,7 @@ def ff_translate(a: Formula, ctx: TranslationContext) -> Formula:
     child under every witness; each pair is translated once, and a leaf
     pair is answered on its first visit.
     """
+    check_formula(ff_translate, a)
     gamma = ctx.gamma
     done: dict[tuple[Formula, int], Formula] = {}
     todo = [(a, ctx.witness_index)]
@@ -221,6 +225,7 @@ def ff_simplify(f: Formula) -> Formula:
     and a rewritten node is normalized again; each distinct node is
     normalized once per call.
     """
+    check_formula(ff_simplify, f)
     memo: dict[Formula, Formula] = {}
 
     def norm(g: Formula) -> Formula:

@@ -1,7 +1,6 @@
 from typing import NamedTuple
 
 import hypothesis.strategies as st
-import pytest
 
 from epist2int.algebra import evaluate
 from epist2int.syntax import FALSUM, Atom, Box, Conj, Disj, Falsum, Impl, print_formula
@@ -53,13 +52,6 @@ def ep_formulas(max_leaves: int = 8):
         ),
         max_leaves=max_leaves,
     )
-
-
-@pytest.fixture(autouse=True)
-def _no_epist2int_env(monkeypatch):
-    """Run every test without the caller's EPIST2INT_* defaults."""
-    for name in ("EPIST2INT_NODE_CAP", "EPIST2INT_MAX_CHAIN", "EPIST2INT_SEED"):
-        monkeypatch.delenv(name, raising=False)
 
 
 # ---------------------------------------------------------------- JSON documents

@@ -236,12 +236,6 @@ def test_eval_rejects_ignored_assignments(capsys, assign, error, output):
         assert out == "" and err == f"error: {error}"
 
 
-def test_eval_respects_env_chain(capsys, monkeypatch):
-    monkeypatch.setenv("EPIST2INT_MAX_CHAIN", "2")
-    code, out, _ = run(capsys, "eval", "--assign", "p=1", "p")
-    assert code == 0 and out == "value 1 of 0..1 (top)"
-
-
 @pytest.mark.parametrize("target", ["thm2", "fernandez", "inoue"])
 def test_paper_targets_pass(capsys, target):
     code, out, _ = run(capsys, "paper", target)
@@ -261,13 +255,6 @@ def test_paper_lemmas_sampled(capsys):
     blob = json.loads(out)
     assert code == 0
     assert blob["reports"][0]["status"] == "pass"
-
-
-def test_paper_soundness_sampled_with_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("EPIST2INT_SEED", "5")
-    code, out, _ = run(capsys, "paper", "soundness", "--sample", "5", "--output", "json")
-    blob = json.loads(out)
-    assert code == 0 and blob["reports"][0]["seed"] == 5
 
 
 @pytest.mark.parametrize("sample", ["0", "-3"])
@@ -301,35 +288,10 @@ def test_paper_seed_without_a_seeded_check_is_error(capsys, target, output):
         assert out == "" and err == f"error: {target} takes no --seed"
 
 
-def test_paper_env_seed_is_a_silent_default(capsys, monkeypatch):
-    monkeypatch.setenv("EPIST2INT_SEED", "3")
-    code, out, _ = run(capsys, "paper", "fernandez", "--output", "json")
-    assert code == 0 and one_json_document(out)["reports"][0]["seed"] is None
-
-
-def test_paper_malformed_env_seed_is_error(capsys, monkeypatch):
-    monkeypatch.setenv("EPIST2INT_SEED", "x")
-    code, out, _ = run(capsys, "paper", "fernandez", "--output", "json")
-    assert code == 2 and "--seed" in one_json_document(out)["error"]
-
-
 def one_json_document(out: str) -> dict:
     lines = out.splitlines()
     assert len(lines) == 1
     return json.loads(lines[0])
-
-
-# Each variable is read by one subcommand only; the others ignore it.
-@pytest.mark.parametrize("name, value, argv, shown", [
-    ("EPIST2INT_MAX_CHAIN", "0", ["prove", "--logic", "ip", "p |- p"], "Provable"),
-    ("EPIST2INT_NODE_CAP", "abc", ["translate", "--mode", "godel", "p"], "[]p"),
-    ("EPIST2INT_NODE_CAP", "abc", ["eval", "--assign", "p=2", "p"], "value 2 of 0..2 (top)"),
-    ("EPIST2INT_SEED", "x", ["eval", "--assign", "p=2", "p"], "value 2 of 0..2 (top)"),
-], ids=["max-chain-prove", "node-cap-translate", "node-cap-eval", "seed-eval"])
-def test_env_read_only_by_its_subcommand(capsys, monkeypatch, name, value, argv, shown):
-    monkeypatch.setenv(name, value)
-    code, out, err = run(capsys, *argv)
-    assert code == 0 and out == shown and err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -342,30 +304,19 @@ def test_node_cap_only_on_prove(capsys, argv):
     assert code == 2 and "--node-cap" in one_json_document(out)["error"]
 
 
-# --node-cap and --chain take a positive integer, from the command line or
-# from the environment variable that gives their default
-@pytest.mark.parametrize("env, argv", [
-    ({"EPIST2INT_NODE_CAP": "-1"}, ["prove", "--logic", "ip", "p |- p"]),
-    ({}, ["prove", "--logic", "ip", "--node-cap", "-1", "p |- p"]),
-    ({}, ["eval", "--chain", "0", "--assign", "p=0", "p"]),
-    ({"EPIST2INT_MAX_CHAIN": "abc"}, ["eval", "--assign", "p=0", "p"]),
-], ids=["env-node-cap", "node-cap", "chain", "env-chain"])
-def test_bad_count_is_usage_error(capsys, monkeypatch, env, argv):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+# --node-cap and --chain take a positive integer
+@pytest.mark.parametrize("argv", [
+    ["prove", "--logic", "ip", "--node-cap", "-1", "p |- p"],
+    ["eval", "--chain", "0", "--assign", "p=0", "p"],
+], ids=["node-cap", "chain"])
+def test_bad_count_is_usage_error(capsys, argv):
     code, out, _ = run(capsys, *argv, "--output", "json")
     assert code == 2 and "not a positive integer" in one_json_document(out)["error"]
 
 
-# a chain above make_chain's bound is an error found before any chain is
-# built, from the command line or from the environment
-@pytest.mark.parametrize("env, argv", [
-    ({}, ["--chain", "100000"]),
-    ({"EPIST2INT_MAX_CHAIN": "100000"}, []),
-], ids=["chain", "env-chain"])
-def test_chain_above_bound_is_error(capsys, monkeypatch, env, argv):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+# a chain above make_chain's bound is an error found before any chain is built
+@pytest.mark.parametrize("argv", [["--chain", "100000"]], ids=["chain"])
+def test_chain_above_bound_is_error(capsys, argv):
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "eval", *argv, "--assign", "p=3", "p", "--output", "json")
     assert time.perf_counter() - t0 < 1

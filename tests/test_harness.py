@@ -262,3 +262,14 @@ def test_summary_table():
                harness.check_symbolic_chain_identity()]
     table = harness.summary_table(reports)
     assert "unfaithfulness_fernandez" in table and "PASS" in table
+
+
+def test_run_checks_rejects_a_seed_no_check_reads():
+    with pytest.raises(ValueError, match="^fernandez takes no --seed$"):
+        harness.run_checks(["fernandez"], seed=3)
+
+
+def test_run_checks_seeds_the_seeded_checks():
+    assert [r.seed for r in harness.run_checks(["lemmas"], sample=1)] == [0]
+    assert [r.seed for r in harness.run_checks(["lemmas"], seed=3, sample=1)] == [3]
+    assert [r.seed for r in harness.run_checks(["thm2", "fernandez"])] == [None] * 3

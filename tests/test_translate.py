@@ -32,6 +32,8 @@ from epist2int.syntax import (
     FormulaTable,
     Impl,
     Sequent,
+    atoms_of,
+    formula_key,
     is_ip_formula,
     neg,
     parse_formula,
@@ -51,6 +53,27 @@ from epist2int.translate import (
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 E, C = Atom("E"), Atom("C")
 CTX = TranslationContext((E, C), 0)  # gamma = [E, C], witness E
+
+
+# each entry point that takes a formula, by the name its error gives
+_ENTRY_POINTS = {
+    "godel_translate": godel_translate,
+    "TranslationContext": lambda x: TranslationContext((x,)),
+    "is_ip_formula": is_ip_formula,
+    "formula_key": formula_key,
+    "print_formula": print_formula,
+    "ff_translate": lambda x: ff_translate(x, CTX),
+    "atoms_of": atoms_of,
+    "ff_simplify": ff_simplify,
+}
+
+
+@pytest.mark.parametrize("bad", ["p", None, 3])
+@pytest.mark.parametrize("name", _ENTRY_POINTS)
+def test_entry_points_reject_non_formulas(name, bad):
+    with pytest.raises(TypeError) as exc:
+        _ENTRY_POINTS[name](bad)
+    assert str(exc.value) == f"{name} argument is not a formula: {bad!r}"
 
 
 class TestRelNeg:
