@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .kernel import AlgebraError, check_preorder, truth
-from .syntax import Formula, atoms_of, is_ip_formula
+from .syntax import Formula, atoms_of, check_formula, is_ip_formula
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,7 @@ def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:
     element numbers: /\\ is meet, \\/ is join, -> is rpc.  A number
     outside 0..size-1 raises ValueError naming its atom, and unassigned
     atoms raise ValueError naming them all."""
+    check_formula(evaluate, f)
     if not is_ip_formula(f):
         raise ValueError("modal formulas have no Heyting-algebra value")
     elems = h.upsets
@@ -163,6 +164,7 @@ def _search_algebra(f: Formula, names: list[str], h: HeytingAlgebra) -> Optional
 def refute(f: Formula, max_chain: int = 3, also_lattices: bool = False) -> Optional[Countermodel]:
     """First countermodel over chains of size 2..max_chain (then, optionally,
     all Heyting algebras with at most 5 elements).  None proves nothing."""
+    check_formula(refute, f)
     if not is_ip_formula(f):
         raise ValueError("refute expects an IP formula")
     if max_chain < 2:

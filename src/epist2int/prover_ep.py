@@ -93,19 +93,27 @@ class _Tableau:
         the state itself.
 
         A formula already held with its sign is skipped.  A branch closes
-        on one held with the other sign, on a true _|_, and, once its
-        queue is done, on a demand F[]A that its T[] formulas prove
-        (`_boxes_prove`): A is built by /\\ and \\/ from boxes []Bi signed
-        true, and []B1, ..., []Bn => []A is a derived S4 rule (axiom 4
-        gives [][]Bi, K the conjunctions, monotony the disjunctions).  The
-        check comes before the oldest beta splits the branch, whose state
-        only grows below it, so that every sub-branch would fail that
-        demand; and before any successor is entered, whose seed F A,
-        T[]B1, ..., T[]Bn closes.  No ancestor loop rescues the demand: a
-        world with its key has that seed, so every branch of it closes in
-        saturation, before it reaches its demands, and it is never the
-        ancestor of a world.  Like a clash, this closure counts
-        no step, so only the step count differs from a search without it.
+        on one held with the other sign, on a true _|_, and on a demand
+        F[]A that its state proves (`_boxes_prove`): A is built by /\\ and
+        \\/ from parts each signed true and stable, that is built by /\\
+        and \\/ from boxes and _|_.  A stable A => []A is a derived S4
+        rule (axiom 4 gives [][]B for a box []B, K the conjunctions,
+        monotony the disjunctions, and _|_ proves anything), and so is the
+        step from the parts to []A by K and monotony.  The check runs
+        where the queue first meets the demand, if A is already signed
+        true, and, for every demand, once the queue is done.  The second
+        comes before the oldest beta splits the branch, whose state only
+        grows below it, so that every sub-branch would fail that demand;
+        and both come before any successor is entered.  Every branch
+        either check closes would have closed before entering one: its
+        alphas and splits take each stable part down to a true _|_, which
+        closes, or to boxes signed true, from which A follows by /\\ and
+        \\/ alone, and the queue-end check closes on those.  No
+        ancestor loop rescues the demand: a world with its key has that
+        seed, so every branch of it closes in saturation, before it
+        reaches its demands, and it is never the ancestor of a world.
+        Like a clash, this closure counts no step, so only the step count
+        differs from a search without it.
         """
         worlds, edges, ancestors, cap = self.worlds, self.edges, self.ancestors, self.cap
         wid, first_edge = len(worlds), len(edges)
@@ -134,6 +142,8 @@ class _Tableau:
                 elif type(f) is Box:
                     if sign:
                         queue += None, (True, f.inner)
+                    elif signs.get(f.inner) is True and _boxes_prove(f.inner, signs):
+                        break
                     else:
                         demands.append(f.inner)
                 else:
@@ -173,30 +183,37 @@ class _Tableau:
 
 
 def _boxes_prove(a, signs: dict) -> bool:
-    """Whether the T[] formulas of the world state `signs` derive []a by
-    axiom 4 and K: a is a box signed true, a conjunction of two such parts
-    or a disjunction with one.  A loop over a stack of subformulas; a node
-    is decided once its parts are."""
+    """Whether the world state `signs` derives []a: a is stable and signed
+    true, or a conjunction of two parts that derive their boxes, or a
+    disjunction with one.  A formula is stable when it is built by /\\ and
+    \\/ from boxes and _|_, as a box is; a stable A => []A is a derived S4
+    rule, by axiom 4 for a box []B ([][]B), K for a conjunction, monotony
+    for a disjunction, and _|_ proves anything.  K and monotony again take
+    the parts' boxes to []a.  A loop over a stack of subformulas; a node
+    is decided, with whether it is stable, once its parts are."""
     kind = type(a)
     if kind is not Conj and kind is not Disj:
-        return kind is Box and signs.get(a) is True
-    holds: dict = {}
+        return (kind is Box or a is FALSUM) and signs.get(a) is True
+    done: dict = {}  # node -> (stable, holds)
     stack = [a]
     while stack:
         f = stack.pop()
-        if f in holds:
+        if f in done:
             continue
         kind = type(f)
         if kind is Conj or kind is Disj:
             left, right = f.left, f.right
-            if left in holds and right in holds:
-                holds[f] = (holds[left] and holds[right] if kind is Conj
-                            else holds[left] or holds[right])
+            if left in done and right in done:
+                (ls, lh), (rs, rh) = done[left], done[right]
+                stable = ls and rs
+                holds = lh and rh if kind is Conj else lh or rh
+                done[f] = stable, holds or stable and signs.get(f) is True
             else:
                 stack += f, left, right
         else:
-            holds[f] = kind is Box and signs.get(f) is True
-    return holds[a]
+            stable = kind is Box or f is FALSUM
+            done[f] = stable, stable and signs.get(f) is True
+    return done[a][1]
 
 
 def _closure(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:

@@ -487,6 +487,9 @@ def print_formula(f: Formula, relneg: Iterable[Formula] = ()) -> str:
     loop as formula_key's and kept for this call only.
     """
     check_formula(print_formula, f)
+    relneg = tuple(relneg)
+    for e in relneg:
+        check_formula(print_formula, e)
     sugar = frozenset(relneg)
     return _text(f, sugar, {}) if sugar else formula_key(f)
 

@@ -85,6 +85,8 @@ class TranslationContext:
             raise ValueError("gamma must be nonempty")
         if len(set(self.gamma)) != len(self.gamma):
             raise ValueError("gamma must be duplicate-free")
+        if not isinstance(self.witness_index, int) or isinstance(self.witness_index, bool):
+            raise TypeError(f"TranslationContext witness_index is not an int: {self.witness_index!r}")
         if not 0 <= self.witness_index < len(self.gamma):
             raise ValueError("witness_index out of range")
         for f in self.gamma:
@@ -110,6 +112,8 @@ def ff_translate(a: Formula, ctx: TranslationContext) -> Formula:
     pair is answered on its first visit.
     """
     check_formula(ff_translate, a)
+    if not isinstance(ctx, TranslationContext):
+        raise TypeError(f"ff_translate context is not a TranslationContext: {ctx!r}")
     gamma = ctx.gamma
     done: dict[tuple[Formula, int], Formula] = {}
     todo = [(a, ctx.witness_index)]

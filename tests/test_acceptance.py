@@ -127,7 +127,7 @@ def test_criterion_6_godel_desk_scale():
     r = harness.check_godel_faithfulness()
     elapsed = time.perf_counter() - t0
     ok = r.details == {"formulas": 11451, "provable": 2850, "max_size": 7,
-                       "translation_steps": 37696, "stability_steps": 63669, "failures": []}
+                       "translation_steps": 37696, "stability_steps": 34353, "failures": []}
     ok &= r.passed and elapsed < 600
     report(6, f"box-translation faithfulness on {r.details['formulas']} formulas "
               f"({elapsed:.1f}s < 600s)", ok)

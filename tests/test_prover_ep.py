@@ -22,6 +22,7 @@ from epist2int.prover_ep import prove_ep
 from epist2int.prover_ip import SearchLimitError
 from epist2int.syntax import (
     EP,
+    FALSUM,
     IP,
     Atom,
     Box,
@@ -37,7 +38,7 @@ from epist2int.syntax import (
 )
 from epist2int.translate import godel_translate
 
-p, q = Atom("p"), Atom("q")
+p, q, r = Atom("p"), Atom("q"), Atom("r")
 
 
 def interprovable(a, b) -> bool:
@@ -145,25 +146,29 @@ def _box_combination(rng, leaves: list, depth: int):
 
 
 def test_boxes_prove_only_what_holds():
-    """Wherever _boxes_prove says that the boxes signed true derive []A,
-    []A holds at every world where they all hold: over random preorders on
-    up to 4 worlds, random valuations, and A built by /\\ and \\/ from
-    random boxes, each signed true or false, atoms and an implication."""
+    """Wherever _boxes_prove says that the state derives []A, []A holds at
+    every world where each of its formulas signed true, but the atom p,
+    holds: over random preorders on up to 4 worlds, random valuations, and
+    A built by /\\ and \\/ from random boxes, each signed true or false,
+    atoms, an implication and two /\\-\\/ combinations signed true of
+    boxes, _|_ and p, some stable and some not."""
     rng = random.Random(0)
     said = Counter()
     for _ in range(3000):
         boxes = [Box(random_formula_sized(4, ["p", "q"], EP, seed=rng.randrange(10**6)))
                  for _ in range(4)]
+        combos = [_box_combination(rng, boxes + [FALSUM, p], 2) for _ in range(2)]
         signs = {b: rng.random() < 0.6 for b in boxes}
+        signs.update(dict.fromkeys(combos, True))
         signs[p] = True
-        a = _box_combination(rng, boxes + [p, q, Impl(p, q)], 3)
+        a = _box_combination(rng, boxes + combos + [p, q, Impl(p, q)], 3)
         n = rng.randint(1, 4)
         up = _random_preorder(rng, n)
         valuation = {"p": rng.randrange(1 << n), "q": rng.randrange(1 << n)}
         memo: dict = {}
         where_all_hold = (1 << n) - 1
         for f, sign in signs.items():
-            if sign and type(f) is Box:
+            if sign and f is not p:
                 where_all_hold &= truth(f, up, valuation, memo)
         proves = prover_ep._boxes_prove(a, signs)
         said[proves] += 1
@@ -179,13 +184,63 @@ def test_boxes_prove_only_what_holds():
     (Box(q), {Box(p): True, Box(q): False}),
     (Conj(Box(p), Box(q)), {Box(p): True, q: True}),
     (Disj(q, Box(q)), {Box(p): True, q: True, Box(q): False}),
+    (Disj(p, Box(q)), {Disj(p, Box(q)): True}),
+    (Disj(Box(p), Impl(q, Box(p))), {Disj(Box(p), Impl(q, Box(p))): True}),
 ], ids=["atom", "implication", "box-not-true", "box-signed-false", "conj-one-part",
-        "disj-no-part"])
+        "disj-no-part", "unstable-atom-part", "unstable-implication-part"])
 def test_boxes_prove_says_no(a, signs):
     """An atom, even signed true; an implication, though []([]p -> []p) is
     a theorem; a box not held, or held signed false; a conjunction with
-    one box signed true and a disjunction with none."""
+    one box signed true and a disjunction with none; and a disjunction
+    signed true with an atom or an implication for a part."""
     assert not prover_ep._boxes_prove(a, signs)
+
+
+STABLE_PQR = Conj(Box(p), Disj(Box(q), Box(r)))
+
+
+@pytest.mark.parametrize("a, signs", [
+    (Disj(Box(p), FALSUM), {Disj(Box(p), FALSUM): True}),
+    (STABLE_PQR, {STABLE_PQR: True}),
+    (STABLE_PQR, {Box(p): True, STABLE_PQR.right: True}),
+    (Disj(q, STABLE_PQR.right), {STABLE_PQR.right: True}),
+], ids=["box-or-falsum", "nested", "parts", "one-part"])
+def test_boxes_prove_stable_formulas_signed_true(a, signs):
+    """A formula built by /\\ and \\/ from boxes and _|_, signed true,
+    derives its box, as does a combination of such parts, though no
+    box in it is signed true."""
+    assert prover_ep._boxes_prove(a, signs)
+
+
+def test_godel_translation_implies_its_box_in_one_step():
+    """Each G(A) |- []G(A) over the 200 criterion-6 formulas of the pinned
+    search order is Provable in one step, the root's: G(A) is stable,
+    signed true before the demand F[]G(A) is met, and closes it there."""
+    pool = enumerate_ip_formulas(7, ("p", "q"))
+    for a in random.Random(0).sample(pool, 200):
+        ta = godel_translate(a)
+        res = prove_ep(Sequent((ta,), Box(ta), EP))
+        assert (res.provable, res.worlds_expanded) == (True, 1), a
+
+
+@pytest.mark.parametrize("text", [
+    r"[]p \/ _|_ |- []([]p \/ _|_)",
+    r"[]p /\ ([]q \/ []r) |- []([]p /\ ([]q \/ []r))",
+])
+def test_stable_body_proves_its_box(text):
+    res = prove_ep(parse_sequent(text, EP))
+    assert (res.provable, res.worlds_expanded) == (True, 1)
+
+
+@pytest.mark.parametrize("text", [
+    r"p \/ []q |- [](p \/ []q)",
+    r"[]p \/ (q -> []p) |- []([]p \/ (q -> []p))",
+])
+def test_unstable_body_is_refuted(text):
+    s = parse_sequent(text, EP)
+    res = prove_ep(s)
+    assert not res.provable
+    assert check_kripke(res.countermodel, s)
 
 
 def test_equiv_ep():
@@ -284,7 +339,8 @@ def test_godel_search_order_is_pinned():
     verdicts and the countermodels of each Goedel translation and its two
     stability sequents, as recorded when the search came to take formulas
     in the order they arise, and their summed worlds_expanded, as counted
-    since a branch closes on a demand its boxes prove."""
+    since a branch closes on a demand whose body is stable and signed
+    true."""
     pool = enumerate_ip_formulas(7, ("p", "q"))
     counts = Counter()
     steps = 0
@@ -301,7 +357,7 @@ def test_godel_search_order_is_pinned():
                 models.append(res.countermodel.to_json())
     assert counts == {("translation", "Provable"): 44, ("translation", "NotProvable"): 156,
                       ("stability", "Provable"): 400}
-    assert steps == 1754
+    assert steps == 1235
     digest = hashlib.sha256(json.dumps(models).encode()).hexdigest()
     assert digest == "c2479fe4991dc3a6ebe5c5c59295f46cb7c1a1e3ac7711512cb2c1cd3c8d2204"
 

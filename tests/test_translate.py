@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 from conftest import ep_formulas, ip_formulas
 from epist2int import translate
+from epist2int.algebra import evaluate, make_chain, refute
 from epist2int.harness import (
     DEFAULT_GAMMA_POOL,
     decide,
@@ -65,6 +66,8 @@ _ENTRY_POINTS = {
     "ff_translate": lambda x: ff_translate(x, CTX),
     "atoms_of": atoms_of,
     "ff_simplify": ff_simplify,
+    "evaluate": lambda x: evaluate(x, {}, make_chain(3)),
+    "refute": refute,
 }
 
 
@@ -74,6 +77,27 @@ def test_entry_points_reject_non_formulas(name, bad):
     with pytest.raises(TypeError) as exc:
         _ENTRY_POINTS[name](bad)
     assert str(exc.value) == f"{name} argument is not a formula: {bad!r}"
+
+
+@pytest.mark.parametrize("bad", ["E", None, 3])
+def test_print_formula_rejects_non_formula_relneg(bad):
+    with pytest.raises(TypeError) as exc:
+        print_formula(Impl(p, E), relneg=[E, bad])
+    assert str(exc.value) == f"print_formula argument is not a formula: {bad!r}"
+
+
+@pytest.mark.parametrize("bad", ["x", None, (E, C)])
+def test_ff_translate_rejects_a_non_context(bad):
+    with pytest.raises(TypeError) as exc:
+        ff_translate(p, bad)
+    assert str(exc.value) == f"ff_translate context is not a TranslationContext: {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [p, "0", True, 0.0, None])
+def test_translation_context_rejects_a_non_int_witness_index(bad):
+    with pytest.raises(TypeError) as exc:
+        TranslationContext((p, q), bad)
+    assert str(exc.value) == f"TranslationContext witness_index is not an int: {bad!r}"
 
 
 class TestRelNeg:
