@@ -93,27 +93,19 @@ class _Tableau:
         the state itself.
 
         A formula already held with its sign is skipped.  A branch closes
-        on one held with the other sign, on a true _|_, and on a demand
-        F[]A that its state proves (`_boxes_prove`): A is built by /\\ and
-        \\/ from parts each signed true and stable, that is built by /\\
-        and \\/ from boxes and _|_.  A stable A => []A is a derived S4
-        rule (axiom 4 gives [][]B for a box []B, K the conjunctions,
-        monotony the disjunctions, and _|_ proves anything), and so is the
-        step from the parts to []A by K and monotony.  The check runs
-        where the queue first meets the demand, if A is already signed
-        true, and, for every demand, once the queue is done.  The second
-        comes before the oldest beta splits the branch, whose state only
-        grows below it, so that every sub-branch would fail that demand;
-        and both come before any successor is entered.  Every branch
-        either check closes would have closed before entering one: its
-        alphas and splits take each stable part down to a true _|_, which
-        closes, or to boxes signed true, from which A follows by /\\ and
-        \\/ alone, and the queue-end check closes on those.  No
-        ancestor loop rescues the demand: a world with its key has that
-        seed, so every branch of it closes in saturation, before it
-        reaches its demands, and it is never the ancestor of a world.
-        Like a clash, this closure counts no step, so only the step count
-        differs from a search without it.
+        on one held with the other sign, on a true _|_, and, where the
+        queue meets a demand F[]A, on an A already signed true and stable
+        (`_stable`).  A stable A => []A is a derived S4 rule (axiom 4 gives
+        [][]B for a box []B, K the conjunctions, monotony the disjunctions,
+        and _|_ proves anything): on each branch below, a search without
+        the closure takes A down to a true _|_, which closes, or to true
+        boxes, which seed the demand's successor beside F A and close it in
+        saturation.
+        So the closure cuts only branches that search also closes, and no
+        ancestor loop rescues the demand, since a world with its key
+        closes before it is ever an ancestor.  The open branches and
+        countermodels are those of the search without it, and, like a
+        clash, it counts no step.
         """
         worlds, edges, ancestors, cap = self.worlds, self.edges, self.ancestors, self.cap
         wid, first_edge = len(worlds), len(edges)
@@ -142,15 +134,13 @@ class _Tableau:
                 elif type(f) is Box:
                     if sign:
                         queue += None, (True, f.inner)
-                    elif signs.get(f.inner) is True and _boxes_prove(f.inner, signs):
+                    elif signs.get(f.inner) is True and _stable(f.inner):
                         break
                     else:
                         demands.append(f.inner)
                 else:
                     queue += None, (rule[1], f.left), (rule[2], f.right)
             else:
-                if demands and any(_boxes_prove(a, signs) for a in demands):
-                    continue
                 if betas:
                     (_, first, second), f = betas[0]
                     rest = betas[1:]
@@ -182,38 +172,22 @@ class _Tableau:
         return None
 
 
-def _boxes_prove(a, signs: dict) -> bool:
-    """Whether the world state `signs` derives []a: a is stable and signed
-    true, or a conjunction of two parts that derive their boxes, or a
-    disjunction with one.  A formula is stable when it is built by /\\ and
-    \\/ from boxes and _|_, as a box is; a stable A => []A is a derived S4
-    rule, by axiom 4 for a box []B ([][]B), K for a conjunction, monotony
-    for a disjunction, and _|_ proves anything.  K and monotony again take
-    the parts' boxes to []a.  A loop over a stack of subformulas; a node
-    is decided, with whether it is stable, once its parts are."""
-    kind = type(a)
-    if kind is not Conj and kind is not Disj:
-        return (kind is Box or a is FALSUM) and signs.get(a) is True
-    done: dict = {}  # node -> (stable, holds)
+def _stable(a) -> bool:
+    """Whether a is built by /\\ and \\/ from boxes and _|_: a loop that
+    visits each distinct node once, so a shared subformula costs one visit."""
+    seen = set()
     stack = [a]
     while stack:
         f = stack.pop()
-        if f in done:
+        if f in seen:
             continue
+        seen.add(f)
         kind = type(f)
         if kind is Conj or kind is Disj:
-            left, right = f.left, f.right
-            if left in done and right in done:
-                (ls, lh), (rs, rh) = done[left], done[right]
-                stable = ls and rs
-                holds = lh and rh if kind is Conj else lh or rh
-                done[f] = stable, holds or stable and signs.get(f) is True
-            else:
-                stack += f, left, right
-        else:
-            stable = kind is Box or f is FALSUM
-            done[f] = stable, stable and signs.get(f) is True
-    return done[a][1]
+            stack += f.left, f.right
+        elif kind is not Box and f is not FALSUM:
+            return False
+    return True
 
 
 def _closure(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:

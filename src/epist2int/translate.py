@@ -81,6 +81,8 @@ class TranslationContext:
     witness_index: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.gamma, tuple):
+            raise TypeError(f"TranslationContext gamma is not a tuple: {self.gamma!r}")
         if not self.gamma:
             raise ValueError("gamma must be nonempty")
         if len(set(self.gamma)) != len(self.gamma):

@@ -16,7 +16,7 @@ import epist2int
 from conftest import ep_formulas
 from epist2int import prover_ep
 from epist2int.algebra import upset_algebra
-from epist2int.harness import enumerate_ip_formulas, sample_provable_ep_sequents
+from epist2int.harness import decide, enumerate_ip_formulas, sample_provable_ep_sequents
 from epist2int.kernel import AlgebraError, KripkeModel, check_kripke, check_preorder, truth
 from epist2int.prover_ep import prove_ep
 from epist2int.prover_ip import SearchLimitError
@@ -118,14 +118,25 @@ def test_saturation_takes_any_depth():
 
 
 def test_boxed_demand_takes_any_depth():
-    """[]p |- []A, A a 3000-level /\\ and \\/ chain over []p and []q, closes
-    at the root on the demand F[]A, within the default recursion limit."""
+    """A |- []A, A a 3000-level /\\ and \\/ chain over []p and []q, closes
+    in the root's one step on the demand F[]A, within the default
+    recursion limit."""
     a = Box(p)
     for i in range(3000):
         a = Conj(a, Box(p)) if i % 2 else Disj(Box(q), a)
-    res = prove_ep(Sequent((Box(p),), Box(a), EP))
-    assert res.provable
-    assert res.worlds_expanded == 2
+    res = prove_ep(Sequent((a,), Box(a), EP))
+    assert (res.provable, res.worlds_expanded) == (True, 1)
+
+
+def test_boxed_demand_on_a_shared_body():
+    """S |- []S, S_k = S_(k-1) /\\ S_(k-1) for k = 200 and S_0 = []p, closes
+    in one step: S has 201 distinct nodes but 2^200 occurrences, so a walk
+    over occurrences would never end."""
+    s = Box(p)
+    for _ in range(200):
+        s = Conj(s, s)
+    res = prove_ep(Sequent((s,), Box(s), EP))
+    assert (res.provable, res.worlds_expanded) == (True, 1)
 
 
 def _random_preorder(rng, n: int) -> list[int]:
@@ -145,71 +156,48 @@ def _box_combination(rng, leaves: list, depth: int):
                                     _box_combination(rng, leaves, depth - 1))
 
 
-def test_boxes_prove_only_what_holds():
-    """Wherever _boxes_prove says that the state derives []A, []A holds at
-    every world where each of its formulas signed true, but the atom p,
-    holds: over random preorders on up to 4 worlds, random valuations, and
-    A built by /\\ and \\/ from random boxes, each signed true or false,
-    atoms, an implication and two /\\-\\/ combinations signed true of
-    boxes, _|_ and p, some stable and some not."""
+def test_stable_formulas_hold_where_their_boxes_do():
+    """The S4 fact behind the closure on a stable body: a formula built by
+    /\\ and \\/ from boxes and _|_ holds exactly where its box does, over
+    random preorders on up to 4 worlds and random valuations.  The draws
+    combine random boxes, _|_ and two unstable leaves, p and p -> q, so
+    some are stable and some are not."""
     rng = random.Random(0)
     said = Counter()
     for _ in range(3000):
         boxes = [Box(random_formula_sized(4, ["p", "q"], EP, seed=rng.randrange(10**6)))
-                 for _ in range(4)]
-        combos = [_box_combination(rng, boxes + [FALSUM, p], 2) for _ in range(2)]
-        signs = {b: rng.random() < 0.6 for b in boxes}
-        signs.update(dict.fromkeys(combos, True))
-        signs[p] = True
-        a = _box_combination(rng, boxes + combos + [p, q, Impl(p, q)], 3)
+                 for _ in range(3)]
+        a = _box_combination(rng, boxes + [FALSUM, p, Impl(p, q)], 3)
         n = rng.randint(1, 4)
         up = _random_preorder(rng, n)
         valuation = {"p": rng.randrange(1 << n), "q": rng.randrange(1 << n)}
         memo: dict = {}
-        where_all_hold = (1 << n) - 1
-        for f, sign in signs.items():
-            if sign and f is not p:
-                where_all_hold &= truth(f, up, valuation, memo)
-        proves = prover_ep._boxes_prove(a, signs)
-        said[proves] += 1
-        if proves:
-            assert where_all_hold & ~truth(Box(a), up, valuation, memo) == 0, (a, up, valuation)
+        stable = prover_ep._stable(a)
+        said[stable] += 1
+        if stable:
+            assert truth(Box(a), up, valuation, memo) == truth(a, up, valuation, memo), (a, up)
     assert said[True] > 500 and said[False] > 500
-
-
-@pytest.mark.parametrize("a, signs", [
-    (p, {p: True, Box(p): True}),
-    (Impl(Box(p), Box(p)), {Box(p): True}),
-    (Box(q), {Box(p): True, q: True}),
-    (Box(q), {Box(p): True, Box(q): False}),
-    (Conj(Box(p), Box(q)), {Box(p): True, q: True}),
-    (Disj(q, Box(q)), {Box(p): True, q: True, Box(q): False}),
-    (Disj(p, Box(q)), {Disj(p, Box(q)): True}),
-    (Disj(Box(p), Impl(q, Box(p))), {Disj(Box(p), Impl(q, Box(p))): True}),
-], ids=["atom", "implication", "box-not-true", "box-signed-false", "conj-one-part",
-        "disj-no-part", "unstable-atom-part", "unstable-implication-part"])
-def test_boxes_prove_says_no(a, signs):
-    """An atom, even signed true; an implication, though []([]p -> []p) is
-    a theorem; a box not held, or held signed false; a conjunction with
-    one box signed true and a disjunction with none; and a disjunction
-    signed true with an atom or an implication for a part."""
-    assert not prover_ep._boxes_prove(a, signs)
 
 
 STABLE_PQR = Conj(Box(p), Disj(Box(q), Box(r)))
 
 
-@pytest.mark.parametrize("a, signs", [
-    (Disj(Box(p), FALSUM), {Disj(Box(p), FALSUM): True}),
-    (STABLE_PQR, {STABLE_PQR: True}),
-    (STABLE_PQR, {Box(p): True, STABLE_PQR.right: True}),
-    (Disj(q, STABLE_PQR.right), {STABLE_PQR.right: True}),
-], ids=["box-or-falsum", "nested", "parts", "one-part"])
-def test_boxes_prove_stable_formulas_signed_true(a, signs):
-    """A formula built by /\\ and \\/ from boxes and _|_, signed true,
-    derives its box, as does a combination of such parts, though no
-    box in it is signed true."""
-    assert prover_ep._boxes_prove(a, signs)
+@pytest.mark.parametrize("a, stable", [
+    (Box(p), True),
+    (FALSUM, True),
+    (Disj(Box(p), FALSUM), True),
+    (STABLE_PQR, True),
+    (p, False),
+    (Impl(Box(p), Box(p)), False),
+    (Disj(p, Box(q)), False),
+    (Disj(Box(p), Impl(q, Box(p))), False),
+], ids=["box", "falsum", "box-or-falsum", "nested", "atom", "implication",
+        "atom-part", "implication-part"])
+def test_stable(a, stable):
+    """Stable: built by /\\ and \\/ from boxes and _|_.  An atom or an
+    implication is not, nor is a formula with one for a part, though
+    []([]p -> []p) is a theorem."""
+    assert prover_ep._stable(a) is stable
 
 
 def test_godel_translation_implies_its_box_in_one_step():
@@ -241,6 +229,35 @@ def test_unstable_body_is_refuted(text):
     res = prove_ep(s)
     assert not res.provable
     assert check_kripke(res.countermodel, s)
+
+
+@pytest.mark.parametrize("text, steps", [
+    (r"[]q |- []([]p \/ []q)", 3),
+    (r"[]q, []p |- []([]p /\ []q)", 7),
+    (r"[]p, [](r \/ _|_) |- [][]p", 5),
+    (r"[](r -> p), []r |- []((r -> p) \/ []r)", 6),
+], ids=["one-part", "parts", "body-signed-later", "unstable-body"])
+def test_demand_met_by_its_parts_closes_in_a_successor(text, steps):
+    """A demand whose body is stable but not yet signed true where the
+    queue meets it, or whose body follows from true boxes by /\\ and
+    \\/, is closed by the successor it enters: Provable, with a
+    certificate harness.decide accepts."""
+    res = decide(parse_sequent(text, EP))
+    assert (res.verdict, res.worlds_expanded) == ("Provable", steps)
+
+
+@pytest.mark.parametrize("text", [
+    r"[]p |- [][]q",
+    r"|- []q \/ [][]q",
+    r"[]p |- []([]p /\ []q)",
+    r"|- []([]p \/ []q)",
+], ids=["box-not-true", "box-signed-false", "conj-one-part", "disj-no-part"])
+def test_stable_body_not_signed_true_is_refuted(text):
+    """A stable body closes its demand only when it is signed true: not
+    when it is absent from the state, signed false, or only a part of it
+    is true."""
+    res = decide(parse_sequent(text, EP))
+    assert res.verdict == "NotProvable"
 
 
 def test_equiv_ep():
@@ -387,15 +404,15 @@ def verdicts_and_steps(sequents) -> tuple[str, int]:
               for s in range(600)],
      "a92a782542340cb9aff49d032b01700811cee5cff16b723d496b5cee17d60168", 682),
     (lambda: sample_provable_ep_sequents(150, 8, 0),
-     "2cb30552d009f13b46d3c61c9bceea525ed0494a7f433c1761e113a1e6820a9c", 784),
+     "2cb30552d009f13b46d3c61c9bceea525ed0494a7f433c1761e113a1e6820a9c", 792),
 ], ids=["random-formulas", "sampler-sequents"])
 def test_search_order_is_pinned_beyond_godel(sequents, digest, steps):
     """The verdict and countermodel of each of 600 seeded random EP
     formulas (542 NotProvable) and of the soundness sweep's first 150
     sampled sequents (146 with one or two boxed assumptions), as recorded
     before the tableau came to keep a world state as two dicts; and the
-    steps of all of them, as counted since a branch closes on a demand
-    its boxes prove."""
+    steps of all of them, as counted since a demand closes at once only
+    on its own body, signed true and stable."""
     got_digest, got_steps = verdicts_and_steps(sequents())
     assert got_digest == digest
     assert got_steps == steps

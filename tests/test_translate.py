@@ -93,6 +93,14 @@ def test_ff_translate_rejects_a_non_context(bad):
     assert str(exc.value) == f"ff_translate context is not a TranslationContext: {bad!r}"
 
 
+@pytest.mark.parametrize("bad", [[p], "pq"], ids=["list", "str"])
+def test_translation_context_rejects_a_non_tuple_gamma(bad):
+    # a list would make the frozen context unhashable and unequal to the tuple one
+    with pytest.raises(TypeError) as exc:
+        TranslationContext(bad, 0)
+    assert str(exc.value) == f"TranslationContext gamma is not a tuple: {bad!r}"
+
+
 @pytest.mark.parametrize("bad", [p, "0", True, 0.0, None])
 def test_translation_context_rejects_a_non_int_witness_index(bad):
     with pytest.raises(TypeError) as exc:
