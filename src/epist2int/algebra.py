@@ -151,33 +151,25 @@ def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:
         raise ValueError(f"unassigned atoms: {missing}") from None
 
 
-def _search_algebra(f: Formula, names: list[str], h: HeytingAlgebra) -> Optional[Countermodel]:
-    top = h.upsets[-1]
-    for masks in itertools.product(h.upsets, repeat=len(names)):
-        got = truth(f, h.up, dict(zip(names, masks)), {}, heyting=True)
-        if got != top:
-            v = {n: h.upsets.index(m) for n, m in zip(names, masks)}
-            return Countermodel(h, v, h.upsets.index(got), f)
-    return None
-
-
 def refute(f: Formula, max_chain: int = 3, also_lattices: bool = False) -> Optional[Countermodel]:
     """First countermodel over chains of size 2..max_chain (then, optionally,
-    all Heyting algebras with at most 5 elements).  None proves nothing."""
+    all Heyting algebras with at most 5 elements), trying each algebra's
+    valuations in order.  None proves nothing.  A max_chain outside
+    2..MAX_CHAIN raises ValueError before any search."""
     check_formula(refute, f)
     if not is_ip_formula(f):
         raise ValueError("refute expects an IP formula")
-    if max_chain < 2:
-        raise ValueError("max_chain must be >= 2")
+    if not 2 <= max_chain <= MAX_CHAIN:
+        raise ValueError(f"max_chain must be in 2..{MAX_CHAIN}, not {max_chain}")
     names = sorted(atoms_of(f))
-    for n in range(2, max_chain + 1):
-        got = _search_algebra(f, names, make_chain(n))
-        if got is not None:
-            return got
+    algebras = map(make_chain, range(2, max_chain + 1))
     if also_lattices:
-        for h in enumerate_heyting_algebras(5):
-            got = _search_algebra(f, names, h)
-            if got is not None:
-                return got
+        algebras = itertools.chain(algebras, enumerate_heyting_algebras(5))
+    for h in algebras:
+        top = h.upsets[-1]
+        for masks in itertools.product(h.upsets, repeat=len(names)):
+            got = truth(f, h.up, dict(zip(names, masks)), {}, heyting=True)
+            if got != top:
+                v = {n: h.upsets.index(m) for n, m in zip(names, masks)}
+                return Countermodel(h, v, h.upsets.index(got), f)
     return None
-

@@ -200,10 +200,11 @@ class AlgebraError(ValueError):
 
 
 def check_preorder(up: Sequence[int]) -> None:
-    """Raise AlgebraError unless the up-set masks `up` are a preorder on 0..n-1."""
+    """Raise AlgebraError unless the up-set masks `up` are a preorder on
+    0..n-1.  A bool is not a mask: True would read as the set {0}."""
     n = len(up)
     for w, u in enumerate(up):
-        if not isinstance(u, int):
+        if not isinstance(u, int) or isinstance(u, bool):
             raise AlgebraError(f"up[{w}] is {u!r}, not an int bitmask")
     for w, u in enumerate(up):
         if u >> n:
@@ -292,15 +293,17 @@ def check_kripke(model: KripkeModel, s: Sequent) -> bool:
     """True iff the model refutes the sequent at its root world.
 
     Raises ValueError when the frame is not reflexive-transitive or the
-    model is otherwise malformed.
+    model is otherwise malformed, a bool root or mask included: True is
+    not world 1, nor the set {0}.
     """
     if not (isinstance(model.up, tuple) and isinstance(model.valuation, dict)):
         raise ValueError("a model is a tuple of up-set masks and a dict of valuation masks")
-    if not isinstance(model.root, int) or model.root not in model.worlds:
-        raise ValueError(f"root world missing: {model.root!r} is not an int in 0..{len(model.up) - 1}")
+    root = model.root
+    if not isinstance(root, int) or isinstance(root, bool) or root not in model.worlds:
+        raise ValueError(f"root world missing: {root!r} is not an int in 0..{len(model.up) - 1}")
     check_preorder(model.up)
     for name, where in model.valuation.items():
-        if not isinstance(where, int):
+        if not isinstance(where, int) or isinstance(where, bool):
             raise ValueError(f"valuation of {name!r} is {where!r}, not an int bitmask")
         if where >> len(model.up):
             raise ValueError(f"valuation of {name!r} mentions unknown worlds")
@@ -309,4 +312,4 @@ def check_kripke(model: KripkeModel, s: Sequent) -> bool:
     refuted = ~truth(s.goal, model.up, valuation, memo)
     for a in s.assumptions:
         refuted &= truth(a, model.up, valuation, memo)
-    return bool(refuted >> model.root & 1)
+    return bool(refuted >> root & 1)

@@ -95,13 +95,12 @@ class _Tableau:
         A formula already held with its sign is skipped.  A branch closes
         on one held with the other sign, on a true _|_, and, where the
         queue meets a demand F[]A, on an A already signed true and stable
-        (`_stable`).  A stable A => []A is a derived S4 rule (axiom 4 gives
-        [][]B for a box []B, K the conjunctions, monotony the disjunctions,
-        and _|_ proves anything): on each branch below, a search without
-        the closure takes A down to a true _|_, which closes, or to true
-        boxes, which seed the demand's successor beside F A and close it in
-        saturation.
-        So the closure cuts only branches that search also closes, and no
+        (the flag `_stable` that interning set).  A stable A => []A is a
+        derived S4 rule (axiom 4 gives [][]B for a box []B, K the
+        conjunctions, monotony the disjunctions, and _|_ proves anything):
+        on each branch below, a search without the closure takes A down to
+        a true _|_, which closes, or to true boxes, which seed the demand's
+        successor beside F A and close it in saturation.  So the closure cuts only branches that search also closes, and no
         ancestor loop rescues the demand, since a world with its key
         closes before it is ever an ancestor.  The open branches and
         countermodels are those of the search without it, and, like a
@@ -134,7 +133,7 @@ class _Tableau:
                 elif type(f) is Box:
                     if sign:
                         queue += None, (True, f.inner)
-                    elif signs.get(f.inner) is True and _stable(f.inner):
+                    elif signs.get(f.inner) is True and f.inner._stable:
                         break
                     else:
                         demands.append(f.inner)
@@ -170,24 +169,6 @@ class _Tableau:
                 del worlds[wid:], edges[first_edge:]
         del ancestors[key]
         return None
-
-
-def _stable(a) -> bool:
-    """Whether a is built by /\\ and \\/ from boxes and _|_: a loop that
-    visits each distinct node once, so a shared subformula costs one visit."""
-    seen = set()
-    stack = [a]
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        kind = type(f)
-        if kind is Conj or kind is Disj:
-            stack += f.left, f.right
-        elif kind is not Box and f is not FALSUM:
-            return False
-    return True
 
 
 def _closure(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:

@@ -30,14 +30,15 @@ class _Node:
     body, an atom under its name.  A constructor checks its arguments on a
     miss only, so a lookup that hits stays cheap, and a rejected argument
     interns nothing.  It publishes a new node with setdefault, so threads
-    racing on one node all get the same one.  Interning sets `_ip`, the
-    box-free flag is_ip_formula returns, from the children's flags.
+    racing on one node all get the same one.  Interning sets two flags
+    from the children's: `_ip`, the box-free one is_ip_formula returns, and
+    `_stable`, built by /\\ and \\/ from boxes and _|_, which prover_ep reads.
     `_key`, the printed form formula_key returns, which prover_ip also
     breaks ties by, starts as None and is built the first time it is
     asked for: most nodes are never printed.
     """
 
-    __slots__ = ("_key", "_ip")
+    __slots__ = ("_key", "_ip", "_stable")
 
     def __init_subclass__(cls):
         cls._table = {}
@@ -58,7 +59,7 @@ class _Node:
 
 # The slots' own setters, which bypass the __setattr__ that refuses
 # every assignment once a node is published.
-_set_key, _set_ip = _Node._key.__set__, _Node._ip.__set__
+_set_key, _set_ip, _set_stable = _Node._key.__set__, _Node._ip.__set__, _Node._stable.__set__
 
 
 def _not_formula(where, arg) -> TypeError:
@@ -88,6 +89,7 @@ class Atom(_Node):
             _set_name(node, name)
             _set_key(node, None)
             _set_ip(node, True)
+            _set_stable(node, False)
             node = cls._table.setdefault(name, node)
         return node
 
@@ -101,6 +103,7 @@ class Falsum(_Node):
             node = object.__new__(cls)
             _set_key(node, None)
             _set_ip(node, True)
+            _set_stable(node, True)
             node = cls._table.setdefault((), node)
         return node
 
@@ -124,6 +127,7 @@ class _Binary(_Node):
             _set_right(node, right)
             _set_key(node, None)
             _set_ip(node, left._ip and right._ip)
+            _set_stable(node, cls is not Impl and left._stable and right._stable)
             node = cls._table.setdefault(key, node)
         return node
 
@@ -153,6 +157,7 @@ class Box(_Node):
             _set_inner(node, inner)
             _set_key(node, None)
             _set_ip(node, False)
+            _set_stable(node, True)
             node = cls._table.setdefault(key, node)
         return node
 
@@ -221,9 +226,9 @@ def _check_logic(logic: str) -> None:
 class Sequent:
     """Assumptions plus a goal, tagged with the logic they live in.
 
-    Checked and built in one pass: the logic tag first, then each
-    assumption in order, then the goal; equality, hashing, repr and
-    immutability are the dataclass's own.
+    Checked and built in one pass: that the assumptions are a tuple first,
+    then the logic tag, then each assumption in order, then the goal;
+    equality, hashing, repr and immutability are the dataclass's own.
     """
 
     assumptions: tuple[Formula, ...]
@@ -231,6 +236,8 @@ class Sequent:
     logic: str = IP
 
     def __init__(self, assumptions: tuple[Formula, ...], goal: Formula, logic: str = IP):
+        if not isinstance(assumptions, tuple):
+            raise TypeError(f"sequent assumptions are not a tuple: {assumptions!r}")
         _check_logic(logic)
         ip = logic == IP
         for i, f in enumerate(assumptions):

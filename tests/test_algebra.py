@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="^unassigned atoms: q, r$"):
             evaluate(Conj(p, Conj(q, Atom("r"))), {"p": 0}, make_chain(2))
 
+    def test_modal_formula_has_no_value(self):
+        with pytest.raises(ValueError, match="^modal formulas have no Heyting-algebra value$"):
+            evaluate(parse_formula("p -> []p", "ep"), {"p": 0}, make_chain(2))
+
     @pytest.mark.parametrize("f, value", [(p, 7), (p, 3), (Conj(p, p), -1), (Impl(q, p), -3)])
     def test_value_outside_carrier_reported(self, f, value):
         # neither passed through (7) nor wrapped round to another element (-1 is top)
@@ -187,6 +192,16 @@ class TestRefute:
             refute(parse_formula("[]p", logic="ep"), max_chain=3)
         with pytest.raises(ValueError):
             refute(p, max_chain=1)
+
+    @pytest.mark.parametrize("text", ["p", "(p -> q) \\/ (q -> p)"], ids=["refutable", "chain-valid"])
+    def test_max_chain_above_bound_raises_before_any_search(self, text):
+        """A chain-valid formula would otherwise be tried on every chain
+        up to MAX_CHAIN before make_chain refused the next size; a
+        refutable one would be answered from the 2-chain.  Both raise."""
+        start, bound = time.perf_counter(), MAX_CHAIN + 1
+        with pytest.raises(ValueError, match=f"^max_chain must be in 2..{MAX_CHAIN}, not {bound}$"):
+            refute(parse_formula(text), max_chain=bound)
+        assert time.perf_counter() - start < 1
 
     def test_outputs_pinned(self):
         # every formula of up to 7 nodes over p, q and falsum, recorded

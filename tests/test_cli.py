@@ -193,6 +193,18 @@ def test_eval_tautology_top(capsys):
     assert code == 0 and "(top)" in out
 
 
+def test_eval_json_document(capsys):
+    code, out, _ = run(capsys, "eval", "--output", "json", "--chain", "4",
+                       "--assign", "p=1", "--assign", "q=2", "p\\/q -> q")
+    assert code == 0 and one_json_document(out) == {
+        "schema_version": 3, "command": "eval", "formula": "p \\/ q -> q",
+        "chain": 4, "value": 3, "top": 3, "is_top": True}
+    code, out, _ = run(capsys, "eval", "--output", "json", "--assign", "p=1", "p \\/ ~p")
+    assert code == 0 and one_json_document(out) == {
+        "schema_version": 3, "command": "eval", "formula": "p \\/ ~p",
+        "chain": 3, "value": 1, "top": 2, "is_top": False}
+
+
 def test_eval_unassigned_atom(capsys):
     code, _, err = run(capsys, "eval", "--chain", "3", "p -> q")
     assert code == 2 and "unassigned atoms: p, q" in err
@@ -312,6 +324,30 @@ def test_node_cap_only_on_prove(capsys, argv):
 def test_bad_count_is_usage_error(capsys, argv):
     code, out, _ = run(capsys, *argv, "--output", "json")
     assert code == 2 and "not a positive integer" in one_json_document(out)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "--logic", "ip", "--node-cap", "x", "p |- p"],
+    ["eval", "--chain", "x", "--assign", "p=0", "p"],
+], ids=["node-cap", "chain"])
+@pytest.mark.parametrize("output", ["human", "json"])
+def test_non_numeric_count_is_usage_error(capsys, argv, output):
+    code, out, err = run(capsys, *argv, "--output", output)
+    option = argv[argv.index("x") - 1]
+    error = f"argument {option}: not a positive integer: 'x'"
+    assert code == 2
+    if output == "json":
+        assert one_json_document(out) == {"schema_version": 3, "error": error}
+    else:
+        assert out == "" and err.endswith(f"error: {error}")
+
+
+# an --output that argparse rejects falls back to human text: usage on stderr
+def test_unknown_output_is_human_usage_error(capsys):
+    code, out, err = run(capsys, "prove", "--logic", "ip", "--output", "xml", "p |- p")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: epist2int prove")
+    assert "\nerror: argument --output: invalid choice: 'xml'" in err
 
 
 # a chain above make_chain's bound is an error found before any chain is built

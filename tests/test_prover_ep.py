@@ -130,8 +130,8 @@ def test_boxed_demand_takes_any_depth():
 
 def test_boxed_demand_on_a_shared_body():
     """S |- []S, S_k = S_(k-1) /\\ S_(k-1) for k = 200 and S_0 = []p, closes
-    in one step: S has 201 distinct nodes but 2^200 occurrences, so a walk
-    over occurrences would never end."""
+    in one step: S has 201 distinct nodes but 2^200 occurrences, and its
+    stable flag was set once per node, as each was interned."""
     s = Box(p)
     for _ in range(200):
         s = Conj(s, s)
@@ -172,7 +172,7 @@ def test_stable_formulas_hold_where_their_boxes_do():
         up = _random_preorder(rng, n)
         valuation = {"p": rng.randrange(1 << n), "q": rng.randrange(1 << n)}
         memo: dict = {}
-        stable = prover_ep._stable(a)
+        stable = a._stable
         said[stable] += 1
         if stable:
             assert truth(Box(a), up, valuation, memo) == truth(a, up, valuation, memo), (a, up)
@@ -197,7 +197,7 @@ def test_stable(a, stable):
     """Stable: built by /\\ and \\/ from boxes and _|_.  An atom or an
     implication is not, nor is a formula with one for a part, though
     []([]p -> []p) is a theorem."""
-    assert prover_ep._stable(a) is stable
+    assert a._stable is stable
 
 
 def test_godel_translation_implies_its_box_in_one_step():
@@ -285,8 +285,10 @@ class TestCheckKripke:
             check_kripke(model, parse_sequent("|- p", EP))
 
     def test_non_int_masks_error(self):
-        # the valuation format before up-set masks, and a frame of non-masks
-        for model in (KripkeModel((1,), {"p": frozenset({0})}, 0), KripkeModel(("x",), {}, 0)):
+        # the valuation format before up-set masks, a frame of non-masks,
+        # and a bool, which would read as the set {0}
+        for model in (KripkeModel((1,), {"p": frozenset({0})}, 0), KripkeModel(("x",), {}, 0),
+                      KripkeModel((1,), {"p": True}, 0)):
             with pytest.raises(ValueError, match="not an int bitmask"):
                 check_kripke(model, parse_sequent("|- p", EP))
 
@@ -306,6 +308,12 @@ class TestCheckKripke:
         with pytest.raises(ValueError, match="root world missing"):
             check_kripke(KripkeModel((0b1,), {}, root), parse_sequent("|- p", EP))
 
+    def test_bool_root_errors(self):
+        # True == 1 would root the model at world 1, where p holds nowhere
+        model = KripkeModel((0b01, 0b10), {"p": 0b01}, True)
+        with pytest.raises(ValueError, match="^root world missing: True is not an int in 0..1$"):
+            check_kripke(model, parse_sequent("|- p", EP))
+
     def test_one_world_model_cannot_refute_reflexivity_axiom(self):
         s = parse_sequent("|- []p -> p", EP)
         for labeling in (0b0, 0b1):
@@ -318,7 +326,8 @@ class TestCheckKripke:
     ([0b011, 0b110, 0b100], "not transitive"),  # 0 sees 1 and 1 sees 2, not 0 sees 2
     ([1 << 7 | 0b1], "unknown world"),  # 0 sees a world 7
     ([0b11, "x"], "up\\[1\\] is 'x', not an int bitmask"),
-], ids=["not-reflexive", "not-transitive", "unknown-world", "not-int"])
+    ([True, 0b10], "up\\[0\\] is True, not an int bitmask"),  # else the discrete frame
+], ids=["not-reflexive", "not-transitive", "unknown-world", "not-int", "bool"])
 def test_malformed_preorder_rejected_by_both_checkers(up, error):
     """The Heyting algebras and the S4 checker read one preorder format
     and reject a malformed one with one check."""

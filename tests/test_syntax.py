@@ -219,7 +219,7 @@ def test_sequent_errors_in_order():
         Sequent((p,), Box(p), IP)
     assert str(exc.value) == "Box not allowed in IP sequent"
     Sequent((p,), Box(p), EP)
-    # the logic tag is checked first, then each member in order
+    # the assumptions' tuple first, then the logic tag, then each member in order
     for assumptions, goal in [((p,), p), ((Box(p), "q"), "r")]:
         with pytest.raises(ValueError) as exc:
             Sequent(assumptions, goal, "s4")
@@ -230,6 +230,19 @@ def test_sequent_errors_in_order():
         Sequent(("r", Box(q)), p, IP)
     with pytest.raises(TypeError, match="^sequent goal is not a formula: None$"):
         Sequent((p, q), None, IP)
+
+
+@pytest.mark.parametrize("make", [list, lambda fs: (f for f in fs), iter, lambda fs: "p"],
+                         ids=["list", "generator", "iterator", "str"])
+def test_sequent_rejects_non_tuple_assumptions(make):
+    """A generator would be used up by the member checks and stored
+    empty, so p |- p would be decided as |- p; an iterator cannot be
+    indexed by prove_ep; a list makes an unhashable sequent.  Each is
+    refused before any other check, a bad logic tag included."""
+    for logic in (IP, EP, "s4"):
+        assumptions = make([p])
+        with pytest.raises(TypeError, match="^sequent assumptions are not a tuple: "):
+            Sequent(assumptions, p, logic)
 
 
 @pytest.mark.parametrize("logic", [IP, EP])
@@ -393,6 +406,20 @@ def test_is_ip_formula_deep_and_cached():
     # interning set the flag on every node, from its children's flags
     assert plain.left._ip is True and boxed.left._ip is False
     assert not is_ip_formula(Conj(plain, boxed)) and is_ip_formula(Disj(plain, plain))
+
+
+def test_stable_flag_deep_and_set_at_interning():
+    """A 3000-deep /\\ chain of boxes is stable, read off its root with
+    no walk: interning set the flag on every node from its children's.
+    One atom or implication at the bottom makes every node above it
+    unstable, and a box over it is stable again."""
+    stable, unstable = Box(p), neg(Box(p))
+    for _ in range(3000):
+        stable, unstable = Conj(stable, Box(q)), Conj(unstable, Box(q))
+    assert stable._stable is True and stable.left._stable is True
+    assert unstable._stable is False and unstable.left._stable is False
+    assert Box(unstable)._stable is True and Disj(stable, p)._stable is False
+    assert FALSUM._stable is True and p._stable is False and VERUM._stable is False
 
 
 def _reference_tree(f):

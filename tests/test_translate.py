@@ -161,6 +161,12 @@ class TestGodel:
         text = "\n".join(print_formula(godel_translate(f)) for f in enumerate_ip_formulas(7))
         assert hashlib.sha256(text.encode()).hexdigest() == "84b2cb2a84e6a38816c4e2e742bed2221d3d67b2d66350bd86054ccda77c5c55"
 
+    def test_every_translation_is_flagged_stable(self):
+        """G(A) is built by /\\ and \\/ from boxes and _|_, so interning
+        flags each of the 11451 translations of enumerate_ip_formulas(7)
+        stable, the flag prover_ep closes G(A) |- []G(A) on."""
+        assert all(godel_translate(f)._stable for f in enumerate_ip_formulas(7))
+
     def test_process_wide_table_changes_no_translation(self):
         """In a fresh interpreter, translating the formulas of
         enumerate_ip_formulas(7) last to first gives the pinned texts, and
