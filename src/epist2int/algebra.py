@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .kernel import AlgebraError, check_preorder, truth
-from .syntax import Formula, atoms_of, check_formula, is_ip_formula
+from .syntax import Formula, check_formula
 
 
 @dataclass(frozen=True)
@@ -132,22 +132,25 @@ class Countermodel:
 
 def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:
     """Standard extension of the valuation v, a mapping from atom names to
-    element numbers: /\\ is meet, \\/ is join, -> is rpc.  A number
-    outside 0..size-1 raises ValueError naming its atom, and unassigned
-    atoms raise ValueError naming them all."""
+    element numbers: /\\ is meet, \\/ is join, -> is rpc.  A value that is
+    not an int (a bool included) or lies outside 0..size-1 raises
+    ValueError naming its atom, and unassigned atoms raise ValueError
+    naming them all."""
     check_formula(evaluate, f)
-    if not is_ip_formula(f):
+    if not f._ip:
         raise ValueError("modal formulas have no Heyting-algebra value")
     elems = h.upsets
     masks = {}
     for name, x in v.items():
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"atom {name!r} has value {x!r}, not an element number")
         if not 0 <= x < len(elems):
             raise ValueError(f"atom {name!r} has value {x}, out of range 0..{h.top}")
         masks[name] = elems[x]
     try:
         return elems.index(truth(f, h.up, masks, {}, heyting=True))
     except KeyError:
-        missing = ", ".join(sorted(atoms_of(f) - v.keys()))
+        missing = ", ".join(sorted(f._atoms - v.keys()))
         raise ValueError(f"unassigned atoms: {missing}") from None
 
 
@@ -157,11 +160,11 @@ def refute(f: Formula, max_chain: int = 3, also_lattices: bool = False) -> Optio
     valuations in order.  None proves nothing.  A max_chain outside
     2..MAX_CHAIN raises ValueError before any search."""
     check_formula(refute, f)
-    if not is_ip_formula(f):
+    if not f._ip:
         raise ValueError("refute expects an IP formula")
     if not 2 <= max_chain <= MAX_CHAIN:
         raise ValueError(f"max_chain must be in 2..{MAX_CHAIN}, not {max_chain}")
-    names = sorted(atoms_of(f))
+    names = sorted(f._atoms)
     algebras = map(make_chain, range(2, max_chain + 1))
     if also_lattices:
         algebras = itertools.chain(algebras, enumerate_heyting_algebras(5))

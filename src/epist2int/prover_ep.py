@@ -24,7 +24,6 @@ from .syntax import (
     Disj,
     Impl,
     Sequent,
-    atoms_of,
 )
 
 
@@ -64,6 +63,8 @@ class _Tableau:
     structure: not on the hash seed, nor on what else the process has built
     or printed.  A None in a branch's queue marks one step, an alpha's or a
     split's, and is the one place a step is counted against the cap."""
+
+    __slots__ = ("cap", "steps", "worlds", "edges", "ancestors")
 
     def __init__(self, node_cap: Optional[int]):
         self.cap = sys.maxsize if node_cap is None else node_cap
@@ -172,12 +173,19 @@ class _Tableau:
 
 
 def _closure(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The reflexive-transitive closure as up-set masks (Warshall on bitsets)."""
+    """The reflexive-transitive closure as up-set masks: Warshall on
+    bitsets, in place, since pass k leaves row k as it is; one world sees
+    only itself."""
+    if n == 1:
+        return (1,)
     up = [1 << w for w in range(n)]
     for a, b in edges:
         up[a] |= 1 << b
     for k in range(n):
-        up = [u | up[k] if u >> k & 1 else u for u in up]
+        bit, row = 1 << k, up[k]
+        for w in range(n):
+            if up[w] & bit:
+                up[w] |= row
     return tuple(up)
 
 
@@ -200,9 +208,11 @@ def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
     if tableau.satisfy(parts, None) is None:
         return EpProofResult(True, None, tableau.steps)
     worlds = tableau.worlds
-    valuation = dict.fromkeys(sorted(atoms_of(goal).union(*map(atoms_of, assumptions))), 0)
-    for w, names in enumerate(worlds):
+    valuation = dict.fromkeys(sorted(goal._atoms | lhs._atoms if assumptions else goal._atoms), 0)
+    bit = 1
+    for names in worlds:
         for name in names:
-            valuation[name] |= 1 << w
+            valuation[name] |= bit
+        bit <<= 1
     model = KripkeModel(_closure(len(worlds), tableau.edges), valuation, 0)
     return EpProofResult(False, model, tableau.steps)

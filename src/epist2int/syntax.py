@@ -33,12 +33,15 @@ class _Node:
     racing on one node all get the same one.  Interning sets two flags
     from the children's: `_ip`, the box-free one is_ip_formula returns, and
     `_stable`, built by /\\ and \\/ from boxes and _|_, which prover_ep reads.
+    It sets `_atoms` the same way, the frozenset of atom names atoms_of
+    returns: the union of the children's, kept once in `_ATOM_SETS`, so
+    nodes with equal sets share one.
     `_key`, the printed form formula_key returns, which prover_ip also
     breaks ties by, starts as None and is built the first time it is
     asked for: most nodes are never printed.
     """
 
-    __slots__ = ("_key", "_ip", "_stable")
+    __slots__ = ("_key", "_ip", "_stable", "_atoms")
 
     def __init_subclass__(cls):
         cls._table = {}
@@ -60,6 +63,10 @@ class _Node:
 # The slots' own setters, which bypass the __setattr__ that refuses
 # every assignment once a node is published.
 _set_key, _set_ip, _set_stable = _Node._key.__set__, _Node._ip.__set__, _Node._stable.__set__
+_set_atoms = _Node._atoms.__set__
+
+# Each distinct atom set, mapped to itself: the one copy the nodes share.
+_ATOM_SETS: dict[frozenset, frozenset] = {}
 
 
 def _not_formula(where, arg) -> TypeError:
@@ -90,6 +97,8 @@ class Atom(_Node):
             _set_key(node, None)
             _set_ip(node, True)
             _set_stable(node, False)
+            atoms = frozenset((name,))
+            _set_atoms(node, _ATOM_SETS.setdefault(atoms, atoms))
             node = cls._table.setdefault(name, node)
         return node
 
@@ -104,6 +113,7 @@ class Falsum(_Node):
             _set_key(node, None)
             _set_ip(node, True)
             _set_stable(node, True)
+            _set_atoms(node, frozenset())
             node = cls._table.setdefault((), node)
         return node
 
@@ -128,6 +138,11 @@ class _Binary(_Node):
             _set_key(node, None)
             _set_ip(node, left._ip and right._ip)
             _set_stable(node, cls is not Impl and left._stable and right._stable)
+            atoms, other = left._atoms, right._atoms
+            if other is not atoms and not other <= atoms:
+                # the larger set when one holds the other, else the shared union
+                atoms = other if atoms <= other else _ATOM_SETS.setdefault(u := atoms | other, u)
+            _set_atoms(node, atoms)
             node = cls._table.setdefault(key, node)
         return node
 
@@ -158,6 +173,7 @@ class Box(_Node):
             _set_key(node, None)
             _set_ip(node, False)
             _set_stable(node, True)
+            _set_atoms(node, inner._atoms)
             node = cls._table.setdefault(key, node)
         return node
 
@@ -201,20 +217,11 @@ def formula_size(f: Formula) -> int:
     return sum(1 for _ in subformulas(f))
 
 
-def atoms_of(f: Formula) -> set[str]:
-    """Names of the atoms that occur in f: one visit per distinct node, so
-    linear in the DAG, where `subformulas` yields every occurrence."""
+def atoms_of(f: Formula) -> frozenset[str]:
+    """Names of the atoms that occur in f: the set interning gave the
+    node, so no walk."""
     check_formula(atoms_of, f)
-    names, seen, todo = set(), set(), [f]
-    while todo:
-        g = todo.pop()
-        kind = type(g)
-        if kind is Atom:
-            names.add(g.name)
-        elif kind is not Falsum and g not in seen:
-            seen.add(g)
-            todo += (g.inner,) if kind is Box else (g.left, g.right)
-    return names
+    return f._atoms
 
 
 def _check_logic(logic: str) -> None:

@@ -10,6 +10,7 @@ from conftest import ip_formulas, tables
 from epist2int.algebra import (
     MAX_CHAIN,
     AlgebraError,
+    Countermodel,
     enumerate_heyting_algebras,
     evaluate,
     make_chain,
@@ -147,6 +148,18 @@ class TestEvaluate:
         # neither passed through (7) nor wrapped round to another element (-1 is top)
         with pytest.raises(ValueError, match="'p'"):
             evaluate(f, {"p": value, "q": 0}, make_chain(3))
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+    def test_value_not_an_element_number_reported(self, value):
+        # True would pass the range check and be read as element 1
+        with pytest.raises(ValueError, match="^atom 'p' has value .*, not an element number$"):
+            evaluate(Conj(p, q), {"q": 0, "p": value}, make_chain(3))
+
+    def test_recheck_rejects_a_bool_valuation(self):
+        cm = Countermodel(make_chain(3), {"p": True}, 1, p)
+        with pytest.raises(ValueError, match="'p'"):
+            cm.recheck()
+        assert Countermodel(make_chain(3), {"p": 1}, 1, p).recheck()
 
     def test_inadmissibility_witness_value(self):
         # the doubly negated cross-witness translation takes the middle

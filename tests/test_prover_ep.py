@@ -260,6 +260,31 @@ def test_stable_body_not_signed_true_is_refuted(text):
     assert res.verdict == "NotProvable"
 
 
+def test_closure_is_reachability():
+    """_closure against a search from each world, on seeded edge lists
+    over 1 to 8 worlds, self-loops and cycles included."""
+    def reach(n, edges):
+        up = []
+        for w in range(n):
+            seen, todo = {w}, [w]
+            while todo:
+                a = todo.pop()
+                for x, b in edges:
+                    if x == a and b not in seen:
+                        seen.add(b)
+                        todo.append(b)
+            up.append(sum(1 << b for b in seen))
+        return tuple(up)
+
+    rng = random.Random(0)
+    for n in range(1, 9):
+        for _ in range(300):
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(2 * n + 1))]
+            assert prover_ep._closure(n, edges) == reach(n, edges), (n, edges)
+    assert prover_ep._closure(3, [(0, 1), (1, 2), (2, 0)]) == (7, 7, 7)
+    assert prover_ep._closure(1, [(0, 0)]) == (1,)
+
+
 def test_equiv_ep():
     assert interprovable(Box(p), Box(Box(p)))
     assert interprovable(Box(Conj(p, q)), Conj(Box(p), Box(q)))

@@ -320,7 +320,7 @@ def test_atoms_of_seeded_formulas():
 def test_atoms_of_visits_each_distinct_node_once():
     """ff_translate([]^13 p) under q, r, q -> r as a DAG of 110 distinct
     nodes, whose tree holds 3^13 copies of p: a walk over every occurrence
-    takes seconds."""
+    would take seconds, and interning built the set once per node."""
     gamma = (q, r, Impl(q, r))
     level = [Impl(Impl(p, e), e) for e in gamma]
     for _ in range(13):
@@ -420,6 +420,29 @@ def test_stable_flag_deep_and_set_at_interning():
     assert unstable._stable is False and unstable.left._stable is False
     assert Box(unstable)._stable is True and Disj(stable, p)._stable is False
     assert FALSUM._stable is True and p._stable is False and VERUM._stable is False
+
+
+def test_atoms_set_deep_and_set_at_interning():
+    """A 3000-deep chain through every node kind has the atoms of its
+    levels, read off its root with no walk: atoms_of returns the very set
+    interning gave the node, built from its children's."""
+    names = [f"a{i % 7}" for i in range(3000)]
+    f = p
+    for i, name in enumerate(names):
+        f = [Conj, Disj, Impl][i % 3](Box(f), Atom(name))
+    assert atoms_of(f) is f._atoms
+    assert f._atoms == {"p", *names} and f.left.inner._atoms == {"p", *names[:-1]}
+    assert FALSUM._atoms == frozenset() and Box(neg(p))._atoms == {"p"}
+
+
+def test_equal_atom_sets_are_shared():
+    assert Impl(p, q)._atoms is Disj(q, p)._atoms is Box(Conj(q, neg(p)))._atoms
+    assert Conj(p, p)._atoms is p._atoms is Impl(p, FALSUM)._atoms
+    assert Conj(Impl(p, q), r)._atoms is Disj(r, Conj(q, p))._atoms
+
+
+def test_atoms_of_returns_a_frozenset():
+    assert type(atoms_of(Impl(p, q))) is frozenset and type(atoms_of(FALSUM)) is frozenset
 
 
 def _reference_tree(f):
