@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from .kernel import KripkeModel
 from .kernel import check_kripke  # noqa: F401  re-exported only for perfbench/workloads.py
-from .prover_ip import SearchLimitError
+from .prover_ip import SearchLimitError, check_node_cap
 from .syntax import (
     EP,
     FALSUM,
@@ -67,7 +67,7 @@ class _Tableau:
     __slots__ = ("cap", "steps", "worlds", "edges", "ancestors")
 
     def __init__(self, node_cap: Optional[int]):
-        self.cap = sys.maxsize if node_cap is None else node_cap
+        self.cap = sys.maxsize if node_cap is None else check_node_cap(node_cap)
         self.steps = 0
         self.worlds: list[list] = []  # the true atoms of each world, by number
         self.edges: list[tuple[int, int]] = []  # accessibility, before closure

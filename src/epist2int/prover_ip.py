@@ -7,7 +7,11 @@ whose antecedent is already in the context, whatever its shape; otherwise
 the rule splits three ways on the antecedent's shape (L-impl-conj,
 L-impl-disj, L-impl-impl).  As in Dyckhoff and Negri (JSL 2000),
 L-impl-mp is invertible, and an implication whose consequent is already
-in the context is never tried at a choice point.  The kernel's table,
+in the context is never tried at a choice point.  The choice points are
+tried goal first: each L-impl-impl whose consequent is the goal (its right
+premise is an axiom), then R-disj, then the other L-impl-impl instances.
+The order only says which proof is found first; every choice is still
+tried, so no verdict depends on it.  The kernel's table,
 kernel._RULES, gives each rule's premises to the search and to
 kernel.check_trace.  The search is one recursive method, one frame per
 node, over the rule instances _choices lists; it builds the derivation
@@ -38,6 +42,14 @@ class SearchLimitError(RuntimeError):
     """Raised when a node-count cap is exceeded."""
 
 
+def check_node_cap(node_cap) -> int:
+    """node_cap, if it is a positive int (not a bool), else a ValueError.
+    Both provers call it on a cap other than None before they search."""
+    if type(node_cap) is bool or not isinstance(node_cap, int) or node_cap < 1:
+        raise ValueError(f"node_cap must be None or a positive int, not {node_cap!r}")
+    return node_cap
+
+
 @dataclass
 class ProofResult:
     provable: bool
@@ -60,7 +72,11 @@ _R_DISJ = (("R-disj-1", None), ("R-disj-2", None))
 def _choices(ctx: frozenset, goal: Formula) -> tuple:
     """The rule instances the search tries at ctx |- goal, as (rule,
     principal) pairs in order: one invertible instance alone, else the
-    choice points, tried until one is proved."""
+    choice points, tried until one is proved.  The choice points come in
+    three groups, each in formula_key order: the L-impl-impl instances
+    whose consequent is the goal, R-disj-1 and R-disj-2 when the goal is a
+    disjunction, then the other L-impl-impl instances.  All are listed, so
+    the search stays complete whatever the order."""
     if FALSUM in ctx:
         return (("L-falsum", FALSUM),)
     if goal in ctx:
@@ -109,17 +125,21 @@ def _choices(ctx: frozenset, goal: Formula) -> tuple:
         f = disjunctions[0] if len(disjunctions) == 1 else min(disjunctions, key=formula_key)
         return (("L-disj", f),)
 
-    # choice points
+    # choice points, goal first
     if len(impl_impl) > 1:
         impl_impl.sort(key=formula_key)
-    choices = tuple(("L-impl-impl", f) for f in impl_impl)
-    return _R_DISJ + choices if type(goal) is Disj else choices
+    closing, others = [], []
+    for f in impl_impl:
+        (closing if f.right is goal else others).append(("L-impl-impl", f))
+    if type(goal) is Disj:
+        closing += _R_DISJ
+    return (*closing, *others)
 
 
 class _Search:
     def __init__(self, node_cap: Optional[int]):
         self.memo: dict = {}
-        self.cap = sys.maxsize if node_cap is None else node_cap
+        self.cap = sys.maxsize if node_cap is None else check_node_cap(node_cap)
         self.nodes = 0
         self.max_depth = 0
 

@@ -6,7 +6,7 @@ import pytest
 from epist2int import harness
 from epist2int.kernel import KripkeModel
 from epist2int.prover_ep import EpProofResult, prove_ep
-from epist2int.syntax import EP, IP, VERUM, Atom, Impl, Sequent, print_sequent
+from epist2int.syntax import EP, IP, VERUM, Atom, Impl, Sequent, parse_sequent, print_sequent
 
 
 def test_necessitation_counterexample_report():
@@ -189,6 +189,13 @@ def test_soundness_names_its_costliest_sequents():
     assert all(set(c) == {"sequent", "ctx", "nodes_expanded"} for c in costliest)
     nodes = [c["nodes_expanded"] for c in costliest]
     assert nodes == sorted(nodes, reverse=True)
+
+
+@pytest.mark.parametrize("cap", [True, "5", 2.5, 0, -1])
+@pytest.mark.parametrize("logic", [IP, EP])
+def test_decide_rejects_a_bad_node_cap(cap, logic):
+    with pytest.raises(ValueError, match="node_cap must be None or a positive int"):
+        harness.decide(parse_sequent("|- ~~(p \\/ ~p)", logic), node_cap=cap)
 
 
 def test_criterion_2_sequents_prove_under_node_cap():

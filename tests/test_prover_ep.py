@@ -504,6 +504,12 @@ def test_node_cap_counts_steps(text):
             assert prove_ep(s, node_cap=cap) == free
 
 
+@pytest.mark.parametrize("cap", [True, False, "5", 2.5, 0, -1])
+def test_node_cap_must_be_a_positive_int(cap):
+    with pytest.raises(ValueError, match="node_cap must be None or a positive int"):
+        prove_ep(parse_sequent("|- [](p \\/ q) -> []p \\/ []q", EP), node_cap=cap)
+
+
 def test_rejects_ip_tagged_input():
     # IP refutes p \/ ~p and S4 proves it, so an IP tag is not answered in S4
     with pytest.raises(ValueError, match="prove_ep takes an EP sequent, not one tagged 'ip'"):

@@ -36,7 +36,9 @@ from epist2int.syntax import (
     parse_formula,
     parse_sequent,
     random_formula_sized,
+    subformulas,
 )
+from epist2int.translate import TranslationContext, ff_translate, godel_translate
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -129,6 +131,12 @@ def test_deterministic_stats():
 def test_node_cap():
     with pytest.raises(SearchLimitError):
         prove_ip(parse_sequent("|- ~~(p \\/ ~p)"), node_cap=2)
+
+
+@pytest.mark.parametrize("cap", [True, False, "5", 2.5, 0, -1])
+def test_node_cap_must_be_a_positive_int(cap):
+    with pytest.raises(ValueError, match="node_cap must be None or a positive int"):
+        prove_ip(parse_sequent("|- ~~(p \\/ ~p)"), node_cap=cap)
 
 
 def test_termination_on_large_formula():
@@ -303,14 +311,14 @@ def test_ip_search_order_is_pinned():
     sequents = _lemma_sequents(300) + [Sequent((), a, IP) for a in random.Random(0).sample(pool, 200)]
     results = [prove_ip(s, want_trace=True) for s in sequents]
     assert sum(r.provable for r in results) == 344
-    assert sum(r.nodes_expanded for r in results) == 3244
-    assert sum(r.max_depth for r in results) == 1802
+    assert sum(r.nodes_expanded for r in results) == 2769
+    assert sum(r.max_depth for r in results) == 1762
     docs = [trace_to_json(r.trace) if r.provable else None for r in results]
     nested = [expand_trace(d) if d is not None else None for d in docs]
     digest = hashlib.sha256(json.dumps(nested).encode()).hexdigest()
-    assert digest == "317b594f9661bc384b5c52129237125a1cd977d8776d326cf265b744ea9e5aa0"
+    assert digest == "449a101aaed498597d604705309ff0e749fed2df580c7bd9edd7353d32b0bb44"
     digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
-    assert digest == "523039273c5b52be1dbe965ef8f97c2924e6c4cb7f4056eb0c7a3cd5a464b06e"
+    assert digest == "a4db565a68c95850e0d2d2f8b97641bffbdd649939780e05cb589874ae0d6af5"
 
 
 def test_trace_document_reads_back_to_the_trace():
@@ -354,16 +362,20 @@ TIES = {
     "L-impl-conj": "(p /\\ q) -> r, (p \\/ q) -> s, p, q |- r /\\ s",
     "L-disj": "p \\/ q, r \\/ s |- (q \\/ p) /\\ (s \\/ r)",
     # the least candidate, (p -> q) -> r, fails: p -> q does not follow
-    "L-impl-impl": "(p -> q) -> r, (s -> s) -> u |- u",
+    "L-impl-impl": "(p -> q) -> r, (s -> s) -> u, u -> w |- w",
 }
+# the least candidate, (p -> p) -> r, would succeed (r -> u then gives u),
+# but (s -> s) -> u has the goal as its consequent, so it goes first
+GOAL_FIRST = "(p -> p) -> r, (s -> s) -> u, r -> u |- u"
 
 
-@pytest.mark.parametrize("rule, text", TIES.items(), ids=list(TIES))
+@pytest.mark.parametrize("rule, text", [*TIES.items(), ("L-impl-impl", GOAL_FIRST)],
+                         ids=[*TIES, "L-impl-impl-goal-first"])
 def test_ties_go_to_the_least_formula_key(rule, text):
     s = parse_sequent(text)
     res = prove_ip(s, want_trace=True)
     assert res.provable and check_trace(res.trace, s)
-    tied = False
+    tied = goal_first = False
     for n in kernel._distinct_nodes(res.trace):
         if n.rule not in _BUCKETS:
             continue
@@ -372,17 +384,21 @@ def test_ties_go_to_the_least_formula_key(rule, text):
                          for r in _BUCKETS[n.rule])]
         if n.rule == "L-impl-impl":
             # a lesser candidate is passed over only when a premise fails,
-            # or when it is left out because its consequent is in the context
+            # when it is left out because its consequent is in the context,
+            # or when the principal's consequent is the goal and its own is not
             lesser = [f for f in takers if formula_key(f) < formula_key(n.principal)
                       and f.right not in n.context]
             for f in lesser:
                 premises = kernel._RULES[n.rule](n.context, n.goal, f)
-                assert not all(prove_ip(Sequent(tuple(c), g)).provable for c, g in premises)
+                if all(prove_ip(Sequent(tuple(c), g)).provable for c, g in premises):
+                    assert n.principal.right is n.goal and f.right is not n.goal
+                    goal_first = True
             tied |= n.rule == rule and bool(lesser)
         else:
             assert n.principal == min(takers, key=formula_key)
             tied |= n.rule == rule and len(takers) > 1
     assert tied, f"no node of the trace of {text} chose among {rule} candidates"
+    assert goal_first == (text == GOAL_FIRST)
 
 
 def test_no_printed_keys_without_ties(monkeypatch):
@@ -419,10 +435,45 @@ def test_modus_ponens_on_a_conjunction_antecedent():
     assert kernel._RULES["L-impl-mp"](ctx - {s.assumptions[0]}, r, f) is None
 
 
+def test_choices_put_the_goal_first():
+    # at a choice point: the L-impl-impl whose consequent is the goal, then
+    # R-disj, then the other L-impl-impl candidates, each by formula_key
+    closing, lesser, greater = (parse_formula(t) for t in
+                                ("(s -> s) -> q \\/ r", "(p -> p) -> u", "(t -> t) -> u"))
+    ctx = frozenset({greater, closing, lesser})
+    assert prover_ip._choices(ctx, parse_formula("q \\/ r")) == (
+        ("L-impl-impl", closing), ("R-disj-1", None), ("R-disj-2", None),
+        ("L-impl-impl", lesser), ("L-impl-impl", greater))
+    assert prover_ip._choices(ctx, Atom("u")) == (
+        ("L-impl-impl", lesser), ("L-impl-impl", greater), ("L-impl-impl", closing))
+    assert prover_ip._choices(ctx, Atom("v")) == (
+        ("L-impl-impl", lesser), ("L-impl-impl", closing), ("L-impl-impl", greater))
+
+
+def test_goal_first_proves_the_costliest_certify_query_at_once():
+    # seed 0's costliest certify query: 537 nodes when R-disj went first
+    s = parse_sequent("((p -> p \\/ p) \\/ q -> q \\/ q \\/ p) -> q \\/ q \\/ p |- "
+                      "((((p -> p \\/ p) -> q \\/ q \\/ p) -> q \\/ q \\/ p) \\/ "
+                      "((q -> q \\/ q \\/ p) -> q \\/ q \\/ p) -> q \\/ q \\/ p) -> q \\/ q \\/ p")
+    res = prove_ip(s, want_trace=True)
+    assert res.provable and res.nodes_expanded == 17
+    assert validate_trace(res.trace, s) is None
+
+
+def test_goal_first_retracts_a_translated_disjunction():
+    # T(G(A)) |- A for A = p \/ ~q, under A followed by its distinct
+    # subformulas with witness A: over 500 000 nodes when R-disj went first
+    a = parse_formula("p \\/ ~q")
+    gamma = tuple(dict.fromkeys(subformulas(a)))
+    s = Sequent((ff_translate(godel_translate(a), TranslationContext(gamma, 0)),), a, IP)
+    res = prove_ip(s, want_trace=True, node_cap=10_000)
+    assert res.provable and validate_trace(res.trace, s) is None
+
+
 def test_choice_leaves_out_an_implication_whose_consequent_is_present():
     # (p -> p) -> r is the least L-impl-impl candidate and would succeed,
     # but r is already in the context, so the search takes the other one
-    s = parse_sequent("(p -> p) -> r, r, (s -> s) -> u |- u")
+    s = parse_sequent("(p -> p) -> r, r, (s -> s) -> u, u -> w |- w")
     res = prove_ip(s, want_trace=True)
     assert res.trace.rule == "L-impl-impl"
     assert res.trace.principal == parse_formula("(s -> s) -> u")
