@@ -72,17 +72,25 @@ def upset_algebra(up: Sequence[int]) -> HeytingAlgebra:
 MAX_CHAIN = 256  # make_chain's bound: the time to build a chain grows faster than n**2
 
 
-@functools.lru_cache(maxsize=None)
+def _is_size(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 def make_chain(n: int) -> HeytingAlgebra:
-    """The n-element chain 0 < 1 < ... < n-1, for 1 <= n <= MAX_CHAIN: the
-    up-sets of n-1 points in a line, where point w sees w and every later
-    point.
+    """The n-element chain 0 < 1 < ... < n-1, for an int 1 <= n <= MAX_CHAIN
+    (not a bool), else AlgebraError: the up-sets of n-1 points in a line,
+    where point w sees w and every later point.
 
     Memoised per size (the algebra is frozen), so each size is built once
     per process.
     """
-    if not 1 <= n <= MAX_CHAIN:
-        raise AlgebraError(f"a chain has 1 to {MAX_CHAIN} elements, not {n}")
+    if not _is_size(n) or not 1 <= n <= MAX_CHAIN:
+        raise AlgebraError(f"a chain has 1 to {MAX_CHAIN} elements, not {n!r}")
+    return _chain(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _chain(n: int) -> HeytingAlgebra:
     points = (1 << (n - 1)) - 1
     return upset_algebra([points >> w << w for w in range(n - 1)])
 
@@ -157,13 +165,14 @@ def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:
 def refute(f: Formula, max_chain: int = 3, also_lattices: bool = False) -> Optional[Countermodel]:
     """First countermodel over chains of size 2..max_chain (then, optionally,
     all Heyting algebras with at most 5 elements), trying each algebra's
-    valuations in order.  None proves nothing.  A max_chain outside
-    2..MAX_CHAIN raises ValueError before any search."""
+    valuations in order.  None proves nothing.  A max_chain that is not
+    an int in 2..MAX_CHAIN (a bool is not) raises ValueError before any
+    search."""
     check_formula(refute, f)
     if not f._ip:
         raise ValueError("refute expects an IP formula")
-    if not 2 <= max_chain <= MAX_CHAIN:
-        raise ValueError(f"max_chain must be in 2..{MAX_CHAIN}, not {max_chain}")
+    if not _is_size(max_chain) or not 2 <= max_chain <= MAX_CHAIN:
+        raise ValueError(f"max_chain must be in 2..{MAX_CHAIN}, not {max_chain!r}")
     names = sorted(f._atoms)
     algebras = map(make_chain, range(2, max_chain + 1))
     if also_lattices:

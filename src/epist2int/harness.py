@@ -512,12 +512,24 @@ _SEEDED = (check_lemma_suite, check_soundness_theorem)
 
 def run_checks(targets, seed: Optional[int] = None,
                sample: Optional[int] = None) -> list[CheckReport]:
-    """Run the checks of each target in order.  seed and sample go to the
-    randomized checks only, None keeping each check's default (seed 0);
-    either given is an error when no check of the targets draws at random."""
-    checks = [check for target in targets for check in ALL_CHECKS[target]]
+    """Run the checks of each target in order.  targets is a collection of
+    names in ALL_CHECKS, not one name as a string; an unknown name is a
+    ValueError.  seed and sample, each None or an int (not a bool), go to
+    the randomized checks only, None keeping each check's default (seed
+    0); either given is an error when no check of the targets draws at
+    random."""
+    if isinstance(targets, str):
+        raise TypeError(f"targets is a string, not a collection of target names: {targets!r}")
+    checks = []
+    for target in targets:
+        if target not in ALL_CHECKS:
+            raise ValueError(f"unknown target {target!r}: the targets are {', '.join(ALL_CHECKS)}")
+        checks += ALL_CHECKS[target]
     given = {name: value for name, value in (("seed", seed), ("sample", sample))
              if value is not None}
+    for name, value in given.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be None or an int, not {value!r}")
     if given and not any(check in _SEEDED for check in checks):
         raise ValueError(f"{', '.join(targets)} takes no --{next(iter(given))}")
     if sample is not None and sample < 1:  # a check that checks nothing passes

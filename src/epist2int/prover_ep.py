@@ -76,10 +76,11 @@ class _Tableau:
     def satisfy(self, parts: list, key: Optional[tuple]) -> Optional[int]:
         """The number of a world realizing the seed, or None.
 
-        The root's seed is prove_ep's and its key None.  A successor's seed
-        parts are `(False, A)` then `(True, []B)` for each T[] formula of
-        the state demanding []A, in the order they arose, and its key is
-        `(A, frozenset of the []B)`.  A demand whose key is an
+        The root's seed is the sequent as stated, `(True, Ai)` for each
+        assumption in order then `(False, B)`, and its key None.  A
+        successor's seed parts are `(False, A)` then `(True, []B)` for each
+        T[] formula of the state demanding []A, in the order they arose,
+        and its key is `(A, frozenset of the []B)`.  A demand whose key is an
         ancestor's loops back to that world.  A world is numbered as the
         search enters it, and its true atoms and its edges go to
         `self.worlds` and `self.edges`; an attempt that fails truncates
@@ -191,24 +192,22 @@ def _closure(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
 
 def prove_ep(s: Sequent, node_cap: Optional[int] = None) -> EpProofResult:
     """Decide S4 derivability; NotProvable verdicts carry a countermodel.
-    The root is seeded with the parts of F(lhs -> goal), lhs the conjunction
-    of the assumptions, so 0 or 1 assumption interns no node.  Only an
-    EP-tagged sequent is taken."""
+    The root's seed is the sequent as stated (satisfy), so no node is
+    interned.  Only an EP-tagged sequent is taken."""
     if s.logic != EP:
         raise ValueError(f"prove_ep takes an EP sequent, not one tagged {s.logic!r}")
-    goal, assumptions = s.goal, s.assumptions
-    if assumptions:
-        lhs = assumptions[0]
-        for a in assumptions[1:]:
-            lhs = Conj(lhs, a)
-        parts = [None, (True, lhs), (False, goal)]
-    else:
-        parts = [(False, goal)]
+    parts = []
+    for a in s.assumptions:
+        parts.append((True, a))
+    parts.append((False, s.goal))
     tableau = _Tableau(node_cap)
     if tableau.satisfy(parts, None) is None:
         return EpProofResult(True, None, tableau.steps)
+    atoms = s.goal._atoms
+    for a in s.assumptions:
+        atoms |= a._atoms
     worlds = tableau.worlds
-    valuation = dict.fromkeys(sorted(goal._atoms | lhs._atoms if assumptions else goal._atoms), 0)
+    valuation = dict.fromkeys(sorted(atoms), 0)
     bit = 1
     for names in worlds:
         for name in names:

@@ -85,16 +85,16 @@ class TranslationContext:
             raise TypeError(f"TranslationContext gamma is not a tuple: {self.gamma!r}")
         if not self.gamma:
             raise ValueError("gamma must be nonempty")
+        for f in self.gamma:
+            check_formula(TranslationContext, f)
+            if not is_ip_formula(f):
+                raise ValueError("gamma must consist of IP formulas")
         if len(set(self.gamma)) != len(self.gamma):
             raise ValueError("gamma must be duplicate-free")
         if not isinstance(self.witness_index, int) or isinstance(self.witness_index, bool):
             raise TypeError(f"TranslationContext witness_index is not an int: {self.witness_index!r}")
         if not 0 <= self.witness_index < len(self.gamma):
             raise ValueError("witness_index out of range")
-        for f in self.gamma:
-            check_formula(TranslationContext, f)
-            if not is_ip_formula(f):
-                raise ValueError("gamma must consist of IP formulas")
 
     @property
     def witness(self) -> Formula:

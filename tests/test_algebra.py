@@ -50,6 +50,15 @@ class TestChains:
         with pytest.raises(AlgebraError, match=f"1 to {MAX_CHAIN} elements, not {MAX_CHAIN + 1}"):
             make_chain(MAX_CHAIN + 1)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "3", None, [2]],
+                             ids=["true", "false", "float", "str", "none", "list"])
+    def test_rejects_a_size_that_is_not_an_int(self, bad):
+        # True == 1 and 2.0 == 2 would otherwise build or fetch a chain
+        make_chain(1), make_chain(2)
+        with pytest.raises(AlgebraError) as exc:
+            make_chain(bad)
+        assert str(exc.value) == f"a chain has 1 to {MAX_CHAIN} elements, not {bad!r}"
+
     def test_memoised_per_size(self):
         assert make_chain(3) is make_chain(3)
         assert make_chain(4) is not make_chain(3)
@@ -205,6 +214,12 @@ class TestRefute:
             refute(parse_formula("[]p", logic="ep"), max_chain=3)
         with pytest.raises(ValueError):
             refute(p, max_chain=1)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, 3.0, "3", None], ids=["bool", "float", "whole-float", "str", "none"])
+    def test_rejects_a_max_chain_that_is_not_an_int(self, bad):
+        with pytest.raises(ValueError) as exc:
+            refute(p, max_chain=bad)
+        assert str(exc.value) == f"max_chain must be in 2..{MAX_CHAIN}, not {bad!r}"
 
     @pytest.mark.parametrize("text", ["p", "(p -> q) \\/ (q -> p)"], ids=["refutable", "chain-valid"])
     def test_max_chain_above_bound_raises_before_any_search(self, text):

@@ -276,6 +276,25 @@ def test_run_checks_rejects_a_seed_no_check_reads():
         harness.run_checks(["fernandez"], seed=3)
 
 
+def test_run_checks_rejects_an_unknown_target():
+    with pytest.raises(ValueError, match="^unknown target 'nope': the targets are thm2, "):
+        harness.run_checks(["lemmas", "nope"], sample=1)
+
+
+def test_run_checks_rejects_a_bare_string():
+    # iterating "godel" would look up 'g', 'o', ...
+    with pytest.raises(TypeError, match="^targets is a string, not a collection of target names: 'godel'$"):
+        harness.run_checks("godel")
+
+
+@pytest.mark.parametrize("name, bad", [("seed", 1.5), ("seed", True), ("seed", "3"),
+                                       ("sample", 2.5), ("sample", True), ("sample", False)])
+def test_run_checks_rejects_a_seed_or_sample_that_is_not_an_int(name, bad):
+    with pytest.raises(ValueError) as exc:
+        harness.run_checks(["lemmas"], **{name: bad})
+    assert str(exc.value) == f"{name} must be None or an int, not {bad!r}"
+
+
 def test_run_checks_seeds_the_seeded_checks():
     assert [r.seed for r in harness.run_checks(["lemmas"], sample=1)] == [0]
     assert [r.seed for r in harness.run_checks(["lemmas"], seed=3, sample=1)] == [3]

@@ -101,6 +101,12 @@ def test_translation_context_rejects_a_non_tuple_gamma(bad):
     assert str(exc.value) == f"TranslationContext gamma is not a tuple: {bad!r}"
 
 
+def test_translation_context_checks_each_member_before_hashing_it():
+    with pytest.raises(TypeError) as exc:
+        TranslationContext(([1],), 0)
+    assert str(exc.value) == "TranslationContext argument is not a formula: [1]"
+
+
 @pytest.mark.parametrize("bad", [p, "0", True, 0.0, None])
 def test_translation_context_rejects_a_non_int_witness_index(bad):
     with pytest.raises(TypeError) as exc:
