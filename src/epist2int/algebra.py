@@ -117,12 +117,22 @@ def enumerate_heyting_algebras(max_size: int) -> tuple[HeytingAlgebra, ...]:
     return tuple(found)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Countermodel:
+    """A valuation in `algebra`, of element numbers, giving `formula` the
+    non-top `value`.  Built unchecked, its slots set through their own
+    descriptors; `recheck` checks it."""
+
     algebra: HeytingAlgebra
     valuation: dict
     value: int
     formula: Formula
+
+    def __init__(self, algebra: HeytingAlgebra, valuation: dict, value: int, formula: Formula):
+        _set_algebra(self, algebra)
+        _set_valuation(self, valuation)
+        _set_value(self, value)
+        _set_formula(self, formula)
 
     def recheck(self) -> bool:
         v = evaluate(self.formula, self.valuation, self.algebra)
@@ -136,6 +146,10 @@ class Countermodel:
             "value": self.value,
             "top": self.algebra.top,
         }
+
+
+_set_algebra, _set_valuation = Countermodel.algebra.__set__, Countermodel.valuation.__set__
+_set_value, _set_formula = Countermodel.value.__set__, Countermodel.formula.__set__
 
 
 def evaluate(f: Formula, v: Mapping[str, int], h: HeytingAlgebra) -> int:

@@ -186,10 +186,23 @@ def translated_sequents(sample: int = 500, seed: int = 0):
             yield s, ctx, Sequent(assumptions, ff_translate(s.goal, ctx), IP)
 
 
+def _check_seeded(sample: int = 1, seed: int = 0) -> None:
+    """Raise ValueError unless sample and seed are ints (not bools) and
+    sample is positive: the seeded checks' one argument check, which
+    run_checks also makes, on the values it was given, before it runs
+    any check.  The defaults pass, so an omitted argument is not checked."""
+    for name, value in (("sample", sample), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, not {value!r}")
+    if sample < 1:  # a check that checks nothing passes
+        raise ValueError("sample must be positive")
+
+
 def check_soundness_theorem(sample: int = 500, seed: int = 0) -> CheckReport:
     """Provable EP sequents stay provable in IP under every context the
     sweep draws from DEFAULT_GAMMA_POOL, each proof's trace checked; the
     details name the three translated sequents that cost the most nodes."""
+    _check_seeded(sample, seed)
     t0 = time.perf_counter()
     failures: list = []
     costs = []  # (nodes_expanded, EP sequent, context label)
@@ -420,6 +433,7 @@ def check_lemma_suite(sample: int = 100, seed: int = 0) -> CheckReport:
     """Relative-negation lemma schemata on random instantiations, plus the
     double-negation-elimination property of translated formulas and the
     falsum/negation consequences of the translation."""
+    _check_seeded(sample, seed)
     t0 = time.perf_counter()
     failures: list = []
     validated = 0
@@ -514,10 +528,11 @@ def run_checks(targets, seed: Optional[int] = None,
                sample: Optional[int] = None) -> list[CheckReport]:
     """Run the checks of each target in order.  targets is a collection of
     names in ALL_CHECKS, not one name as a string; an unknown name is a
-    ValueError.  seed and sample, each None or an int (not a bool), go to
-    the randomized checks only, None keeping each check's default (seed
-    0); either given is an error when no check of the targets draws at
-    random."""
+    ValueError.  seed and sample, each None or what the randomized checks
+    take (_check_seeded), go to those checks only, None keeping each
+    check's default (seed 0); either given is an error when no check of
+    the targets draws at random, and a bad one fails before any check
+    runs."""
     if isinstance(targets, str):
         raise TypeError(f"targets is a string, not a collection of target names: {targets!r}")
     checks = []
@@ -527,13 +542,9 @@ def run_checks(targets, seed: Optional[int] = None,
         checks += ALL_CHECKS[target]
     given = {name: value for name, value in (("seed", seed), ("sample", sample))
              if value is not None}
-    for name, value in given.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be None or an int, not {value!r}")
     if given and not any(check in _SEEDED for check in checks):
         raise ValueError(f"{', '.join(targets)} takes no --{next(iter(given))}")
-    if sample is not None and sample < 1:  # a check that checks nothing passes
-        raise ValueError("sample must be positive")
+    _check_seeded(**given)
     return [check(**given) if check in _SEEDED else check() for check in checks]
 
 

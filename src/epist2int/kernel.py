@@ -10,7 +10,6 @@ a test keeps it so."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -262,18 +261,24 @@ def truth(f: Formula, up: Sequence[int], valuation: Mapping[str, int],
 
 
 # ---------------------------------------------------------------- S4
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KripkeModel:
     """Reflexive-transitive frame on the worlds 0..n-1 with a root world.
 
     `up[w]` is the bitmask of the worlds that w sees, the preorder format
     of `check_preorder` and `truth`, and `valuation[a]` the bitmask of the
-    worlds where atom a is true.
+    worlds where atom a is true.  Built unchecked, its slots set through
+    their own descriptors; `check_kripke` checks it.
     """
 
     up: tuple[int, ...]
     valuation: dict
     root: int
+
+    def __init__(self, up: tuple[int, ...], valuation: dict, root: int):
+        _set_up(self, up)
+        _set_valuation(self, valuation)
+        _set_root(self, root)
 
     @property
     def worlds(self) -> range:
@@ -287,6 +292,10 @@ class KripkeModel:
             "valuation": {a: [w for w in ws if m >> w & 1] for a, m in sorted(self.valuation.items())},
             "root": self.root,
         }
+
+
+_set_up, _set_valuation = KripkeModel.up.__set__, KripkeModel.valuation.__set__
+_set_root = KripkeModel.root.__set__
 
 
 def check_kripke(model: KripkeModel, s: Sequent) -> bool:
@@ -307,9 +316,19 @@ def check_kripke(model: KripkeModel, s: Sequent) -> bool:
             raise ValueError(f"valuation of {name!r} is {where!r}, not an int bitmask")
         if where >> len(model.up):
             raise ValueError(f"valuation of {name!r} mentions unknown worlds")
-    valuation = defaultdict(int, model.valuation)  # an atom it lacks holds nowhere
-    memo: dict = {}
-    refuted = ~truth(s.goal, model.up, valuation, memo)
-    for a in s.assumptions:
-        refuted &= truth(a, model.up, valuation, memo)
+    try:
+        refuted = _refuted(s, model.up, model.valuation)
+    except KeyError:  # an atom it lacks holds nowhere: a zero-filled copy names them all
+        atoms = s.goal._atoms.union(*(a._atoms for a in s.assumptions))
+        refuted = _refuted(s, model.up, dict.fromkeys(atoms, 0) | model.valuation)
     return bool(refuted >> root & 1)
+
+
+def _refuted(s: Sequent, up: Sequence[int], valuation: Mapping[str, int]) -> int:
+    """The mask of the worlds where every assumption of s holds and its
+    goal fails; truth's KeyError when the valuation lacks one of its atoms."""
+    memo: dict = {}
+    refuted = ~truth(s.goal, up, valuation, memo)
+    for a in s.assumptions:
+        refuted &= truth(a, up, valuation, memo)
+    return refuted

@@ -27,7 +27,7 @@ from .syntax import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class EpProofResult:
     """A verdict, its countermodel when NotProvable, and the search's cost.
 

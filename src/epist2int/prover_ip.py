@@ -50,7 +50,7 @@ def check_node_cap(node_cap) -> int:
     return node_cap
 
 
-@dataclass
+@dataclass(slots=True)
 class ProofResult:
     provable: bool
     trace: Optional[TraceNode]
@@ -137,6 +137,8 @@ def _choices(ctx: frozenset, goal: Formula) -> tuple:
 
 
 class _Search:
+    __slots__ = ("memo", "cap", "nodes", "max_depth")
+
     def __init__(self, node_cap: Optional[int]):
         self.memo: dict = {}
         self.cap = sys.maxsize if node_cap is None else check_node_cap(node_cap)

@@ -229,13 +229,15 @@ def _check_logic(logic: str) -> None:
         raise ValueError(f"unknown logic tag {logic!r}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Sequent:
     """Assumptions plus a goal, tagged with the logic they live in.
 
     Checked and built in one pass: that the assumptions are a tuple first,
-    then the logic tag, then each assumption in order, then the goal;
-    equality, hashing, repr and immutability are the dataclass's own.
+    then the logic tag, then each assumption in order, then the goal.  The
+    fields are slots, set through their own descriptors as the formula
+    nodes' are; equality, hashing, repr, pickling and immutability are the
+    dataclass's own.
     """
 
     assumptions: tuple[Formula, ...]
@@ -256,9 +258,13 @@ class Sequent:
             raise TypeError(f"sequent goal is not a formula: {goal!r}")
         if ip and not goal._ip:
             raise ValueError("Box not allowed in IP sequent")
-        object.__setattr__(self, "assumptions", assumptions)
-        object.__setattr__(self, "goal", goal)
-        object.__setattr__(self, "logic", logic)
+        _set_assumptions(self, assumptions)
+        _set_goal(self, goal)
+        _set_logic(self, logic)
+
+
+_set_assumptions, _set_goal = Sequent.assumptions.__set__, Sequent.goal.__set__
+_set_logic = Sequent.logic.__set__
 
 
 class ParseError(ValueError):

@@ -292,7 +292,32 @@ def test_run_checks_rejects_a_bare_string():
 def test_run_checks_rejects_a_seed_or_sample_that_is_not_an_int(name, bad):
     with pytest.raises(ValueError) as exc:
         harness.run_checks(["lemmas"], **{name: bad})
-    assert str(exc.value) == f"{name} must be None or an int, not {bad!r}"
+    assert str(exc.value) == f"{name} must be an int, not {bad!r}"
+
+
+@pytest.mark.parametrize("check", [harness.check_lemma_suite, harness.check_soundness_theorem])
+@pytest.mark.parametrize("args, message", [
+    ({"sample": 0}, "sample must be positive"),
+    ({"sample": -1}, "sample must be positive"),
+    ({"sample": True}, "sample must be an int, not True"),
+    ({"sample": 2.5}, "sample must be an int, not 2.5"),
+    ({"sample": 1, "seed": 1.5}, "seed must be an int, not 1.5"),
+    ({"sample": 1, "seed": False}, "seed must be an int, not False"),
+], ids=["zero", "negative", "bool-sample", "float-sample", "float-seed", "bool-seed"])
+def test_seeded_checks_reject_a_bad_sample_or_seed(check, args, message):
+    # called directly, not through run_checks: a check that checks
+    # nothing would pass, and one with a bad seed would report it
+    with pytest.raises(ValueError) as exc:
+        check(**args)
+    assert str(exc.value) == message
+
+
+def test_run_checks_rejects_a_bad_sample_before_any_check_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(harness.ALL_CHECKS, "thm2", (lambda: ran.append("thm2"),))
+    with pytest.raises(ValueError, match="^sample must be positive$"):
+        harness.run_checks(["thm2", "lemmas"], sample=0)
+    assert ran == []
 
 
 def test_run_checks_seeds_the_seeded_checks():

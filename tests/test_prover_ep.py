@@ -1,8 +1,11 @@
 """The S4 prover: theorems, non-theorems, and countermodel certificates."""
 
+import copy
+import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -346,6 +349,19 @@ class TestCheckKripke:
             model = KripkeModel((0b1,), {"p": labeling}, 0)
             assert not check_kripke(model, s)
 
+    @pytest.mark.parametrize("valuation, sequent, refuted", [
+        ({}, "|- p", True),
+        ({}, "|- ~p", False),
+        ({"q": 1}, "q |- p", True),  # the goal's atom is missing
+        ({"p": 0}, "~q |- p", True),  # an assumption's atom is missing
+        ({"p": 0}, "q |- p", False),
+        ({"p": 0}, r"[]~q, q \/ p |- p", False),  # in two assumptions
+    ])
+    def test_an_atom_the_valuation_lacks_holds_nowhere(self, valuation, sequent, refuted):
+        model = KripkeModel((1,), valuation, 0)
+        assert check_kripke(model, parse_sequent(sequent, EP)) is refuted
+        assert model.valuation == valuation  # the model is read, not filled in
+
 
 @pytest.mark.parametrize("up, error", [
     ([0b11, 0b00], "containing 1: the order is not reflexive"),
@@ -361,6 +377,24 @@ def test_malformed_preorder_rejected_by_both_checkers(up, error):
         upset_algebra(up)
     with pytest.raises(ValueError, match=error):
         check_kripke(KripkeModel(tuple(up), {}, 0), parse_sequent("|- p", EP))
+
+
+def test_models_and_results_are_slotted_values():
+    """A KripkeModel keeps its fields in slots, not a __dict__, and is
+    still a frozen dataclass value: it pickles, deep-copies and takes
+    dataclasses.replace.  The prover results are slotted too."""
+    model = KripkeModel((0b11, 0b10), {"p": 0b01}, 0)
+    assert not hasattr(model, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.root = 1
+    for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert copied == model and copied.valuation is not model.valuation
+    moved = dataclasses.replace(model, root=1)
+    assert moved == KripkeModel((0b11, 0b10), {"p": 0b01}, 1) != model
+    assert not check_kripke(moved, parse_sequent("|- p -> []p", EP))
+    res = prove_ep(parse_sequent("|- p -> []p", EP))
+    assert not hasattr(res, "__dict__") and not hasattr(res.countermodel, "__dict__")
+    assert pickle.loads(pickle.dumps(res)) == copy.deepcopy(res) == res
 
 
 def test_countermodel_json_schema():

@@ -267,6 +267,17 @@ def test_sequent_is_a_frozen_value():
                        "right=Box(inner=Atom(name='q'))), logic='ep')")
 
 
+def test_sequent_is_slotted():
+    """A Sequent keeps its fields in slots, not a __dict__, and round-trips
+    through pickle and deepcopy to an equal sequent of the same nodes."""
+    s = Sequent((p, Box(q)), Impl(p, Box(q)), EP)
+    assert not hasattr(s, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert copied == s and hash(copied) == hash(s)
+        assert copied.goal is s.goal and copied.assumptions[1] is s.assumptions[1]
+    assert dataclasses.replace(s, assumptions=()) == Sequent((), Impl(p, Box(q)), EP)
+
+
 @pytest.mark.parametrize("call,tag", [
     (lambda: parse_formula("[]p", "IP"), "IP"),
     (lambda: parse_formula("[]p", "s4"), "s4"),
