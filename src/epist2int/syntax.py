@@ -26,8 +26,8 @@ class _Node:
     so structurally equal formulas are the same object and == and hash are
     the inherited identity ones.  The intern table is a plain dict per
     class that lives, and grows, for the whole process: a binary node is
-    interned under its pair of children, a box under a 1-tuple of its
-    body, an atom under its name.  A constructor checks its arguments on a
+    interned under its pair of children, a box under its body node, an
+    atom under its name.  A constructor checks its arguments on a
     miss only, so a lookup that hits stays cheap, and a rejected argument
     interns nothing.  It publishes a new node with setdefault, so threads
     racing on one node all get the same one.  Interning sets two flags
@@ -163,8 +163,7 @@ class Box(_Node):
     __slots__ = _fields = ("inner",)
 
     def __new__(cls, inner):
-        key = (inner,)
-        node = cls._table.get(key)
+        node = cls._table.get(inner)
         if node is None:
             if not isinstance(inner, _Node):
                 raise _not_formula(cls, inner)
@@ -174,7 +173,7 @@ class Box(_Node):
             _set_ip(node, False)
             _set_stable(node, True)
             _set_atoms(node, inner._atoms)
-            node = cls._table.setdefault(key, node)
+            node = cls._table.setdefault(inner, node)
         return node
 
 
@@ -367,7 +366,7 @@ class _Parser:
                     if top is neg:
                         f = negs.get((f, FALSUM)) or neg(f)
                     else:
-                        f = boxes.get((f,)) or Box(f)
+                        f = boxes.get(f) or Box(f)
                     top = stack[-1]
                 tok = tokens[i]
                 infix = _INFIX.get(tok)
@@ -555,9 +554,9 @@ class FormulaTable:
         return index[f]
 
 
-# What rng.choice picks for a node above depth 0, per logic: a constructor,
-# or None for a leaf drawn as at depth 0.  Leaves stay likely so sizes
-# remain small enough for exhaustive provers.
+# What a node above depth 0 picks: a constructor, or None for a leaf
+# drawn as at depth 0.  Leaves stay likely so sizes remain small enough
+# for exhaustive provers.
 _DRAW_IP = (None, Conj, Disj, Impl, Impl, None)
 _DRAW_EP = (None, Conj, Disj, Impl, Impl, Box, Box, None)
 
@@ -566,48 +565,88 @@ class _TooBig(Exception):
     """A draw passed its size bound."""
 
 
-def _sampler(max_depth: int, atoms: list[str], logic: str):
-    """Check the arguments once; return draw(seed, max_size), the formula of
-    that seed, or None as soon as it has more than max_size nodes."""
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
-    if not atoms:
-        raise ValueError("atoms must be nonempty")
-    _check_logic(logic)
-    leaves = [Atom(a) for a in atoms]  # raises on a bad name such as "T"
-    kinds = _DRAW_EP if logic == EP else _DRAW_IP
-    rand = choice = None  # the current draw's random.Random methods
-    budget = 0  # nodes the current draw may still make
+def _check_int(name: str, value) -> None:
+    """Reject a bool or any other non-int, before anything is drawn."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
 
-    def gen(depth: int) -> Formula:
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise _TooBig
-        if depth:
-            ctor = choice(kinds)
-            if ctor is Box:
-                return Box(gen(depth - 1))
-            if ctor is not None:
-                return ctor(gen(depth - 1), gen(depth - 1))
-        return FALSUM if rand() < 0.15 else choice(leaves)
 
-    def draw(seed: int, max_size: float) -> Formula | None:
-        nonlocal rand, choice, budget
-        rng = random.Random(seed)
-        rand, choice = rng.random, rng.choice
-        budget = max_size
+class _Draws:
+    """One sampler call's checked arguments and the state of its current
+    draw: the `random.Random` every attempt reseeds, its `getrandbits` and
+    `random`, and the nodes the draw may still make.  Plain slots that
+    point at no function of this module, so a call leaves no reference
+    cycle behind."""
+
+    __slots__ = ("kinds", "kinds_bits", "leaves", "leaves_bits", "max_depth",
+                 "rng", "bits", "rand", "budget")
+
+    def __init__(self, max_depth: int, atoms: list[str], logic: str):
+        _check_int("max_depth", max_depth)
+        if max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
+        if not atoms:
+            raise ValueError("atoms must be nonempty")
+        _check_logic(logic)
+        self.leaves = tuple(map(Atom, atoms))  # raises on a bad name such as "T"
+        self.kinds = _DRAW_EP if logic == EP else _DRAW_IP
+        self.leaves_bits = len(self.leaves).bit_length()
+        self.kinds_bits = len(self.kinds).bit_length()
+        self.max_depth = max_depth
+        self.rng = None
+
+    def draw(self, seed: int, max_size: float) -> Formula | None:
+        """The formula of that seed, or None as soon as it has more than
+        max_size nodes.  The first attempt builds the generator, looked up
+        through `random` now; a later one reseeds it."""
+        rng = self.rng
+        if rng is None:
+            rng = self.rng = random.Random(seed)
+            self.bits, self.rand = rng.getrandbits, rng.random
+        else:
+            rng.seed(seed)
+        self.budget = max_size
         try:
-            return gen(max_depth)
+            return _gen(self, self.max_depth)
         except _TooBig:
             return None
 
-    return draw
+
+def _gen(d: _Draws, depth: int) -> Formula:
+    """One node of d's draw and, before it returns, its subtrees, in
+    pre-order.  A pick from n entries repeats getrandbits(n.bit_length())
+    until the value is below n, which is what random.Random.choice draws,
+    so the stream is choice's with no Python-level call per pick."""
+    budget = d.budget - 1
+    if budget < 0:
+        raise _TooBig
+    d.budget = budget
+    if depth:
+        kinds, bits, k = d.kinds, d.bits, d.kinds_bits
+        n = len(kinds)
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        ctor = kinds[r]
+        if ctor is Box:
+            return Box(_gen(d, depth - 1))
+        if ctor is not None:
+            return ctor(_gen(d, depth - 1), _gen(d, depth - 1))
+    if d.rand() < 0.15:
+        return FALSUM
+    leaves, bits, k = d.leaves, d.bits, d.leaves_bits
+    n = len(leaves)
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return leaves[r]
 
 
 def random_formula(max_depth: int, atoms: list[str], logic: str = IP, seed: int = 0) -> Formula:
-    """Bounded random formula, a pure function of its arguments."""
-    return _sampler(max_depth, atoms, logic)(seed, math.inf)
+    """Bounded random formula, a pure function of its arguments.  Raises
+    ValueError on a max_depth that is not an int (a bool included) or is
+    negative, on an empty atom list, a bad atom name or logic tag."""
+    return _Draws(max_depth, atoms, logic).draw(seed, math.inf)
 
 
 def random_formula_sized(max_size: int, atoms: list[str], logic: str = IP, seed: int = 0,
@@ -618,12 +657,15 @@ def random_formula_sized(max_size: int, atoms: list[str], logic: str = IP, seed:
     A rejection loop that stops each draw as it passes max_size, so a
     rejected attempt makes at most max_size + 1 nodes; the draws it keeps
     are random_formula's, so the output is a pure function of the
-    arguments.  Raises random_formula's ValueErrors, and RuntimeError when
-    no attempt fits.
+    arguments.  Raises random_formula's ValueErrors, a ValueError on a
+    max_size that is not an int, and RuntimeError when no attempt fits:
+    at once when max_size < 1, since every draw has a node.
     """
-    draw = _sampler(max_depth, atoms, logic)
-    for i in range(10000):
-        f = draw(seed * 10007 + i, max_size)
-        if f is not None:
-            return f
+    _check_int("max_size", max_size)
+    draws = _Draws(max_depth, atoms, logic)
+    if max_size >= 1:
+        for i in range(10000):
+            f = draws.draw(seed * 10007 + i, max_size)
+            if f is not None:
+                return f
     raise RuntimeError("rejection sampling failed")

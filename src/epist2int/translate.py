@@ -63,11 +63,11 @@ def godel_translate(a: Formula) -> Formula:
         if f in done:
             continue
         if type(f) is Atom:
-            done[f] = boxes.get((f,)) or Box(f)
+            done[f] = boxes.get(f) or Box(f)
         elif f.left in done and f.right in done:
             kind, left, right = type(f), done[f.left], done[f.right]
             g = kind._table.get((left, right)) or kind(left, right)
-            done[f] = (boxes.get((g,)) or Box(g)) if kind is Impl else g
+            done[f] = (boxes.get(g) or Box(g)) if kind is Impl else g
         else:
             todo += f, f.right, f.left
     return done[a]
@@ -221,6 +221,26 @@ def _step(f: Formula) -> Formula | None:
     return None
 
 
+def _norm(g: Formula, memo: dict[Formula, Formula]) -> Formula:
+    """ff_simplify's normal form of g, with the normal forms found so far
+    in the call in memo; a module function taking its memo, so a call
+    leaves no closure cycle behind."""
+    got = memo.get(g)
+    if got is None:
+        kind = type(g)
+        if kind is Conj or kind is Disj or kind is Impl:
+            got = kind(_norm(g.left, memo), _norm(g.right, memo))
+        elif kind is Box:
+            got = Box(_norm(g.inner, memo))
+        else:
+            got = g
+        step = _step(got)
+        if step is not None:
+            got = _norm(step, memo)
+        memo[g] = got
+    return got
+
+
 def ff_simplify(f: Formula) -> Formula:
     """Exhaustively rewrite to a provably equivalent, smaller IP formula.
 
@@ -232,22 +252,4 @@ def ff_simplify(f: Formula) -> Formula:
     normalized once per call.
     """
     check_formula(ff_simplify, f)
-    memo: dict[Formula, Formula] = {}
-
-    def norm(g: Formula) -> Formula:
-        got = memo.get(g)
-        if got is None:
-            kind = type(g)
-            if kind is Conj or kind is Disj or kind is Impl:
-                got = kind(norm(g.left), norm(g.right))
-            elif kind is Box:
-                got = Box(norm(g.inner))
-            else:
-                got = g
-            step = _step(got)
-            if step is not None:
-                got = norm(step)
-            memo[g] = got
-        return got
-
-    return norm(f)
+    return _norm(f, {})

@@ -144,7 +144,7 @@ def test_satisfy_is_the_one_recursive_walker_of_the_s4_prover():
 def test_both_translations_are_loops():
     """godel_translate and ff_translate are loops over an explicit stack;
     only the simplifier's walks recurse."""
-    assert self_callers("translate") == {"ff_simplify.norm", "_flatten"}
+    assert self_callers("translate") == {"_norm", "_flatten"}
 
 
 # ---------------------------------------------------------------- the mask loops

@@ -579,6 +579,63 @@ def test_random_formula_sized_errors():
         assert str(sized.value) == str(plain.value)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: random_formula(1.5, ["p", "q"], EP, 1), "max_depth must be an int, not 1.5"),
+    (lambda: random_formula(2.5, ["p"]), "max_depth must be an int, not 2.5"),
+    (lambda: random_formula(True, ["p"]), "max_depth must be an int, not True"),
+    (lambda: random_formula_sized(True, ["p"]), "max_size must be an int, not True"),
+    (lambda: random_formula_sized(4.0, ["p"]), "max_size must be an int, not 4.0"),
+    (lambda: random_formula_sized(4, ["p"], IP, 0, False), "max_depth must be an int, not False"),
+    (lambda: random_formula_sized(None, [], IP, 0, -1), "max_size must be an int, not None"),
+], ids=["float-depth", "float-depth-2", "bool-depth", "bool-size", "float-size",
+        "sized-bool-depth", "size-checked-first"])
+def test_sampler_rejects_a_non_int_bound(call, message, monkeypatch):
+    monkeypatch.setattr(syntax.random, "Random", None)  # nothing may be drawn
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("max_size", [0, -3])
+def test_sized_sampler_fails_at_once_below_one_node(max_size, monkeypatch):
+    monkeypatch.setattr(syntax.random, "Random", None)  # nothing may be drawn
+    with pytest.raises(RuntimeError, match="rejection sampling failed"):
+        random_formula_sized(max_size, ["p"])
+    with pytest.raises(ValueError, match="atoms must be nonempty"):
+        random_formula_sized(max_size, [])
+
+
+def choice_sampler(max_depth, atoms, logic, seed):
+    """The sampler as random.Random.choice defines it: a pick of n entries
+    is rng.choice over them."""
+    rng = random.Random(seed)
+    kinds = syntax._DRAW_EP if logic == EP else syntax._DRAW_IP
+    leaves = [Atom(a) for a in atoms]
+
+    def gen(depth):
+        if depth:
+            ctor = rng.choice(kinds)
+            if ctor is Box:
+                return Box(gen(depth - 1))
+            if ctor is not None:
+                return ctor(gen(depth - 1), gen(depth - 1))
+        return FALSUM if rng.random() < 0.15 else rng.choice(leaves)
+
+    return gen(max_depth)
+
+
+def test_sampler_picks_as_choice_does():
+    """The sampler's inlined pick draws what random.Random.choice draws, on
+    the Python running the tests: a leaf among n = 1..8 atoms and a node
+    kind in either logic, over 1000 seeds each."""
+    names = [f"a{i}" for i in range(8)]
+    for n in range(1, 9):
+        for seed in range(1000):
+            logic = EP if seed % 2 else IP
+            got = random_formula(seed % 3, names[:n], logic, seed)
+            assert got is choice_sampler(seed % 3, names[:n], logic, seed), (n, seed)
+
+
 def test_equal_formulas_are_identical():
     f = parse_formula("p -> q")
     assert f is Impl(Atom("p"), Atom("q"))
@@ -615,6 +672,14 @@ def test_constructors_reject_non_formula_children(shape, args, bad):
 def test_leaf_shapes_are_interned():
     assert Falsum() is FALSUM and pickle.loads(pickle.dumps(FALSUM)) is FALSUM
     assert Atom._table["p"] is p and repr(Box(p)) == "Box(inner=Atom(name='p'))"
+
+
+def test_box_is_interned_under_its_body():
+    body = Impl(Atom("box_key_a"), Atom("box_key_b"))
+    size = len(Box._table)
+    f = Box(body)
+    assert Box._table[body] is f and len(Box._table) == size + 1
+    assert parse_formula("[](box_key_a -> box_key_b)", EP) is f
 
 
 def test_pickle_across_processes():
