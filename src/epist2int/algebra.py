@@ -48,17 +48,9 @@ class HeytingAlgebra:
         return "chain" if all(a & ~b == 0 for a, b in zip(sets, sets[1:])) else "table"
 
 
-def _upsets(up: Sequence[int]) -> list[int]:
-    """The up-sets of the preorder `up`, as masks ordered by (size, mask)."""
-    check_preorder(up)
-    sets = {0}
-    for u in up:
-        sets |= {s | u for s in sets}
-    return sorted(sets, key=lambda s: (s.bit_count(), s))
-
-
 def upset_algebra(up: Sequence[int]) -> HeytingAlgebra:
-    """The Heyting algebra of the up-sets of a finite preorder.
+    """The Heyting algebra of the up-sets of a finite preorder, or
+    AlgebraError when `up` is not one.
 
     `up[w]` is the bitmask of the points that point w sees.  The elements
     are the unions of principal up-sets, numbered by (size, mask), so the
@@ -66,7 +58,11 @@ def upset_algebra(up: Sequence[int]) -> HeytingAlgebra:
     is inclusion, meet and join are intersection and union, and x |> y is
     interior(up, ~x | y), the points whose up-set meets x only inside y.
     """
-    return HeytingAlgebra(tuple(up), tuple(_upsets(up)))
+    check_preorder(up)
+    sets = {0}
+    for u in up:
+        sets |= {s | u for s in sets}
+    return HeytingAlgebra(tuple(up), tuple(sorted(sets, key=lambda s: (s.bit_count(), s))))
 
 
 MAX_CHAIN = 256  # make_chain's bound: the time to build a chain grows faster than n**2
@@ -108,11 +104,11 @@ def enumerate_heyting_algebras(max_size: int) -> tuple[HeytingAlgebra, ...]:
         choices = [[1 << w | k << (w + 1) for k in range(1 << (n - 1 - w))] for w in range(n)]
         for up in itertools.product(*choices):
             try:
-                sets = _upsets(up)
+                h = upset_algebra(up)
             except AlgebraError:
                 continue  # not transitive
-            if len(sets) <= max_size:
-                found.append(HeytingAlgebra(up, tuple(sets)))
+            if h.size <= max_size:
+                found.append(h)
     found.sort(key=lambda h: h.size)
     return tuple(found)
 

@@ -32,6 +32,7 @@ from .syntax import (
     Impl,
     Sequent,
     atoms_of,
+    check_int,
     neg,
     print_formula,
     print_sequent,
@@ -80,7 +81,9 @@ def _finish(name: str, failures: list, details: dict, seed: Optional[int],
 
 
 def gamma_contexts(pool, max_size: int = 2) -> list[TranslationContext]:
-    """Every subset of the pool up to max_size, with every witness choice."""
+    """Every subset of the pool up to max_size, with every witness choice;
+    ValueError on a max_size that is not an int."""
+    check_int("max_size", max_size)
     ctxs = []
     for k in range(1, max_size + 1):
         for combo in itertools.combinations(pool, k):
@@ -127,8 +130,8 @@ def _decide(s: Sequent, failures: list, label: str, expect: Optional[bool] = Tru
         if expect is None or res.provable == expect:
             return res
         error = {"verdict": res.verdict, "expected": expect}
-    except CertificateError:
-        error = {"error": "certificate rejected"}
+    except CertificateError as rejected:
+        error = {"error": str(rejected)}
     failures.append({"check": label, "sequent": print_sequent(s), **error})
     return None
 
@@ -144,7 +147,10 @@ _BOXED_GOALS = (
 
 def sample_provable_ep_sequents(sample: int, max_size: int, seed: int) -> list[Sequent]:
     """Provable EP sequents over p, q, r, biased toward derivations that
-    need the box-introduction rule (boxed assumptions, boxed goals)."""
+    need the box-introduction rule (boxed assumptions, boxed goals).
+    ValueError on an argument that is not an int."""
+    for name, value in (("sample", sample), ("max_size", max_size), ("seed", seed)):
+        check_int(name, value)
     atoms = ["p", "q", "r"]
     rng = random.Random(seed)
     out: list[Sequent] = []
@@ -178,12 +184,13 @@ def sample_provable_ep_sequents(sample: int, max_size: int, seed: int) -> list[S
 def translated_sequents(sample: int = 500, seed: int = 0):
     """The soundness sweep's IP sequents: each sampled provable EP sequent
     of size at most 8 translated under gamma_contexts(DEFAULT_GAMMA_POOL, 2),
-    each context in turn, as (EP sequent, context, translated sequent)."""
+    each context in turn, as (EP sequent, context, translated sequent).
+    The EP sequents are sampled on the call, so an argument that is not an
+    int raises sample_provable_ep_sequents' ValueError then."""
     ctxs = gamma_contexts(DEFAULT_GAMMA_POOL, 2)
-    for s in sample_provable_ep_sequents(sample, 8, seed):
-        for ctx in ctxs:
-            assumptions = tuple(ff_translate(a, ctx) for a in s.assumptions)
-            yield s, ctx, Sequent(assumptions, ff_translate(s.goal, ctx), IP)
+    return ((s, ctx, Sequent(tuple(ff_translate(a, ctx) for a in s.assumptions),
+                             ff_translate(s.goal, ctx), IP))
+            for s in sample_provable_ep_sequents(sample, 8, seed) for ctx in ctxs)
 
 
 def _check_seeded(sample: int = 1, seed: int = 0) -> None:
@@ -191,9 +198,8 @@ def _check_seeded(sample: int = 1, seed: int = 0) -> None:
     sample is positive: the seeded checks' one argument check, which
     run_checks also makes, on the values it was given, before it runs
     any check.  The defaults pass, so an omitted argument is not checked."""
-    for name, value in (("sample", sample), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, not {value!r}")
+    check_int("sample", sample)
+    check_int("seed", seed)
     if sample < 1:  # a check that checks nothing passes
         raise ValueError("sample must be positive")
 
@@ -469,7 +475,9 @@ def check_lemma_suite(sample: int = 100, seed: int = 0) -> CheckReport:
 
 
 def enumerate_ip_formulas(max_size: int, atom_names=("p", "q")) -> list[Formula]:
-    """Every IP formula over the given atoms (and falsum) up to max_size nodes."""
+    """Every IP formula over the given atoms (and falsum) up to max_size
+    nodes; ValueError on a max_size that is not an int."""
+    check_int("max_size", max_size)
     leaves: list[Formula] = [Atom(a) for a in atom_names] + [FALSUM]
     by_size: dict[int, list[Formula]] = {1: leaves}
     for n in range(2, max_size + 1):
@@ -527,12 +535,12 @@ _SEEDED = (check_lemma_suite, check_soundness_theorem)
 def run_checks(targets, seed: Optional[int] = None,
                sample: Optional[int] = None) -> list[CheckReport]:
     """Run the checks of each target in order.  targets is a collection of
-    names in ALL_CHECKS, not one name as a string; an unknown name is a
-    ValueError.  seed and sample, each None or what the randomized checks
-    take (_check_seeded), go to those checks only, None keeping each
-    check's default (seed 0); either given is an error when no check of
-    the targets draws at random, and a bad one fails before any check
-    runs."""
+    names in ALL_CHECKS, not one name as a string; an unknown name, or
+    none at all, is a ValueError.  seed and sample, each None or what the
+    randomized checks take (_check_seeded), go to those checks only, None
+    keeping each check's default (seed 0); either given is an error when
+    no check of the targets draws at random, and a bad one fails before
+    any check runs."""
     if isinstance(targets, str):
         raise TypeError(f"targets is a string, not a collection of target names: {targets!r}")
     checks = []
@@ -540,6 +548,8 @@ def run_checks(targets, seed: Optional[int] = None,
         if target not in ALL_CHECKS:
             raise ValueError(f"unknown target {target!r}: the targets are {', '.join(ALL_CHECKS)}")
         checks += ALL_CHECKS[target]
+    if not checks:  # a run that checks nothing would pass
+        raise ValueError(f"no target given: the targets are {', '.join(ALL_CHECKS)}")
     given = {name: value for name, value in (("seed", seed), ("sample", sample))
              if value is not None}
     if given and not any(check in _SEEDED for check in checks):

@@ -305,30 +305,24 @@ def check_kripke(model: KripkeModel, s: Sequent) -> bool:
     model is otherwise malformed, a bool root or mask included: True is
     not world 1, nor the set {0}.
     """
-    if not (isinstance(model.up, tuple) and isinstance(model.valuation, dict)):
+    up, valuation, root = model.up, model.valuation, model.root
+    if not (isinstance(up, tuple) and isinstance(valuation, dict)):
         raise ValueError("a model is a tuple of up-set masks and a dict of valuation masks")
-    root = model.root
     if not isinstance(root, int) or isinstance(root, bool) or root not in model.worlds:
-        raise ValueError(f"root world missing: {root!r} is not an int in 0..{len(model.up) - 1}")
-    check_preorder(model.up)
-    for name, where in model.valuation.items():
+        raise ValueError(f"root world missing: {root!r} is not an int in 0..{len(up) - 1}")
+    check_preorder(up)
+    for name, where in valuation.items():
         if not isinstance(where, int) or isinstance(where, bool):
             raise ValueError(f"valuation of {name!r} is {where!r}, not an int bitmask")
-        if where >> len(model.up):
+        if where >> len(up):
             raise ValueError(f"valuation of {name!r} mentions unknown worlds")
-    try:
-        refuted = _refuted(s, model.up, model.valuation)
-    except KeyError:  # an atom it lacks holds nowhere: a zero-filled copy names them all
-        atoms = s.goal._atoms.union(*(a._atoms for a in s.assumptions))
-        refuted = _refuted(s, model.up, dict.fromkeys(atoms, 0) | model.valuation)
-    return bool(refuted >> root & 1)
-
-
-def _refuted(s: Sequent, up: Sequence[int], valuation: Mapping[str, int]) -> int:
-    """The mask of the worlds where every assumption of s holds and its
-    goal fails; truth's KeyError when the valuation lacks one of its atoms."""
+    atoms = s.goal._atoms
+    for a in s.assumptions:
+        atoms |= a._atoms
+    if not valuation.keys() >= atoms:  # an atom it lacks holds nowhere: fill a copy with 0
+        valuation = dict.fromkeys(atoms, 0) | valuation
     memo: dict = {}
     refuted = ~truth(s.goal, up, valuation, memo)
     for a in s.assumptions:
         refuted &= truth(a, up, valuation, memo)
-    return refuted
+    return bool(refuted >> root & 1)

@@ -8,7 +8,6 @@ A1,...,An entail A iff (A1 /\\ ... /\\ An) -> A is valid.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -67,7 +66,7 @@ class _Tableau:
     __slots__ = ("cap", "steps", "worlds", "edges", "ancestors")
 
     def __init__(self, node_cap: Optional[int]):
-        self.cap = sys.maxsize if node_cap is None else check_node_cap(node_cap)
+        self.cap = check_node_cap(node_cap)
         self.steps = 0
         self.worlds: list[list] = []  # the true atoms of each world, by number
         self.edges: list[tuple[int, int]] = []  # accessibility, before closure

@@ -43,8 +43,10 @@ class SearchLimitError(RuntimeError):
 
 
 def check_node_cap(node_cap) -> int:
-    """node_cap, if it is a positive int (not a bool), else a ValueError.
-    Both provers call it on a cap other than None before they search."""
+    """The cap both provers search under: sys.maxsize for None, node_cap
+    itself if it is a positive int (not a bool), else a ValueError."""
+    if node_cap is None:
+        return sys.maxsize
     if type(node_cap) is bool or not isinstance(node_cap, int) or node_cap < 1:
         raise ValueError(f"node_cap must be None or a positive int, not {node_cap!r}")
     return node_cap
@@ -141,7 +143,7 @@ class _Search:
 
     def __init__(self, node_cap: Optional[int]):
         self.memo: dict = {}
-        self.cap = sys.maxsize if node_cap is None else check_node_cap(node_cap)
+        self.cap = check_node_cap(node_cap)
         self.nodes = 0
         self.max_depth = 0
 

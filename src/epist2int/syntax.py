@@ -81,6 +81,12 @@ def check_formula(where, f) -> None:
         raise _not_formula(where, f)
 
 
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int, and not a bool, before it is used."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, not {value!r}")
+
+
 _ATOM_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 
@@ -565,12 +571,6 @@ class _TooBig(Exception):
     """A draw passed its size bound."""
 
 
-def _check_int(name: str, value) -> None:
-    """Reject a bool or any other non-int, before anything is drawn."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, not {value!r}")
-
-
 class _Draws:
     """One sampler call's checked arguments and the state of its current
     draw: the `random.Random` every attempt reseeds, its `getrandbits` and
@@ -582,7 +582,7 @@ class _Draws:
                  "rng", "bits", "rand", "budget")
 
     def __init__(self, max_depth: int, atoms: list[str], logic: str):
-        _check_int("max_depth", max_depth)
+        check_int("max_depth", max_depth)
         if max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if not atoms:
@@ -661,7 +661,7 @@ def random_formula_sized(max_size: int, atoms: list[str], logic: str = IP, seed:
     max_size that is not an int, and RuntimeError when no attempt fits:
     at once when max_size < 1, since every draw has a node.
     """
-    _check_int("max_size", max_size)
+    check_int("max_size", max_size)
     draws = _Draws(max_depth, atoms, logic)
     if max_size >= 1:
         for i in range(10000):

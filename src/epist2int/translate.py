@@ -23,7 +23,6 @@ from .syntax import (
     Formula,
     Impl,
     check_formula,
-    is_ip_formula,
 )
 
 
@@ -54,7 +53,7 @@ def godel_translate(a: Formula) -> Formula:
     first.
     """
     check_formula(godel_translate, a)
-    if not is_ip_formula(a):
+    if not a._ip:
         raise ValueError("input already contains Box")
     boxes, done = Box._table, _GODEL
     todo = [a]
@@ -87,7 +86,7 @@ class TranslationContext:
             raise ValueError("gamma must be nonempty")
         for f in self.gamma:
             check_formula(TranslationContext, f)
-            if not is_ip_formula(f):
+            if not f._ip:
                 raise ValueError("gamma must consist of IP formulas")
         if len(set(self.gamma)) != len(self.gamma):
             raise ValueError("gamma must be duplicate-free")

@@ -526,6 +526,18 @@ def test_prove_deep_implication_chain(capsys):
     assert code == 0 and out.startswith("Provable\ntrace: {")
 
 
+def test_deep_derivation_of_shallow_formulas_is_json_error(capsys):
+    # no formula is deeper than 2, but the modus ponens chain is a proof
+    # 1200 levels deep, and prove_ip recurses once per proof level
+    links = ", ".join(f"p{i} -> p{i + 1}" for i in range(1200))
+    code, out, _ = run(capsys, "prove", "--logic", "ip", "--output", "json",
+                       f"p0, {links} |- p1200")
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "formula nested too deeply"
+
+
 def test_translate_ff_deep_negation(capsys):
     code, out, _ = run(capsys, "translate", "--mode", "ff", "--gamma", "q", "--witness", "q",
                        "~" * 1200 + "p")

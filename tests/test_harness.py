@@ -116,12 +116,15 @@ def test_lemma_premise_filter_checks_traces(monkeypatch):
                         lambda trace, s: "forged" if print_sequent(s) == premise else real(trace, s))
     r = harness.check_lemma_suite(sample=1, seed=0)
     assert r.details["failures"] == [{"check": "2_neg_intro premise", "sequent": premise,
-                                      "error": "certificate rejected"}]
+                                      "error": "certificate rejected: forged"}]
     assert r.details["schemata"]["2_neg_intro"] == {"instances": 0, "failures": 1}
 
 
 # checkers that reject every certificate: validate_trace names a fault
 REJECT = {"validate_trace": lambda *args: "forged", "check_kripke": lambda *args: False}
+# the reason each rejection records
+REJECTED = {"validate_trace": "certificate rejected: forged",
+            "check_kripke": "certificate rejected: the countermodel does not refute the sequent"}
 
 
 @pytest.mark.parametrize("checker", list(REJECT))
@@ -134,7 +137,7 @@ def test_godel_checks_certificates(monkeypatch, checker):
     monkeypatch.setattr(harness, checker, REJECT[checker])
     r = harness.check_godel_faithfulness()
     assert not r.passed
-    assert any(f.get("error") == "certificate rejected" for f in r.details["failures"])
+    assert any(f.get("error") == REJECTED[checker] for f in r.details["failures"])
 
 
 def test_rejected_certificate_raises_and_is_recorded(monkeypatch):
@@ -145,7 +148,7 @@ def test_rejected_certificate_raises_and_is_recorded(monkeypatch):
     # a wrong verdict whose certificate is rejected is recorded as the rejection
     failures = []
     assert harness._decide(s, failures, "x", expect=False) is None
-    assert failures == [{"check": "x", "sequent": "p |- p", "error": "certificate rejected"}]
+    assert failures == [{"check": "x", "sequent": "p |- p", "error": "certificate rejected: forged"}]
 
 
 def test_malformed_countermodel_is_a_rejected_certificate(monkeypatch):
@@ -158,7 +161,8 @@ def test_malformed_countermodel_is_a_rejected_certificate(monkeypatch):
         harness.decide(s)
     failures = []
     assert harness._decide(s, failures, "x", expect=False) is None
-    assert failures == [{"check": "x", "sequent": "|- p", "error": "certificate rejected"}]
+    assert failures == [{"check": "x", "sequent": "|- p", "error": "certificate rejected: "
+                         "up[0] is not a set containing 0: the order is not reflexive"}]
 
 
 def test_decide_records_a_wrong_verdict():
@@ -256,6 +260,45 @@ def test_reports_deterministic_given_seed():
     assert [print_sequent(s) for s in x] == [print_sequent(s) for s in y]
 
 
+# a bool or a float used to read as a size or a seed: True as 1, 2.5 as 3
+@pytest.mark.parametrize("args, message", [
+    ((True, 8, 0), "sample must be an int, not True"),
+    ((2.5, 8, 0), "sample must be an int, not 2.5"),
+    ((3, 8.0, 0), "max_size must be an int, not 8.0"),
+    ((3, 8, False), "seed must be an int, not False"),
+])
+def test_sampler_rejects_an_argument_that_is_not_an_int(args, message):
+    with pytest.raises(ValueError) as exc:
+        harness.sample_provable_ep_sequents(*args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2.5, 0), "sample must be an int, not 2.5"),
+    ((True, 0), "sample must be an int, not True"),
+    ((3, False), "seed must be an int, not False"),
+])
+def test_translated_sequents_rejects_an_argument_that_is_not_an_int(args, message):
+    # on the call, before anything is iterated
+    with pytest.raises(ValueError) as exc:
+        harness.translated_sequents(*args)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3"])
+def test_enumerate_ip_formulas_rejects_a_size_that_is_not_an_int(bad):
+    with pytest.raises(ValueError) as exc:
+        harness.enumerate_ip_formulas(bad)
+    assert str(exc.value) == f"max_size must be an int, not {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [True, 2.5])
+def test_gamma_contexts_rejects_a_size_that_is_not_an_int(bad):
+    with pytest.raises(ValueError) as exc:
+        harness.gamma_contexts(harness.DEFAULT_GAMMA_POOL, bad)
+    assert str(exc.value) == f"max_size must be an int, not {bad!r}"
+
+
 def test_report_json_lines():
     r = harness.check_unfaithfulness_fernandez()
     blob = json.loads(json.dumps(r.to_json()))
@@ -279,6 +322,13 @@ def test_run_checks_rejects_a_seed_no_check_reads():
 def test_run_checks_rejects_an_unknown_target():
     with pytest.raises(ValueError, match="^unknown target 'nope': the targets are thm2, "):
         harness.run_checks(["lemmas", "nope"], sample=1)
+
+
+def test_run_checks_rejects_no_target():
+    # a run that checks nothing would pass; with a seed it named no target
+    for kwargs in ({}, {"seed": 1}):
+        with pytest.raises(ValueError, match="^no target given: the targets are thm2, fernandez, "):
+            harness.run_checks([], **kwargs)
 
 
 def test_run_checks_rejects_a_bare_string():

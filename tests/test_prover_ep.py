@@ -362,6 +362,16 @@ class TestCheckKripke:
         assert check_kripke(model, parse_sequent(sequent, EP)) is refuted
         assert model.valuation == valuation  # the model is read, not filled in
 
+    def test_a_key_error_is_not_read_as_a_missing_atom(self):
+        # the valuation names p, so the check reads it in place, and a
+        # KeyError it raises there is an error, not "p holds nowhere"
+        class Failing(dict):
+            def __getitem__(self, name):
+                raise KeyError(name)
+
+        with pytest.raises(KeyError):
+            check_kripke(KripkeModel((1,), Failing(p=1), 0), parse_sequent("|- p", EP))
+
 
 @pytest.mark.parametrize("up, error", [
     ([0b11, 0b00], "containing 1: the order is not reflexive"),
